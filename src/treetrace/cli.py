@@ -41,7 +41,7 @@ from .surgery import (
     twist_cocycle_data,
     vanishing_combo,
 )
-from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
+from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index, omega
 from .trees import tau2_bscc_twist, tree_expand
 
 
@@ -151,11 +151,30 @@ def _cmd_report(args) -> int:
     return _emit_report(build_report(args.genus), args.format)
 
 
+def _rational(option: str, text: str) -> Fraction:
+    """An exact rational option value such as ``-5`` or ``3/4``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("%s expects an exact rational like 3/4, got %r"
+                         % (option, text)) from None
+
+
+def _bounding_basis(x, y) -> tuple:
+    """Require omega(x, y) = +-1: (x, y) must be a symplectic basis, in
+    either orientation, of the genus-1 subsurface a bounding curve cuts off."""
+    w = omega(x, y)
+    if abs(w) != 1:
+        raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
+                         "got %s" % w)
+    return x, y
+
+
 def _twist_argument(text: str, genus: int, lam: Fraction):
     """Resolve a knot name or twist(x; y) spec to (casson value, tree image)."""
     if text in BUILTIN_KNOTS:
         return twist_cocycle_data(BUILTIN_KNOTS[text], genus)
-    x, y = parse_twist(text)
+    x, y = _bounding_basis(*parse_twist(text))
     top = max(max_index(x), max_index(y))
     if top > genus:
         raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
@@ -163,8 +182,10 @@ def _twist_argument(text: str, genus: int, lam: Fraction):
 
 
 def _cmd_cocycle(args) -> int:
-    lam_x, tau_x = _twist_argument(args.x, args.genus, Fraction(args.lambda_x))
-    lam_y, tau_y = _twist_argument(args.y, args.genus, Fraction(args.lambda_y))
+    lam_x, tau_x = _twist_argument(args.x, args.genus,
+                                   _rational("--lambda-x", args.lambda_x))
+    lam_y, tau_y = _twist_argument(args.y, args.genus,
+                                   _rational("--lambda-y", args.lambda_y))
     values = {
         "Q": q_form(tau_x, tau_y),
         "J": j_form(tau_x, tau_y),
@@ -186,7 +207,7 @@ def load_knot_document(path: str) -> KnotRecord:
     basis = None
     if doc.get("bscc_basis") is not None:
         x, y = doc["bscc_basis"]
-        basis = (parse_hvec(x), parse_hvec(y))
+        basis = _bounding_basis(parse_hvec(x), parse_hvec(y))
     return KnotRecord(
         name=doc["name"],
         conway=LaurentPoly((int(e), int(c)) for e, c in doc["conway"]),

@@ -86,7 +86,12 @@ def _label(cur: _Cursor) -> BasisLabel:
 def _coefficient(cur: _Cursor) -> Fraction:
     num = cur.integer()
     if cur.try_take("/"):
-        return Fraction(num, cur.integer())
+        cur.skip_ws()
+        start = cur.pos
+        den = cur.integer()
+        if not den:
+            raise ParseError("zero denominator", start)
+        return Fraction(num, den)
     return Fraction(num)
 
 

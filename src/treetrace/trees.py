@@ -6,9 +6,13 @@ by the image of Lambda^4 H under
 
     w ^ x ^ y ^ z  |->  (w^x)(y^z) - (w^y)(x^z) + (w^z)(x^y),
 
-and is represented here by canonical normal forms: residuals of span
-reduction against the embedded basis 4-tuples, with pivot order the global
-key order a1 < b1 < a2 < b2 < ...
+and is represented here by canonical normal forms.  Under the label order
+a1 < b1 < a2 < b2 < ... no two embedded 4-tuples w < x < y < z share a key,
+so the normal form rewrites each key ((w,x),(y,z)) with x < y by
+
+    (w^x)(y^z)  ->  (w^y)(x^z) - (w^z)(x^y)
+
+and keeps every other key: one rewrite per term, at any genus.
 
 Wedge keys store their two labels sorted (sign absorbed into the
 coefficient) and symmetric-product keys store their two wedges sorted, so
@@ -17,12 +21,10 @@ the AS and leg-swap symmetries are structural.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple
 
-from .exact import FreeVec, SpanBasis
-from .symplectic import DEFAULT_GENUS, basis_labels, gl_hvec_action, hvec
+from .exact import FreeVec
+from .symplectic import DEFAULT_GENUS, gl_hvec_action, hvec
 
 
 class HTree(NamedTuple):
@@ -86,25 +88,21 @@ def s2l2_max_index(v: FreeVec) -> int:
                default=0)
 
 
-@lru_cache(maxsize=None)
-def lambda4_basis(genus: int) -> tuple:
-    """Embeddings of all strictly increasing basis 4-tuples at this genus."""
-    labels = basis_labels(genus)
-    return tuple(lambda4_embed(*quad) for quad in combinations(labels, 4))
-
-
-@lru_cache(maxsize=None)
-def lambda4_span(genus: int) -> SpanBasis:
-    return SpanBasis(lambda4_basis(genus))
-
-
 def a2_normalize(v: FreeVec, genus: int = DEFAULT_GENUS) -> FreeVec:
-    """Canonical representative of ``v`` modulo the embedded Lambda^4 H."""
+    """Canonical representative of ``v`` modulo the embedded Lambda^4 H;
+    ``genus`` only bounds the indices ``v`` may use."""
     top = s2l2_max_index(v)
     if top > genus:
         raise ValueError("vector uses index %d beyond genus %d" % (top, genus))
-    _, residual = lambda4_span(genus).reduce(v)
-    return residual
+    data = {}
+    for key, coeff in v.items():
+        (w, x), (y, z) = key
+        if x < y:
+            data[(w, y), (x, z)] = data.get(((w, y), (x, z)), 0) + coeff
+            data[(w, z), (x, y)] = data.get(((w, z), (x, y)), 0) - coeff
+        else:
+            data[key] = data.get(key, 0) + coeff
+    return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
 def a2_equal(x: FreeVec, y: FreeVec, genus: int = DEFAULT_GENUS) -> bool:

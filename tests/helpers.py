@@ -1,10 +1,12 @@
 """Shared random generators and small oracles for the test suite."""
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
-from treetrace.exact import FreeVec
+from treetrace.exact import FreeVec, SpanBasis
 from treetrace.symplectic import BasisLabel, basis_labels
-from treetrace.trees import HTree, tree, tree_expand
+from treetrace.trees import HTree, lambda4_embed, tree, tree_expand
 
 
 def rand_scalar(rng, lo=-9, hi=9):
@@ -39,6 +41,25 @@ def rand_basic_tensor(rng, genus, degree=4):
 def expand(*slots) -> FreeVec:
     """tree_expand of a tree given by labels or H vectors."""
     return tree_expand(tree(*slots))
+
+
+@lru_cache(maxsize=None)
+def lambda4_basis(genus: int) -> tuple:
+    """Embeddings of all strictly increasing basis 4-tuples at this genus."""
+    return tuple(lambda4_embed(*quad)
+                 for quad in combinations(basis_labels(genus), 4))
+
+
+@lru_cache(maxsize=None)
+def _lambda4_span(genus: int) -> SpanBasis:
+    return SpanBasis(lambda4_basis(genus))
+
+
+def span_a2_normalize(v: FreeVec, genus: int) -> FreeVec:
+    """Independent oracle for ``a2_normalize``: the canonical residual of
+    Gaussian elimination against every embedded 4-tuple at this genus."""
+    _, residual = _lambda4_span(genus).reduce(v)
+    return residual
 
 
 def basic_trees_of_bidegree(genus, n_a):

@@ -34,12 +34,14 @@ def test_report_json_round_trip(capsys):
 
 
 def test_report_stable_across_genus(capsys):
-    code5, out5, _ = run_cli(capsys, "report", "--format", "json")
-    code6, out6, _ = run_cli(capsys, "report", "--format", "json", "--genus", "6")
-    assert code5 == code6 == 0
-    checks5 = {c["name"]: c["computed"] for c in json.loads(out5)["checks"]}
-    checks6 = {c["name"]: c["computed"] for c in json.loads(out6)["checks"]}
-    assert checks5 == checks6
+    def computed(*genus):
+        code, out, _ = run_cli(capsys, "report", "--format", "json", *genus)
+        assert code == 0
+        return {c["name"]: c["computed"] for c in json.loads(out)["checks"]}
+
+    base = computed()
+    for genus in ("6", "8", "12", "20"):
+        assert computed("--genus", genus) == base
 
 
 def test_report_rejects_small_genus(capsys):
@@ -193,3 +195,54 @@ def test_trace_without_required_label_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "trace", "T(b1, b2; b3, b4)", "--side", "A")
     assert code == 2
     assert err
+
+
+def assert_one_line_usage_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_bad_lambda_is_a_usage_error(capsys):
+    for option, value in (("--lambda-x", "1/0"), ("--lambda-y", "three")):
+        code, _, err = run_cli(capsys, "cocycle", "twist(a1; b1)", "trefoil",
+                               option, value)
+        assert_one_line_usage_error(code, err)
+        assert option in err
+
+
+def test_zero_denominator_in_tree_is_a_parse_error(capsys):
+    code, _, err = run_cli(capsys, "trace", "T(1/0*a1, b1; a2, b2)")
+    assert_one_line_usage_error(code, err)
+    assert "denominator" in err and "offset 4" in err
+
+
+def test_cocycle_rejects_degenerate_twists(capsys):
+    for spec in ("twist(a1; a1)", "twist(a1; a2)"):
+        code, _, err = run_cli(capsys, "cocycle", spec, "trefoil")
+        assert_one_line_usage_error(code, err)
+        assert "omega" in err
+
+
+def test_builtin_knot_bases_pass_as_twist_specs(capsys):
+    # omega(x, y) is -1 for the trefoil's basis and +1 for the figure-eight's.
+    for spec, lam, c in (("twist(a1 + b1; a2 - b1 + b2)", "1", "C = 108"),
+                         ("twist(a1 + b1; a2 + b1 - b2)", "-1", "C = 132")):
+        code, out, _ = run_cli(capsys, "cocycle", spec, spec,
+                               "--lambda-x", lam, "--lambda-y", lam)
+        assert code == 0
+        assert c in out
+
+
+def test_knot_document_rejects_degenerate_basis(tmp_path, capsys):
+    doc = {
+        "name": "degenerate",
+        "conway": [[2, 1], [0, 1]],
+        "jones": [[1, 1], [3, 1], [4, -1]],
+        "bscc_basis": ["a1 + b1", "a1 + b1"],
+    }
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "surgery", str(path), "1")
+    assert_one_line_usage_error(code, err)
+    assert "omega" in err

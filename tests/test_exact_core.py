@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import expand, rand_scalar
+from helpers import expand, lambda4_basis, rand_scalar
 from treetrace.exact import (
     FreeVec,
     InconsistentSystem,
@@ -14,7 +14,6 @@ from treetrace.exact import (
     span_reduce,
 )
 from treetrace.symplectic import a, b
-from treetrace.trees import lambda4_basis
 
 
 def test_scalar_coercion_and_canonical_form():

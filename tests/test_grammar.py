@@ -47,6 +47,14 @@ def test_parse_trailing_garbage_reports_offset():
     assert err.value.offset == 3
 
 
+def test_parse_zero_denominator_reports_offset():
+    for parse, text, offset in ((parse_hvec, "a1 + 3/0*b1", 7),
+                                (parse_tensor, "1/ 0*a1*b1", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+
 def test_parse_tree_and_twist():
     t = parse_tree("T(a1 + b1, a2; b1, b2)")
     assert t.x1 == FreeVec({a(1): 1, b(1): 1})
