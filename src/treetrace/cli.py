@@ -170,10 +170,22 @@ def _bounding_basis(x, y) -> tuple:
     return x, y
 
 
-def _twist_argument(text: str, genus: int, lam: Fraction):
-    """Resolve a knot name or twist(x; y) spec to (casson value, tree image)."""
+def _twist_argument(text: str, genus: int, option: str, lam_text):
+    """Resolve a knot name or twist(x; y) spec to (casson value, tree image).
+
+    A twist spec takes its Casson value from ``option`` (0 when it is not
+    given).  A built-in knot has its own, so ``option`` may only repeat it.
+    """
+    lam = None if lam_text is None else _rational(option, lam_text)
     if text in BUILTIN_KNOTS:
-        return twist_cocycle_data(BUILTIN_KNOTS[text], genus)
+        knot = BUILTIN_KNOTS[text]
+        own = casson_surgery(knot, 1)
+        if lam is not None and lam != own:
+            raise ValueError("%s %s contradicts the Casson value %s of the "
+                             "built-in knot %r" % (option, lam, own, text))
+        return twist_cocycle_data(knot, genus)
+    if lam is None:
+        lam = Fraction(0)
     x, y = _bounding_basis(*parse_twist(text))
     top = max(max_index(x), max_index(y))
     if top > genus:
@@ -183,9 +195,9 @@ def _twist_argument(text: str, genus: int, lam: Fraction):
 
 def _cmd_cocycle(args) -> int:
     lam_x, tau_x = _twist_argument(args.x, args.genus,
-                                   _rational("--lambda-x", args.lambda_x))
+                                   "--lambda-x", args.lambda_x)
     lam_y, tau_y = _twist_argument(args.y, args.genus,
-                                   _rational("--lambda-y", args.lambda_y))
+                                   "--lambda-y", args.lambda_y)
     values = {
         "Q": q_form(tau_x, tau_y),
         "J": j_form(tau_x, tau_y),
@@ -199,19 +211,39 @@ def _cmd_cocycle(args) -> int:
     return 0
 
 
+def _polynomial(doc: dict, key: str) -> LaurentPoly:
+    """A knot document's ``key`` entry: a list of [exponent, coefficient]
+    pairs of JSON integers."""
+    pairs = doc.get(key)
+    if not (isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(n) is int for n in pair) for pair in pairs)):
+        raise ValueError("knot document: %r must be a list of "
+                         "[exponent, coefficient] integer pairs" % key)
+    return LaurentPoly(pairs)
+
+
 def load_knot_document(path: str) -> KnotRecord:
     """Read a knot document: JSON with name, conway/jones pair lists, and an
-    optional pair of basis strings for a bounding curve."""
+    optional pair of basis strings for a bounding curve.  A document of the
+    wrong shape, or whose polynomials do not fit a knot, is a ValueError."""
     with open(path) as handle:
         doc = json.load(handle)
-    basis = None
-    if doc.get("bscc_basis") is not None:
-        x, y = doc["bscc_basis"]
-        basis = _bounding_basis(parse_hvec(x), parse_hvec(y))
+    if not isinstance(doc, dict):
+        raise ValueError("knot document must be a JSON object")
+    if not isinstance(doc.get("name"), str):
+        raise ValueError("knot document: 'name' must be a string")
+    basis = doc.get("bscc_basis")
+    if basis is not None:
+        if not (isinstance(basis, list) and len(basis) == 2
+                and all(isinstance(text, str) for text in basis)):
+            raise ValueError("knot document: 'bscc_basis' must be a list "
+                             "of two vector strings")
+        basis = _bounding_basis(*map(parse_hvec, basis))
     return KnotRecord(
         name=doc["name"],
-        conway=LaurentPoly((int(e), int(c)) for e, c in doc["conway"]),
-        jones=LaurentPoly((int(e), int(c)) for e, c in doc["jones"]),
+        conway=_polynomial(doc, "conway"),
+        jones=_polynomial(doc, "jones"),
         bscc_basis=basis,
     )
 
@@ -272,10 +304,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_cocycle.add_argument("x", help="knot name or twist(x; y) spec")
     p_cocycle.add_argument("y", help="knot name or twist(x; y) spec")
     p_cocycle.add_argument("--genus", type=int, default=DEFAULT_GENUS)
-    p_cocycle.add_argument("--lambda-x", default="0",
-                           help="Casson value for a twist-spec first argument")
-    p_cocycle.add_argument("--lambda-y", default="0",
-                           help="Casson value for a twist-spec second argument")
+    p_cocycle.add_argument("--lambda-x",
+                           help="Casson value for a twist-spec first "
+                                "argument (default 0; a built-in knot "
+                                "accepts only its own)")
+    p_cocycle.add_argument("--lambda-y",
+                           help="Casson value for a twist-spec second "
+                                "argument (default 0; a built-in knot "
+                                "accepts only its own)")
     p_cocycle.add_argument("--format", choices=("text", "json"), default="text")
     p_cocycle.set_defaults(func=_cmd_cocycle)
 

@@ -71,6 +71,13 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % (self.terms(),)
 
 
+def jones_h_derivative(p: LaurentPoly, i: int) -> int:
+    """i-th derivative of p(exp(-h)) at h = 0: sum of c_n (-n)^i."""
+    if i < 0:
+        raise ValueError("derivative order must be nonnegative")
+    return sum(c * (-n) ** i for n, c in p.terms())
+
+
 class SphereInvariants(NamedTuple):
     """The pair (Casson lambda, second invariant lambda2) of a homology sphere."""
 
@@ -92,6 +99,19 @@ class KnotRecord:
         if self.jones.evaluate(1) != 1:
             raise ValueError(
                 "Jones polynomial of %r is not 1 at t = 1" % self.name)
+        if any(e < 0 or e % 2 for e, _ in self.conway.terms()):
+            raise ValueError("Conway polynomial of %r has a negative or odd "
+                             "power of z" % self.name)
+        if self.conway.coefficient(0) != 1:
+            raise ValueError("Conway polynomial of %r has c0 != 1"
+                             % self.name)
+        if jones_h_derivative(self.jones, 1) != 0:
+            raise ValueError("Jones polynomial of %r has V'(1) != 0"
+                             % self.name)
+        c2 = self.conway.coefficient(2)
+        if jones_h_derivative(self.jones, 2) != -6 * c2:
+            raise ValueError("Jones polynomial of %r has v2 != -6*c2 = %d"
+                             % (self.name, -6 * c2))
 
 
 TREFOIL = KnotRecord(
@@ -118,13 +138,6 @@ POINCARE = SphereInvariants(Fraction(1), Fraction(39))
 def conway_coefficient(p: LaurentPoly, k: int) -> int:
     """Coefficient of z^k in a Conway polynomial."""
     return p.coefficient(k)
-
-
-def jones_h_derivative(p: LaurentPoly, i: int) -> int:
-    """i-th derivative of p(exp(-h)) at h = 0: sum of c_n (-n)^i."""
-    if i < 0:
-        raise ValueError("derivative order must be nonnegative")
-    return sum(c * (-n) ** i for n, c in p.terms())
 
 
 def casson_surgery(knot: KnotRecord, n: int) -> Fraction:

@@ -9,13 +9,17 @@ and both Lagrangians isotropic.
 GL_g(Z) acts on A by a matrix G and on B by its inverse transpose; the
 action on tensor powers is factor-wise.  ``coinvariant_reduce`` rewrites a
 tensor as a combination of balanced "chord" tensors, the generators of the
-coinvariant quotient of an even tensor power.
+coinvariant quotient of an even tensor power, in closed form: a basic
+tensor with p_i slots a_i and p_i slots b_i for every index i is the sum of
+the prod p_i! chords of its matchings (a bijection from the a_i slots to
+the b_i slots for each i), each with coefficient 1; an unbalanced basic
+tensor is 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import chain, permutations, product
 from typing import NamedTuple, Union
 
 from .exact import FreeVec
@@ -217,89 +221,75 @@ def all_generators(genus: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _index_counts(tensor: tuple) -> dict:
-    counts = {}
-    for label in tensor:
-        p, q = counts.get(label.index, (0, 0))
-        if label.family == FAMILY_A:
-            counts[label.index] = (p + 1, q)
-        else:
-            counts[label.index] = (p, q + 1)
-    return counts
+def _matchings(tensor: tuple, genus: int):
+    """Yield every matching of one basic tensor; none if it is unbalanced.
 
-
-def _rename_chord(tensor: tuple) -> tuple:
-    # Indices renamed 1, 2, ... ascending by first slot occurrence.
-    renaming = {}
-    out = []
-    for label in tensor:
-        new = renaming.get(label.index)
-        if new is None:
-            new = len(renaming) + 1
-            renaming[label.index] = new
-        out.append(BasisLabel(new, label.family))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _reduce_basic(tensor: tuple) -> tuple:
-    """Reduce one basic tensor; returns ((chord, int coeff), ...).
-
-    A tensor with any unbalanced index (different numbers of a_i and b_i,
-    which covers the odd-total case) dies in the coinvariant quotient.  An
-    index carrying both labels more than once is split: the leftmost a_i
-    and each b_i slot in turn are renamed to a fresh index, giving one
-    summand per b_i slot.  Lowest repeated index first; the fresh index is
-    the smallest one absent from the tensor.
+    A matching pairs, for every index i, the p_i slots holding a_i with the
+    p_i slots holding b_i, so a balanced tensor has prod p_i! of them.  Each
+    is given as its pairs (first slot, a_i slot, b_i slot), sorted.
     """
-    counts = _index_counts(tensor)
-    if any(p != q for p, q in counts.values()):
-        return ()
-    repeated = sorted(i for i, (p, _) in counts.items() if p > 1)
-    if not repeated:
-        return ((_rename_chord(tensor), 1),)
-    target = repeated[0]
-    fresh = 1
-    while fresh in counts:
-        fresh += 1
-    a_slot = next(k for k, lbl in enumerate(tensor)
-                  if lbl.index == target and lbl.family == FAMILY_A)
-    totals = {}
-    for b_slot, lbl in enumerate(tensor):
-        if lbl.index != target or lbl.family != FAMILY_B:
-            continue
-        split = list(tensor)
-        split[a_slot] = a(fresh)
-        split[b_slot] = b(fresh)
-        for chord, coeff in _reduce_basic(tuple(split)):
-            totals[chord] = totals.get(chord, 0) + coeff
-    return tuple(sorted((k, c) for k, c in totals.items() if c))
+    a_slots, b_slots = {}, {}
+    for slot, (index, family) in enumerate(tensor):
+        if not 0 < index <= genus:
+            raise ValueError("tensor uses indices outside genus %d" % genus)
+        slots = a_slots if family == FAMILY_A else b_slots
+        slots.setdefault(index, []).append(slot)
+    if len(a_slots) != len(b_slots):
+        return
+    choices = []
+    for index, tops in a_slots.items():
+        bottoms = b_slots.get(index)
+        if bottoms is None or len(bottoms) != len(tops):
+            return
+        choices.append([[(s if s < t else t, s, t) for s, t in zip(tops, perm)]
+                        for perm in permutations(bottoms)])
+    for parts in product(*choices):
+        yield sorted(chain.from_iterable(parts))
 
 
 def coinvariant_reduce(t, genus: int) -> FreeVec:
     """Class of a degree-2n tensor in the GL-coinvariants, over chord tensors.
 
-    Requires 1 <= n < genus and all indices within the genus.  The output
-    is supported on balanced chord tensors in which every index pair
-    appears at most once, renamed ascending by first occurrence.
+    Requires 1 <= n < genus and all indices within the genus.  A basic
+    tensor with an unbalanced index (different numbers of a_i and b_i)
+    dies; a balanced one is the sum of one chord per matching, each with
+    coefficient 1: the k-th pair of the matching, by first slot, becomes
+    a_k and b_k.  So the output is supported on balanced chord tensors in
+    which every index pair appears once, renamed ascending by first
+    occurrence, and distinct matchings give distinct chords.
     """
     if isinstance(t, tuple):
         t = FreeVec.single(t)
-    degrees = {len(tensor) for tensor, _ in t.items()}
+    items = t.items()
+    degrees = {len(tensor) for tensor, _ in items}
     if len(degrees) > 1:
         raise ValueError("tensor combination mixes degrees %s" % sorted(degrees))
-    terms = []
-    for tensor, coeff in t.items():
-        degree = len(tensor)
-        if degree % 2 != 0:
-            raise ValueError("tensor degree must be even, got %d" % degree)
-        n = degree // 2
-        if not 1 <= n < genus:
-            raise ValueError(
-                "degree %d needs 1 <= degree/2 < genus, got genus %d"
-                % (degree, genus))
-        if any(lbl.index > genus or lbl.index < 1 for lbl in tensor):
-            raise ValueError("tensor uses indices outside genus %d" % genus)
-        for chord, ic in _reduce_basic(tensor):
-            terms.append((chord, coeff * ic))
-    return FreeVec(terms)
+    out = {}
+    if not items:
+        return FreeVec._raw(out)
+    degree = degrees.pop()
+    if degree % 2 != 0:
+        raise ValueError("tensor degree must be even, got %d" % degree)
+    n = degree // 2
+    if not 1 <= n < genus:
+        raise ValueError(
+            "degree %d needs 1 <= degree/2 < genus, got genus %d"
+            % (degree, genus))
+    labels = None  # chord labels by family and number, built on first use
+    chord = [None] * degree
+    for tensor, coeff in items:
+        for pairs in _matchings(tensor, genus):
+            if labels is None:
+                numbers = range(1, n + 1)
+                labels = ([BasisLabel(k, FAMILY_A) for k in numbers],
+                          [BasisLabel(k, FAMILY_B) for k in numbers])
+            for (_, a_slot, b_slot), a_label, b_label in zip(pairs, *labels):
+                chord[a_slot] = a_label
+                chord[b_slot] = b_label
+            key = tuple(chord)
+            acc = out.get(key, 0) + coeff
+            if acc:
+                out[key] = acc
+            else:
+                del out[key]
+    return FreeVec._raw(out)

@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from treetrace.exact import FreeVec, SpanBasis
-from treetrace.symplectic import BasisLabel, basis_labels
+from treetrace.symplectic import FAMILY_A, FAMILY_B, BasisLabel, a, b, basis_labels
 from treetrace.trees import HTree, lambda4_embed, tree, tree_expand
 
 
@@ -60,6 +60,75 @@ def span_a2_normalize(v: FreeVec, genus: int) -> FreeVec:
     Gaussian elimination against every embedded 4-tuple at this genus."""
     _, residual = _lambda4_span(genus).reduce(v)
     return residual
+
+
+def _index_counts(tensor: tuple) -> dict:
+    counts = {}
+    for label in tensor:
+        p, q = counts.get(label.index, (0, 0))
+        if label.family == FAMILY_A:
+            counts[label.index] = (p + 1, q)
+        else:
+            counts[label.index] = (p, q + 1)
+    return counts
+
+
+def _rename_chord(tensor: tuple) -> tuple:
+    # Indices renamed 1, 2, ... ascending by first slot occurrence.
+    renaming = {}
+    out = []
+    for label in tensor:
+        new = renaming.get(label.index)
+        if new is None:
+            new = len(renaming) + 1
+            renaming[label.index] = new
+        out.append(BasisLabel(new, label.family))
+    return tuple(out)
+
+
+def _reduce_basic(tensor: tuple) -> tuple:
+    """Reduce one basic tensor; returns ((chord, int coeff), ...).
+
+    A tensor with any unbalanced index (different numbers of a_i and b_i,
+    which covers the odd-total case) dies in the coinvariant quotient.  An
+    index carrying both labels more than once is split: the leftmost a_i
+    and each b_i slot in turn are renamed to a fresh index, giving one
+    summand per b_i slot.  Lowest repeated index first; the fresh index is
+    the smallest one absent from the tensor.
+    """
+    counts = _index_counts(tensor)
+    if any(p != q for p, q in counts.values()):
+        return ()
+    repeated = sorted(i for i, (p, _) in counts.items() if p > 1)
+    if not repeated:
+        return ((_rename_chord(tensor), 1),)
+    target = repeated[0]
+    fresh = 1
+    while fresh in counts:
+        fresh += 1
+    a_slot = next(k for k, lbl in enumerate(tensor)
+                  if lbl.index == target and lbl.family == FAMILY_A)
+    totals = {}
+    for b_slot, lbl in enumerate(tensor):
+        if lbl.index != target or lbl.family != FAMILY_B:
+            continue
+        split = list(tensor)
+        split[a_slot] = a(fresh)
+        split[b_slot] = b(fresh)
+        for chord, coeff in _reduce_basic(tuple(split)):
+            totals[chord] = totals.get(chord, 0) + coeff
+    return tuple(sorted((k, c) for k, c in totals.items() if c))
+
+
+def split_coinvariant_reduce(t) -> FreeVec:
+    """Independent oracle for ``coinvariant_reduce``: split repeated index
+    pairs one slot pair at a time, recursively, and rename at the leaves.
+    No validation; ``t`` is a FreeVec over basic tensors."""
+    terms = []
+    for tensor, coeff in t.items():
+        for chord, ic in _reduce_basic(tensor):
+            terms.append((chord, coeff * ic))
+    return FreeVec(terms)
 
 
 def basic_trees_of_bidegree(genus, n_a):

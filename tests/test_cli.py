@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from treetrace.cli import build_report, load_knot_document, main
 
 
@@ -246,3 +248,57 @@ def test_knot_document_rejects_degenerate_basis(tmp_path, capsys):
     code, _, err = run_cli(capsys, "surgery", str(path), "1")
     assert_one_line_usage_error(code, err)
     assert "omega" in err
+
+
+def test_lambda_option_contradicting_a_builtin_knot_is_a_usage_error(capsys):
+    for option, value in (("--lambda-x", "5"), ("--lambda-y", "0")):
+        code, out, err = run_cli(capsys, "cocycle", "trefoil", "trefoil",
+                                 option, value)
+        assert_one_line_usage_error(code, err)
+        assert option in err and "trefoil" in err
+        assert out == ""
+    # Repeating the knot's own Casson value changes nothing.
+    code, out, _ = run_cli(capsys, "cocycle", "trefoil", "figure-eight",
+                           "--lambda-x", "1", "--lambda-y=-2/2")
+    assert code == 0
+    assert out == run_cli(capsys, "cocycle", "trefoil", "figure-eight")[1]
+
+
+TREFOIL_DOC = {
+    "name": "trefoil-copy",
+    "conway": [[2, 1], [0, 1]],
+    "jones": [[1, 1], [3, 1], [4, -1]],
+}
+
+
+def write_document(tmp_path, doc):
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_knot_document_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys):
+    for doc in ([1, 2],
+                dict(TREFOIL_DOC, conway=5),
+                dict(TREFOIL_DOC, jones=[[1, 1], [3]]),
+                dict(TREFOIL_DOC, jones=[[1, 1], [3, 1], [4, "-1"]]),
+                dict(TREFOIL_DOC, name=None),
+                dict(TREFOIL_DOC, bscc_basis="a1 + b1")):
+        path = write_document(tmp_path, doc)
+        with pytest.raises(ValueError):
+            load_knot_document(path)
+        code, out, err = run_cli(capsys, "surgery", path, "1")
+        assert_one_line_usage_error(code, err)
+        assert out == ""
+
+
+def test_inconsistent_knot_document_is_rejected(tmp_path, capsys):
+    for change, word in (({"conway": [[0, 1], [1, 1]]}, "Conway"),
+                         ({"conway": [[0, 2], [2, 1]]}, "Conway"),
+                         ({"jones": [[0, 2], [1, -1]]}, "V'(1)"),
+                         ({"conway": [[0, 1], [2, -1]]}, "-6*c2")):
+        path = write_document(tmp_path, dict(TREFOIL_DOC, **change))
+        code, out, err = run_cli(capsys, "surgery", path, "1")
+        assert_one_line_usage_error(code, err)
+        assert word in err
+        assert out == ""

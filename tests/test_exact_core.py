@@ -1,8 +1,10 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
+import treetrace
 from helpers import expand, lambda4_basis, rand_scalar
 from treetrace.exact import (
     FreeVec,
@@ -164,3 +166,9 @@ def test_float_coefficients_are_rejected():
         FreeVec.single("x") * 0.5
     with pytest.raises(TypeError):
         scalar(0.5)
+
+
+def test_package_exports_only_public_names():
+    assert len(set(treetrace.__all__)) == len(treetrace.__all__)
+    for name in treetrace.__all__:
+        assert not isinstance(getattr(treetrace, name), types.ModuleType), name

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import rand_basic_tensor, rand_hvec
+from helpers import rand_basic_tensor, rand_hvec, split_coinvariant_reduce
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
+    BasisLabel,
     Elementary,
     SignFlip,
     Transposition,
@@ -186,6 +190,75 @@ def test_reduce_constant_on_generator_orbits_randomized():
             gen = rng.choice(gens)
             moved = coinvariant_reduce(gl_generator_action(gen, tensor), genus)
             assert moved == base
+
+
+@st.composite
+def index_shapes(draw, n):
+    """Multiplicities p_i (each 1..4, summing to n) on distinct indices."""
+    shape = []
+    while sum(shape) < n:
+        shape.append(draw(st.integers(1, min(4, n - sum(shape)))))
+    return shape
+
+
+@st.composite
+def basic_tensors(draw, genus, n, balanced):
+    """A degree-2n basic tensor in shuffled slot order; an unbalanced one
+    has one slot moved to the other family or to another index."""
+    shape = draw(index_shapes(n))
+    indices = draw(st.permutations(range(1, genus + 1)))[:len(shape)]
+    slots = [BasisLabel(i, f) for i, p in zip(indices, shape)
+             for f in "ab" for _ in range(p)]
+    if not balanced:
+        k = draw(st.integers(0, 2 * n - 1))
+        index, family = slots[k]
+        moved = draw(st.sampled_from(
+            [BasisLabel(index, "b" if family == "a" else "a")]
+            + [BasisLabel(i, family) for i in range(1, genus + 1)
+               if i != index]))
+        slots[k] = moved
+    return tuple(draw(st.permutations(slots))), dict(zip(indices, shape))
+
+
+COEFFS = st.builds(Fraction, st.sampled_from([c for c in range(-9, 10) if c]),
+                   st.integers(1, 4))
+
+
+@st.composite
+def tensor_combinations(draw):
+    """A genus in 6..8 and a rational combination of balanced and
+    unbalanced basic tensors of one degree in 2..10."""
+    genus = draw(st.integers(6, 8))
+    n = draw(st.integers(1, 5))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        tensor, _ = draw(basic_tensors(genus, n, draw(st.booleans())))
+        terms.append((tensor, draw(COEFFS)))
+    return genus, FreeVec(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_combinations())
+def test_reduce_matches_split_oracle(case):
+    genus, v = case
+    assert coinvariant_reduce(v, genus) == split_coinvariant_reduce(v)
+
+
+@st.composite
+def balanced_tensors(draw):
+    genus = draw(st.integers(6, 8))
+    tensor, shape = draw(basic_tensors(genus, draw(st.integers(1, 5)), True))
+    return genus, tensor, shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(balanced_tensors())
+def test_balanced_tensor_reduces_to_one_chord_per_matching(case):
+    genus, tensor, shape = case
+    reduced = coinvariant_reduce(tensor, genus)
+    assert reduced == split_coinvariant_reduce(FreeVec.single(tensor))
+    assert {c for _, c in reduced.items()} == {1}
+    assert len(reduced.items()) == prod(factorial(p) for p in shape.values())
 
 
 def test_reduce_precondition_errors():
