@@ -152,8 +152,11 @@ def _cmd_report(args) -> int:
 
 
 def _rational(option: str, text: str) -> Fraction:
-    """An exact rational option value such as ``-5`` or ``3/4``."""
+    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``.
+    No exponent: ``1e999999999`` would build a billion-digit integer."""
     try:
+        if "e" in text.lower():
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError("%s expects an exact rational like 3/4, got %r"
@@ -228,7 +231,10 @@ def load_knot_document(path: str) -> KnotRecord:
     optional pair of basis strings for a bounding curve.  A document of the
     wrong shape, or whose polynomials do not fit a knot, is a ValueError."""
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise ValueError("knot document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("knot document must be a JSON object")
     if not isinstance(doc.get("name"), str):

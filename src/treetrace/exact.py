@@ -1,10 +1,9 @@
-"""Exact rational arithmetic and exact linear algebra.
+"""Exact rational arithmetic and exact linear solving.
 
 Everything downstream is built on two primitives: ``FreeVec``, a sparse
 linear combination of arbitrary ordered basis keys with rational
-coefficients, and Gaussian elimination over the rationals (``solve_linear``
-for square-ish systems, ``SpanBasis``/``span_reduce`` for span membership
-with canonical residuals).  There is no floating point anywhere.
+coefficients, and ``solve_linear``, Gaussian elimination over the rationals
+for a system with a unique solution.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -91,9 +90,6 @@ class FreeVec:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def min_key(self):
-        return min(self._terms)
 
     def __bool__(self):
         return bool(self._terms)
@@ -207,89 +203,3 @@ def solve_linear(matrix, rhs) -> list:
     for i, col in enumerate(pivot_cols):
         x[col] = rows[i][n]
     return x
-
-
-def _sub_scaled(data: dict, src: dict, factor: Fraction):
-    # data -= factor * src, in place, dropping zeros.
-    for key, coeff in src.items():
-        acc = data.get(key, 0) - factor * coeff
-        if acc:
-            data[key] = acc
-        else:
-            data.pop(key, None)
-
-
-class SpanBasis:
-    """Echelon span of a list of FreeVecs with deterministic pivoting.
-
-    Each stored row is pivoted on the smallest key of its support, so
-    reducing a vector (smallest pivot first) yields a canonical residual:
-    the unique representative of its class modulo the span that touches no
-    pivot key.  Expansion coefficients over the *original* vector list are
-    tracked through the elimination.
-    """
-
-    def __init__(self, vectors=()):
-        self._pivots = {}   # pivot key -> (row dict, combo dict over input indices)
-        self._order = []    # pivot keys, kept sorted
-        self.size = 0       # number of vectors added
-        for v in vectors:
-            self.add(v)
-
-    def add(self, vector: FreeVec) -> bool:
-        """Add one vector to the span.  True if it enlarged the span."""
-        index = self.size
-        self.size += 1
-        row, combo = self._reduce_raw(dict(vector._terms))
-        combo = {i: -c for i, c in combo.items()}
-        combo[index] = Fraction(1)
-        if not row:
-            return False
-        pivot = min(row)
-        lead = Fraction(row[pivot])  # exact division even off int coefficients
-        row = {k: c / lead for k, c in row.items()}
-        combo = {i: c / lead for i, c in combo.items() if c}
-        self._pivots[pivot] = (row, combo)
-        self._order = sorted(self._pivots)
-        return True
-
-    def _reduce_raw(self, data: dict):
-        # Returns (residual dict, used dict) with input = residual + sum used[i]*original_i.
-        used = {}
-        for pivot in self._order:
-            factor = data.get(pivot)
-            if not factor:
-                continue
-            row, combo = self._pivots[pivot]
-            _sub_scaled(data, row, factor)
-            for i, c in combo.items():
-                acc = used.get(i, 0) + factor * c
-                if acc:
-                    used[i] = acc
-                else:
-                    del used[i]
-        return data, used
-
-    def reduce(self, vector: FreeVec):
-        """Split ``vector`` as (coefficients over the added vectors, residual)."""
-        data, used = self._reduce_raw(dict(vector._terms))
-        coeffs = [used.get(i, Fraction(0)) for i in range(self.size)]
-        return coeffs, FreeVec._raw(data)
-
-    def contains(self, vector: FreeVec) -> bool:
-        data, _ = self._reduce_raw(dict(vector._terms))
-        return not data
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-
-def span_reduce(basis_list, v: FreeVec):
-    """Express ``v = sum(c_i * basis_i) + residual`` with a canonical residual.
-
-    The residual is zero iff ``v`` lies in the span of ``basis_list``; it is
-    a fixed point of a second reduction against the same list.
-    """
-    span = SpanBasis(basis_list)
-    return span.reduce(v)

@@ -8,9 +8,10 @@
     Twist  := 'twist(' HVec ';' HVec ')'
     Tensor := [sign] factors (('+'|'-') factors)*,  factors := factor ('*' factor)*
 
-Parse failures raise ``ParseError`` carrying the byte offset of the first
-offending character.  ``format_hvec`` prints the canonical form that
-``parse_hvec`` maps back to the same vector.
+Digits are ASCII ``0``-``9`` only.  Parse failures raise ``ParseError``
+carrying the byte offset of the first offending character.
+``format_hvec`` prints the canonical form that ``parse_hvec`` maps back to
+the same vector.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__("%s (at offset %d)" % (message, offset))
         self.offset = offset
+
+
+def _is_digit(ch: str) -> bool:
+    # ASCII only: str.isdigit() also accepts '²' and other scripts' digits.
+    return "0" <= ch <= "9"
 
 
 class _Cursor:
@@ -59,11 +65,14 @@ class _Cursor:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer too long", start) from None
 
     def end(self):
         self.skip_ws()
@@ -111,7 +120,7 @@ def _signed_terms(cur: _Cursor, term_parser):
 
 
 def _hvec_term(cur: _Cursor):
-    if cur.peek().isdigit():
+    if _is_digit(cur.peek()):
         coeff = _coefficient(cur)
         if cur.try_take("*"):
             return coeff, _label(cur)
@@ -172,7 +181,7 @@ def _tensor_term(cur: _Cursor):
     slots = []
     seen_number = False
     while True:
-        if cur.peek().isdigit():
+        if _is_digit(cur.peek()):
             coeff *= _coefficient(cur)
             seen_number = True
         else:

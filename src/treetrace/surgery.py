@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple, Optional
 
 from .exact import FreeVec, solve_linear
@@ -40,8 +41,9 @@ class LaurentPoly:
         if coeffs is not None:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for exp, coeff in items:
-                exp = int(exp)
-                coeff = int(coeff)
+                # Integers only: a float, string or Fraction is a TypeError.
+                exp = index(exp)
+                coeff = index(coeff)
                 acc = data.get(exp, 0) + coeff
                 if acc:
                     data[exp] = acc

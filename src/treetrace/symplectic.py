@@ -168,15 +168,6 @@ def generator_label_image(gen: GLGenerator, label: BasisLabel):
     raise TypeError("not a GL generator: %r" % (gen,))
 
 
-def gl_hvec_action(gen: GLGenerator, u: FreeVec) -> FreeVec:
-    """Linear action of a generator on a vector of H."""
-    terms = []
-    for label, coeff in u.items():
-        for image, ic in generator_label_image(gen, label):
-            terms.append((image, coeff * ic))
-    return FreeVec(terms)
-
-
 def _tensor_images(gen: GLGenerator, tensor: tuple):
     # Factor-wise expansion of gen . (basic tensor); integer coefficients.
     expanded = [((), 1)]
@@ -200,20 +191,6 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
         for image, ic in _tensor_images(gen, tensor):
             terms.append((image, coeff * ic))
     return FreeVec(terms)
-
-
-def all_generators(genus: int) -> list:
-    """Every generator with indices in 1..genus."""
-    gens = []
-    for i in range(1, genus + 1):
-        gens.append(SignFlip(i))
-        for j in range(1, genus + 1):
-            if i < j:
-                gens.append(Transposition(i, j))
-            if i != j:
-                gens.append(Elementary(i, j, 1))
-                gens.append(Elementary(i, j, -1))
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, gl_hvec_action, hvec
+from .symplectic import DEFAULT_GENUS, hvec
 
 
 class HTree(NamedTuple):
@@ -119,21 +119,3 @@ def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:
     x, y = hvec(x), hvec(y)
     return a2_normalize(2 * tree_expand(HTree(x, y, x, y)), genus)
 
-
-def gl_tree_action(gen, t: HTree) -> HTree:
-    """A GL generator applied to all four labels of a tree."""
-    return HTree(gl_hvec_action(gen, t.x1), gl_hvec_action(gen, t.x2),
-                 gl_hvec_action(gen, t.x3), gl_hvec_action(gen, t.x4))
-
-
-def gl_s2l2_action(gen, v: FreeVec) -> FreeVec:
-    """Diagonal GL generator action on an expanded S^2(Lambda^2 H) vector."""
-    out = FreeVec()
-    for key, coeff in v.items():
-        l1, l2, l3, l4 = key_labels(key)
-        image = tree_expand(tree(gl_hvec_action(gen, hvec(l1)),
-                                 gl_hvec_action(gen, hvec(l2)),
-                                 gl_hvec_action(gen, hvec(l3)),
-                                 gl_hvec_action(gen, hvec(l4))))
-        out = out + coeff * image
-    return out

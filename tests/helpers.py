@@ -4,9 +4,22 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from treetrace.exact import FreeVec, SpanBasis
-from treetrace.symplectic import FAMILY_A, FAMILY_B, BasisLabel, a, b, basis_labels
-from treetrace.trees import HTree, lambda4_embed, tree, tree_expand
+from treetrace.exact import FreeVec
+from treetrace.symplectic import (
+    FAMILY_A,
+    FAMILY_B,
+    BasisLabel,
+    Elementary,
+    GLGenerator,
+    SignFlip,
+    Transposition,
+    a,
+    b,
+    basis_labels,
+    generator_label_image,
+    hvec,
+)
+from treetrace.trees import HTree, key_labels, lambda4_embed, tree, tree_expand
 
 
 def rand_scalar(rng, lo=-9, hi=9):
@@ -41,6 +54,146 @@ def rand_basic_tensor(rng, genus, degree=4):
 def expand(*slots) -> FreeVec:
     """tree_expand of a tree given by labels or H vectors."""
     return tree_expand(tree(*slots))
+
+
+# ---------------------------------------------------------------------------
+# Span reduction: Gaussian elimination with canonical residuals, the oracle
+# behind ``span_a2_normalize`` and the tests' rank checks
+# ---------------------------------------------------------------------------
+
+
+def _sub_scaled(data: dict, src: dict, factor: Fraction):
+    # data -= factor * src, in place, dropping zeros.
+    for key, coeff in src.items():
+        acc = data.get(key, 0) - factor * coeff
+        if acc:
+            data[key] = acc
+        else:
+            data.pop(key, None)
+
+
+class SpanBasis:
+    """Echelon span of a list of FreeVecs with deterministic pivoting.
+
+    Each stored row is pivoted on the smallest key of its support, so
+    reducing a vector (smallest pivot first) yields a canonical residual:
+    the unique representative of its class modulo the span that touches no
+    pivot key.  Expansion coefficients over the *original* vector list are
+    tracked through the elimination.
+    """
+
+    def __init__(self, vectors=()):
+        self._pivots = {}   # pivot key -> (row dict, combo dict over input indices)
+        self._order = []    # pivot keys, kept sorted
+        self.size = 0       # number of vectors added
+        for v in vectors:
+            self.add(v)
+
+    def add(self, vector: FreeVec) -> bool:
+        """Add one vector to the span.  True if it enlarged the span."""
+        index = self.size
+        self.size += 1
+        row, combo = self._reduce_raw(dict(vector._terms))
+        combo = {i: -c for i, c in combo.items()}
+        combo[index] = Fraction(1)
+        if not row:
+            return False
+        pivot = min(row)
+        lead = Fraction(row[pivot])  # exact division even off int coefficients
+        row = {k: c / lead for k, c in row.items()}
+        combo = {i: c / lead for i, c in combo.items() if c}
+        self._pivots[pivot] = (row, combo)
+        self._order = sorted(self._pivots)
+        return True
+
+    def _reduce_raw(self, data: dict):
+        # Returns (residual dict, used dict) with input = residual + sum used[i]*original_i.
+        used = {}
+        for pivot in self._order:
+            factor = data.get(pivot)
+            if not factor:
+                continue
+            row, combo = self._pivots[pivot]
+            _sub_scaled(data, row, factor)
+            for i, c in combo.items():
+                acc = used.get(i, 0) + factor * c
+                if acc:
+                    used[i] = acc
+                else:
+                    del used[i]
+        return data, used
+
+    def reduce(self, vector: FreeVec):
+        """Split ``vector`` as (coefficients over the added vectors, residual)."""
+        data, used = self._reduce_raw(dict(vector._terms))
+        coeffs = [used.get(i, Fraction(0)) for i in range(self.size)]
+        return coeffs, FreeVec._raw(data)
+
+    def contains(self, vector: FreeVec) -> bool:
+        data, _ = self._reduce_raw(dict(vector._terms))
+        return not data
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+
+def span_reduce(basis_list, v: FreeVec):
+    """Express ``v = sum(c_i * basis_i) + residual`` with a canonical residual.
+
+    The residual is zero iff ``v`` lies in the span of ``basis_list``; it is
+    a fixed point of a second reduction against the same list.
+    """
+    span = SpanBasis(basis_list)
+    return span.reduce(v)
+
+
+# ---------------------------------------------------------------------------
+# GL generators acting on H, trees and S^2(Lambda^2 H), label by label: the
+# oracles for the package's tensor action ``gl_generator_action``
+# ---------------------------------------------------------------------------
+
+
+def all_generators(genus: int) -> list:
+    """Every generator with indices in 1..genus."""
+    gens = []
+    for i in range(1, genus + 1):
+        gens.append(SignFlip(i))
+        for j in range(1, genus + 1):
+            if i < j:
+                gens.append(Transposition(i, j))
+            if i != j:
+                gens.append(Elementary(i, j, 1))
+                gens.append(Elementary(i, j, -1))
+    return gens
+
+
+def gl_hvec_action(gen: GLGenerator, u: FreeVec) -> FreeVec:
+    """Linear action of a generator on a vector of H."""
+    terms = []
+    for label, coeff in u.items():
+        for image, ic in generator_label_image(gen, label):
+            terms.append((image, coeff * ic))
+    return FreeVec(terms)
+
+
+def gl_tree_action(gen, t: HTree) -> HTree:
+    """A GL generator applied to all four labels of a tree."""
+    return HTree(gl_hvec_action(gen, t.x1), gl_hvec_action(gen, t.x2),
+                 gl_hvec_action(gen, t.x3), gl_hvec_action(gen, t.x4))
+
+
+def gl_s2l2_action(gen, v: FreeVec) -> FreeVec:
+    """Diagonal GL generator action on an expanded S^2(Lambda^2 H) vector."""
+    out = FreeVec()
+    for key, coeff in v.items():
+        l1, l2, l3, l4 = key_labels(key)
+        image = tree_expand(tree(gl_hvec_action(gen, hvec(l1)),
+                                 gl_hvec_action(gen, hvec(l2)),
+                                 gl_hvec_action(gen, hvec(l3)),
+                                 gl_hvec_action(gen, hvec(l4))))
+        out = out + coeff * image
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -9,13 +9,16 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from helpers import (
+    SpanBasis,
+    all_generators,
     basic_trees_of_bidegree,
     expand,
+    gl_tree_action,
     jones_series_derivative,
     rand_hvec,
     rand_tree,
 )
-from treetrace.exact import FreeVec, SpanBasis, solve_linear
+from treetrace.exact import FreeVec, solve_linear
 from treetrace.forms import (
     b_form,
     cocycle,
@@ -52,7 +55,6 @@ from treetrace.surgery import (
 )
 from treetrace.symplectic import (
     a,
-    all_generators,
     b,
     basis_labels,
     coinvariant_reduce,
@@ -61,7 +63,6 @@ from treetrace.symplectic import (
 from treetrace.trees import (
     HTree,
     a2_normalize,
-    gl_tree_action,
     lambda4_embed,
     tau2_bscc_twist,
     tree_expand,

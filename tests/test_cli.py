@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treetrace.cli import build_report, load_knot_document, main
 
@@ -302,3 +305,80 @@ def test_inconsistent_knot_document_is_rejected(tmp_path, capsys):
         assert_one_line_usage_error(code, err)
         assert word in err
         assert out == ""
+
+
+def test_deeply_nested_knot_document_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    with pytest.raises(ValueError):
+        load_knot_document(str(path))
+    code, out, err = run_cli(capsys, "surgery", str(path), "1")
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+def test_non_ascii_digit_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "coinvariants", "a²*b1")
+    assert_one_line_usage_error(code, err)
+    assert err.startswith("parse error") and "(at offset 1)" in err
+    assert out == ""
+
+
+def test_lambda_exponent_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "cocycle", "twist(a1; b1)", "trefoil",
+                             "--lambda-x", "1e999999999")
+    assert_one_line_usage_error(code, err)
+    assert out == ""
+
+
+@st.composite
+def cli_argv(draw):
+    """A coinvariants/trace/cocycle/surgery command line with random values.
+    Options are passed as ``--name=value`` and positionals after ``--``, so
+    no drawn value can be read as an option such as ``--help``."""
+    def text(*samples):
+        return st.one_of(st.text(alphabet="ab0123456789*/+-;,() Ttwis²١e."),
+                         st.text(max_size=12), st.sampled_from(samples))
+
+    genus = st.integers(0, 8).map(str)
+    number = st.one_of(st.integers(-3, 3).map(str), text("1", "-2"))
+    rational = st.one_of(st.fractions(max_denominator=9).map(str),
+                         text("3/4"))
+    twist = text("trefoil", "figure-eight", "twist(a1; b1)",
+                 "twist(a1 + b1; a2 - b1 + b2)")
+    command = draw(st.sampled_from(
+        ("coinvariants", "trace", "cocycle", "surgery")))
+    values = {
+        "coinvariants": ({"genus": genus},
+                         (text("a1*a1*b1*b1", "0",
+                               "a1*b1*a2*b2 - 1/2*b1*a1*a1*b1"),)),
+        "trace": ({"genus": genus, "side": st.sampled_from("AB")},
+                  (text("T(b2, b3; b4, a2)", "T(a1 + b1, a2; b1, b2)"),)),
+        "cocycle": ({"genus": genus, "lambda-x": rational,
+                     "lambda-y": rational,
+                     "format": st.sampled_from(("text", "json"))},
+                    (twist, twist)),
+        "surgery": ({"format": st.sampled_from(("text", "json"))},
+                    (text("trefoil", "figure-eight"), number)),
+    }
+    options, positionals = values[command]
+    argv = [command]
+    for name, value in options.items():
+        if draw(st.booleans()):
+            argv.append("--%s=%s" % (name, draw(value)))
+    return argv + ["--"] + [draw(value) for value in positionals]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_cli_exits_0_or_2_on_any_arguments(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # argparse rejected the command line
+            assert stop.code == 2, argv
+            return
+    assert code in (0, 2), argv
+    if code == 2:
+        assert_one_line_usage_error(code, err.getvalue())

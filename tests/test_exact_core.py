@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 
 import treetrace
-from helpers import expand, lambda4_basis, rand_scalar
+from helpers import (
+    SpanBasis,
+    expand,
+    lambda4_basis,
+    rand_scalar,
+    span_reduce,
+)
 from treetrace.exact import (
     FreeVec,
     InconsistentSystem,
-    SpanBasis,
     UnderdeterminedSystem,
     scalar,
     solve_linear,
-    span_reduce,
 )
 from treetrace.symplectic import a, b
 

@@ -4,8 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from helpers import expand, rand_label, rand_tree
-from treetrace.exact import FreeVec, SpanBasis
+from helpers import (
+    SpanBasis,
+    all_generators,
+    expand,
+    gl_tree_action,
+    rand_label,
+    rand_tree,
+)
+from treetrace.exact import FreeVec
 from treetrace.forms import (
     b_form,
     cocycle,
@@ -23,9 +30,8 @@ from treetrace.forms import (
     w0_member,
 )
 from treetrace.surgery import FIGURE_EIGHT, TREFOIL
-from treetrace.symplectic import a, all_generators, b, basis_labels
+from treetrace.symplectic import a, b, basis_labels
 from treetrace.trees import (
-    gl_tree_action,
     lambda4_embed,
     tau2_bscc_twist,
     tree_expand,

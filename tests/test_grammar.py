@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import rand_hvec
+from helpers import rand_basic_tensor, rand_hvec, rand_label, rand_scalar
 from treetrace.exact import FreeVec
 from treetrace.grammar import (
     ParseError,
@@ -18,7 +19,7 @@ from treetrace.grammar import (
     parse_twist,
 )
 from treetrace.symplectic import a, b
-from treetrace.trees import tree, tree_expand
+from treetrace.trees import HTree, tree, tree_expand
 
 
 def test_parse_simple_sum():
@@ -53,6 +54,34 @@ def test_parse_zero_denominator_reports_offset():
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.offset == offset
+
+
+def test_parse_non_ascii_digits_report_offset():
+    # '²' made int() raise a bare ValueError; '١' (Arabic-Indic one) was
+    # silently read as 1.
+    for text in ("a²", "a١"):
+        with pytest.raises(ParseError) as err:
+            parse_hvec(text)
+        assert err.value.offset == 1
+    for parse, text in ((parse_hvec, "²*a1"), (parse_tensor, "a1*b١")):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_parse_overlong_integer_reports_offset():
+    with pytest.raises(ParseError) as err:
+        parse_hvec("a" + "1" * 5000)
+    assert err.value.offset == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="ab0123456789*/+-;,() Ttwis²١"))
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_hvec, parse_tensor, parse_tree, parse_twist):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_parse_tree_and_twist():
@@ -91,11 +120,24 @@ def test_format_hvec_canonical_forms():
 
 def test_parse_print_round_trip_randomized():
     rng = random.Random(6001)
+
+    def rational_hvec():
+        return FreeVec((rand_label(rng, 5), rand_scalar(rng))
+                       for _ in range(rng.randint(0, 4)))
+
     for _ in range(150):
         vec = rand_hvec(rng, 5, max_terms=4)
         assert parse_hvec(format_hvec(vec)) == vec
         text = format_hvec(vec)
         assert format_hvec(parse_hvec(text)) == text
+        vec = rational_hvec()
+        assert parse_hvec(format_hvec(vec)) == vec
+        tensor = FreeVec((rand_basic_tensor(rng, 5, rng.randint(1, 6)),
+                          rand_scalar(rng))
+                         for _ in range(rng.randint(0, 4)))
+        assert parse_tensor(format_tensor(tensor)) == tensor
+        t = HTree(*(rational_hvec() for _ in range(4)))
+        assert parse_tree(format_tree(t)) == t
 
 
 def test_format_tree_round_trip():

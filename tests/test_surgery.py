@@ -39,6 +39,14 @@ def test_laurent_poly_drops_zero_coefficients():
     assert p.evaluate(1) == 3
 
 
+def test_laurent_poly_refuses_non_integers():
+    # {2: 1.5, 0.9: 1} used to become {0: 1, 2: 1} through int().
+    for coeffs in ({2: 1.5, 0.9: 1}, {2: 1.5}, {0.9: 1}, {"2": 1},
+                   {2: "1"}, {Fraction(1, 2): 1}, {2: Fraction(3)}):
+        with pytest.raises(TypeError):
+            LaurentPoly(coeffs)
+
+
 def test_knot_normalization_enforced():
     with pytest.raises(ValueError):
         KnotRecord(name="bogus", conway=LaurentPoly({0: 1}),

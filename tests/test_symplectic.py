@@ -5,7 +5,13 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_basic_tensor, rand_hvec, split_coinvariant_reduce
+from helpers import (
+    all_generators,
+    gl_hvec_action,
+    rand_basic_tensor,
+    rand_hvec,
+    split_coinvariant_reduce,
+)
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
     BasisLabel,
@@ -13,12 +19,10 @@ from treetrace.symplectic import (
     SignFlip,
     Transposition,
     a,
-    all_generators,
     b,
     basis_labels,
     coinvariant_reduce,
     gl_generator_action,
-    gl_hvec_action,
     hvec,
     omega,
     omega_bar,

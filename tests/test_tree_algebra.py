@@ -5,15 +5,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import expand, rand_hvec, rand_tree, span_a2_normalize
+from helpers import (
+    expand,
+    gl_s2l2_action,
+    gl_tree_action,
+    rand_hvec,
+    rand_tree,
+    span_a2_normalize,
+)
 from treetrace.exact import FreeVec
 from treetrace.symplectic import a, b, basis_labels, hvec
 from treetrace.trees import (
     HTree,
     a2_equal,
     a2_normalize,
-    gl_s2l2_action,
-    gl_tree_action,
     lambda4_embed,
     tau2_bscc_twist,
     tree_expand,
@@ -191,7 +196,7 @@ def test_twist_image_pure_b_part_of_trefoil_curve():
 
 def test_gl_tree_action_matches_keywise_action():
     rng = random.Random(3007)
-    from treetrace.symplectic import all_generators
+    from helpers import all_generators
     gens = all_generators(3)
     for _ in range(60):
         t = rand_tree(rng, 3)
