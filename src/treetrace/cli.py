@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .exact import solve_linear
 from .forms import b_form, cocycle, j_form, q_form, trace_a, trace_b
 from .grammar import (
     ParseError,
@@ -30,8 +31,6 @@ from .surgery import (
     POINCARE,
     SphereInvariants,
     casson_surgery,
-    cocycle_equation,
-    cocycle_coefficients,
     conway_coefficient,
     d2_value,
     jones_h_derivative,
@@ -80,40 +79,47 @@ class ReplicationReport:
         }
 
 
+# Paper values on each built-in knot's bounding twist: Q, J, B = 3J + 3/4 Q
+# and the cocycle C = 36 lambda^2 + B, which the surgery difference
+# lambda2(1/2) - 2 lambda2(1/1) must equal.
+_TWIST_VALUES = {
+    "trefoil": {"q": 48, "j": 12, "b": 72, "c": 108},
+    "figure-eight": {"q": 80, "j": 12, "b": 96, "c": 132},
+}
+
+
 def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     """Run every built-in replication check at the given genus."""
     if genus < DEFAULT_GENUS:
         raise ValueError("report needs genus >= %d" % DEFAULT_GENUS)
     report = ReplicationReport(genus)
 
-    expected_forms = {
-        "trefoil": {"q": 48, "j": 12, "b": 72, "cocycle": 108, "surgery": 108},
-        "figure-eight": {"q": 80, "j": 12, "b": 96, "cocycle": 132, "surgery": 132},
-    }
+    # One row j*r1 + q*r2 = B per knot, B taken from the surgery side.
+    equations, rows, rhs = [], [], []
     for name, knot in BUILTIN_KNOTS.items():
-        want = expected_forms[name]
+        want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
         lam, tau = twist_cocycle_data(knot, genus)
-        report.add("q_%s" % slug, want["q"], q_form(tau, tau))
-        report.add("j_%s" % slug, want["j"], j_form(tau, tau))
-        report.add("b_%s" % slug, want["b"], b_form(tau, tau))
-        report.add("cocycle_%s" % slug, want["cocycle"],
-                   cocycle(lam, tau, lam, tau))
-        report.add("surgery_difference_%s" % slug, want["surgery"],
-                   surgery_cocycle_value(knot))
-        report.add("cross_route_%s" % slug,
-                   surgery_cocycle_value(knot) - 36 * lam * lam,
-                   b_form(tau, tau))
+        q, j, b = q_form(tau, tau), j_form(tau, tau), b_form(tau, tau)
+        surgery = surgery_cocycle_value(knot)
+        tree_part = surgery - 36 * lam * lam
+        report.add("q_%s" % slug, want["q"], q)
+        report.add("j_%s" % slug, want["j"], j)
+        report.add("b_%s" % slug, want["b"], b)
+        report.add("cocycle_%s" % slug, want["c"], cocycle(lam, tau, lam, tau))
+        report.add("surgery_difference_%s" % slug, want["c"], surgery)
+        report.add("cross_route_%s" % slug, tree_part, b)
+        equations.append((
+            "coefficient_equation_%s" % slug,
+            "%s*r1 + %s*r2 = %s" % (want["j"], want["q"], want["b"]),
+            "%s*r1 + %s*r2 = %s" % (j, q, tree_part)))
+        rows.append([j, q])
+        rhs.append(tree_part)
 
-    eq_expected = {"trefoil": (12, 48, 72), "figure-eight": (12, 80, 96)}
-    for name, knot in BUILTIN_KNOTS.items():
-        j, q, rhs = cocycle_equation(knot, genus)
-        report.add("coefficient_equation_%s" % name.replace("-", "_"),
-                   "%s*r1 + %s*r2 = %s" % eq_expected[name],
-                   "%s*r1 + %s*r2 = %s" % (j, q, rhs))
-
-    report.add("cocycle_coefficients", "(3, 3/4)",
-               "(%s, %s)" % cocycle_coefficients(genus))
+    for check in equations:
+        report.add(*check)
+    r1, r2 = solve_linear(rows, rhs)
+    report.add("cocycle_coefficients", "(3, 3/4)", "(%s, %s)" % (r1, r2))
     report.add("alpha_r", "(18, -3)", "(%s, %s)" % solve_alpha_r())
 
     report.add("c4_trefoil", 0, conway_coefficient(BUILTIN_KNOTS["trefoil"].conway, 4))
@@ -151,11 +157,22 @@ def _cmd_report(args) -> int:
     return _emit_report(build_report(args.genus), args.format)
 
 
-def _rational(option: str, text: str) -> Fraction:
-    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``.
-    No exponent: ``1e999999999`` would build a billion-digit integer."""
+def _integer(text: str) -> int:
+    """An integer option value in ASCII digits; int() alone also reads '١'."""
     try:
-        if "e" in text.lower():
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
+def _rational(option: str, text: str) -> Fraction:
+    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``, in
+    ASCII (Fraction() also reads '١').  No exponent: ``1e999999999`` would
+    build a billion-digit integer."""
+    try:
+        if not text.isascii() or "e" in text.lower():
             raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -301,7 +318,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser(
         "report", help="run all replication checks; exit 0 iff all pass")
-    p_report.add_argument("--genus", type=int, default=DEFAULT_GENUS)
+    p_report.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
     p_report.add_argument("--format", choices=("text", "json"), default="text")
     p_report.set_defaults(func=_cmd_report)
 
@@ -309,7 +326,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "cocycle", help="Q, J and full cocycle of two twists or knots")
     p_cocycle.add_argument("x", help="knot name or twist(x; y) spec")
     p_cocycle.add_argument("y", help="knot name or twist(x; y) spec")
-    p_cocycle.add_argument("--genus", type=int, default=DEFAULT_GENUS)
+    p_cocycle.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
     p_cocycle.add_argument("--lambda-x",
                            help="Casson value for a twist-spec first "
                                 "argument (default 0; a built-in knot "
@@ -324,21 +341,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_surgery = sub.add_parser(
         "surgery", help="invariants of the sphere from 1/n surgery on a knot")
     p_surgery.add_argument("knot", help="built-in knot name or JSON document path")
-    p_surgery.add_argument("n", type=int)
+    p_surgery.add_argument("n", type=_integer)
     p_surgery.add_argument("--format", choices=("text", "json"), default="text")
     p_surgery.set_defaults(func=_cmd_surgery)
 
     p_coinv = sub.add_parser(
         "coinvariants", help="reduce a tensor to chord generators")
     p_coinv.add_argument("tensor", help="tensor expression like a1*b1*a2*b2")
-    p_coinv.add_argument("--genus", type=int, default=DEFAULT_GENUS)
+    p_coinv.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
     p_coinv.set_defaults(func=_cmd_coinvariants)
 
     p_trace = sub.add_parser(
         "trace", help="Lagrangian trace of a tree")
     p_trace.add_argument("tree", help="tree expression T(x1, x2; x3, x4)")
     p_trace.add_argument("--side", choices=("A", "B"), default="A")
-    p_trace.add_argument("--genus", type=int, default=DEFAULT_GENUS)
+    p_trace.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
     p_trace.set_defaults(func=_cmd_trace)
 
     return parser

@@ -8,8 +8,9 @@
     Twist  := 'twist(' HVec ';' HVec ')'
     Tensor := [sign] factors (('+'|'-') factors)*,  factors := factor ('*' factor)*
 
-Digits are ASCII ``0``-``9`` only.  Parse failures raise ``ParseError``
-carrying the byte offset of the first offending character.
+Digits are ASCII ``0``-``9`` only, and whitespace is ASCII only, so
+everything before a parse failure is ASCII.  Parse failures raise
+``ParseError`` carrying the byte offset of the first offending character.
 ``format_hvec`` prints the canonical form that ``parse_hvec`` maps back to
 the same vector.
 """
@@ -36,13 +37,18 @@ def _is_digit(ch: str) -> bool:
     return "0" <= ch <= "9"
 
 
+# ASCII whitespace only, so every character before a ParseError's offset is
+# ASCII and the offset counts bytes as well as characters.
+_SPACE = " \t\n\r\f\v"
+
+
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
             self.pos += 1
 
     def peek(self) -> str:

@@ -14,8 +14,9 @@ obstructs deep Heegaard gluings; its value on the Poincare sphere is 24.
 
 The n-th power of a twist on a genus-1 bounding curve realizes 1/n surgery
 on the corresponding knot, which ties the tree-side bilinear forms to the
-surgery side: ``cocycle_coefficients`` rebuilds the linear system matching
-the two routes and solves it exactly.
+surgery side: ``twist_cocycle_data`` gives the twist's Casson value and
+tree image, and ``surgery_cocycle_value`` the surgery side of the cocycle
+on it; the report matches the two.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from fractions import Fraction
 from operator import index
 from typing import NamedTuple, Optional
 
-from .exact import FreeVec, solve_linear
-from .forms import j_form, q_form
+from .exact import FreeVec
 from .symplectic import DEFAULT_GENUS, a, b
 from .trees import tau2_bscc_twist
 
@@ -181,21 +181,14 @@ def vanishing_combo(m: SphereInvariants) -> Fraction:
 def solve_alpha_r() -> tuple:
     """Coefficients (alpha, r) making lambda2 = r*lambda + alpha*lambda^2 on deep gluings.
 
-    Imposing the connected-sum rule on a double of a sphere with Casson
-    value t forces 2*t^2*alpha = 36*t^2, and the orientation-reversal rule
-    forces -2*t*r = 6*t.  Both are assembled at two generic values of t and
-    solved exactly.
+    Both rules move lambda2 by an amount that depends on lambda alone.
+    Doubling a sphere with Casson value t adds 36*t^2 to twice its lambda2,
+    which the ansatz needs to be 2*alpha*t^2; reversal adds 6*t, which it
+    needs to be -2*r*t.  So both coefficients can be read off the rules at
+    m = (lambda 1, lambda2 0).
     """
-    rows, rhs = [], []
-    for t in (Fraction(1), Fraction(2)):
-        # lambda2(double) = 2*lambda2 + 36*t^2 with lambda2 = r t + alpha t^2.
-        rows.append([4 * t * t - 2 * t * t, 2 * t - 2 * t])
-        rhs.append(36 * t * t)
-        # lambda2(reversed) = lambda2 + 6 t with lambda(reversed) = -t.
-        rows.append([t * t - t * t, -t - t])
-        rhs.append(6 * t)
-    alpha, r = solve_linear(rows, rhs)
-    return alpha, r
+    m = SphereInvariants(Fraction(1), Fraction(0))
+    return connected_sum(m, m).lam2 / 2, -reverse_orientation(m).lam2 / 2
 
 
 def twist_cocycle_data(knot: KnotRecord, genus: int = DEFAULT_GENUS) -> tuple:
@@ -213,29 +206,3 @@ def surgery_cocycle_value(knot: KnotRecord) -> Fraction:
     lambda2(1/2 surgery) - 2*lambda2(1/1 surgery).
     """
     return lambda2_surgery(knot, 2) - 2 * lambda2_surgery(knot, 1)
-
-
-def cocycle_equation(knot: KnotRecord, genus: int = DEFAULT_GENUS) -> tuple:
-    """One linear condition (j, q, rhs) on the tree-part coefficients.
-
-    The unknown combination r1*J + r2*Q must reproduce the surgery-side
-    cocycle with the 36*lambda*lambda part stripped off.
-    """
-    lam, tau = twist_cocycle_data(knot, genus)
-    j = j_form(tau, tau)
-    q = q_form(tau, tau)
-    rhs = surgery_cocycle_value(knot) - 36 * lam * lam
-    return j, q, rhs
-
-
-def cocycle_coefficients(genus: int = DEFAULT_GENUS) -> tuple:
-    """Solve for the tree-part coefficients (r1, r2) from both built-in knots."""
-    if genus < DEFAULT_GENUS:
-        raise ValueError("genus must be at least %d" % DEFAULT_GENUS)
-    rows, rhs = [], []
-    for knot in (TREFOIL, FIGURE_EIGHT):
-        j, q, value = cocycle_equation(knot, genus)
-        rows.append([j, q])
-        rhs.append(value)
-    r1, r2 = solve_linear(rows, rhs)
-    return r1, r2

@@ -184,13 +184,16 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
 
     ``t`` is a FreeVec over basic tensors (tuples of labels) or a bare tuple.
     """
-    if isinstance(t, tuple):
-        t = FreeVec.single(t)
-    terms = []
-    for tensor, coeff in t.items():
+    out = {}
+    for tensor, coeff in [(t, 1)] if isinstance(t, tuple) else t.items():
+        # Images of different tensors can cancel, so drop zero sums.
         for image, ic in _tensor_images(gen, tensor):
-            terms.append((image, coeff * ic))
-    return FreeVec(terms)
+            acc = out.get(image, 0) + coeff * ic
+            if acc:
+                out[image] = acc
+            else:
+                del out[image]
+    return FreeVec._raw(out)
 
 
 # ---------------------------------------------------------------------------

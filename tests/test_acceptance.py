@@ -18,6 +18,7 @@ from helpers import (
     rand_hvec,
     rand_tree,
 )
+from treetrace.cli import build_report
 from treetrace.exact import FreeVec, solve_linear
 from treetrace.forms import (
     b_form,
@@ -41,8 +42,6 @@ from treetrace.surgery import (
     SphereInvariants,
     TREFOIL,
     casson_surgery,
-    cocycle_equation,
-    cocycle_coefficients,
     connected_sum,
     conway_coefficient,
     d2_value,
@@ -50,6 +49,7 @@ from treetrace.surgery import (
     lambda2_surgery,
     reverse_orientation,
     solve_alpha_r,
+    surgery_cocycle_value,
     twist_cocycle_data,
     vanishing_combo,
 )
@@ -80,11 +80,25 @@ def run_criterion(name, checks):
 
 def test_criterion_1_cocycle_coefficient_system():
     def checks():
-        assert cocycle_equation(TREFOIL, 5) == (12, 48, 72)
-        assert cocycle_equation(FIGURE_EIGHT, 5) == (12, 80, 96)
-        assert solve_linear([[12, 48], [12, 80]], [72, 96]) \
-            == [3, Fraction(3, 4)]
-        assert cocycle_coefficients(5) == (3, Fraction(3, 4))
+        rows, rhs = [], []
+        for knot, want in ((TREFOIL, (12, 48, 72)),
+                           (FIGURE_EIGHT, (12, 80, 96))):
+            tau = tau2_bscc_twist(*knot.bscc_basis, genus=5)
+            lam = casson_surgery(knot, 1)
+            row = (j_form(tau, tau), q_form(tau, tau),
+                   surgery_cocycle_value(knot) - 36 * lam * lam)
+            assert row == want
+            rows.append(list(row[:2]))
+            rhs.append(row[2])
+        assert solve_linear(rows, rhs) == [3, Fraction(3, 4)]
+        for genus in (5, 6):
+            computed = {c.name: c.computed
+                        for c in build_report(genus).checks}
+            assert computed["coefficient_equation_trefoil"] \
+                == "12*r1 + 48*r2 = 72"
+            assert computed["coefficient_equation_figure_eight"] \
+                == "12*r1 + 80*r2 = 96"
+            assert computed["cocycle_coefficients"] == "(3, 3/4)"
 
     run_criterion("1 (coefficient system and solution)", checks)
 

@@ -209,7 +209,9 @@ def assert_one_line_usage_error(code, err):
 
 
 def test_bad_lambda_is_a_usage_error(capsys):
-    for option, value in (("--lambda-x", "1/0"), ("--lambda-y", "three")):
+    # Fraction() reads '١/٢' (Arabic-Indic digits) as 1/2.
+    for option, value in (("--lambda-x", "1/0"), ("--lambda-y", "three"),
+                          ("--lambda-x", "١/٢")):
         code, _, err = run_cli(capsys, "cocycle", "twist(a1; b1)", "trefoil",
                                option, value)
         assert_one_line_usage_error(code, err)
@@ -322,6 +324,16 @@ def test_non_ascii_digit_is_a_parse_error(capsys):
     assert_one_line_usage_error(code, err)
     assert err.startswith("parse error") and "(at offset 1)" in err
     assert out == ""
+
+
+def test_non_ascii_digit_in_an_integer_option_is_a_usage_error(capsys):
+    # int() reads '١' and '٥' (Arabic-Indic one and five) as 1 and 5.
+    for argv in (("surgery", "trefoil", "١"),
+                 ("coinvariants", "a1*b1", "--genus", "٥")):
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        assert stop.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_lambda_exponent_is_a_usage_error(capsys):

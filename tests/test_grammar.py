@@ -68,6 +68,15 @@ def test_parse_non_ascii_digits_report_offset():
             parse(text)
 
 
+def test_parse_non_ascii_space_reports_byte_offset():
+    # An em space used to be skipped, and the ideographic space made the
+    # offset count characters (3) instead of bytes (5).
+    for text, offset in (("a1 +\u2003b2", 4), ("a1\u3000$", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_hvec(text)
+        assert err.value.offset == offset
+
+
 def test_parse_overlong_integer_reports_offset():
     with pytest.raises(ParseError) as err:
         parse_hvec("a" + "1" * 5000)
@@ -80,8 +89,8 @@ def test_parsers_raise_only_parse_errors(text):
     for parse in (parse_hvec, parse_tensor, parse_tree, parse_twist):
         try:
             parse(text)
-        except ParseError:
-            pass
+        except ParseError as err:
+            assert len(text[:err.offset].encode()) == err.offset
 
 
 def test_parse_tree_and_twist():

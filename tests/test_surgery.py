@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import jones_series_derivative
-from treetrace.exact import solve_linear
+from treetrace.cli import build_report
+from treetrace.exact import FreeVec, solve_linear
+from treetrace.forms import b_form, j_form, q_form
 from treetrace.surgery import (
     BUILTIN_KNOTS,
     FIGURE_EIGHT,
@@ -14,8 +17,6 @@ from treetrace.surgery import (
     SphereInvariants,
     TREFOIL,
     casson_surgery,
-    cocycle_coefficients,
-    cocycle_equation,
     connected_sum,
     conway_coefficient,
     d2_value,
@@ -26,6 +27,8 @@ from treetrace.surgery import (
     surgery_cocycle_value,
     vanishing_combo,
 )
+from treetrace.symplectic import a, b, omega
+from treetrace.trees import tau2_bscc_twist
 
 
 def sphere(lam, lam2):
@@ -187,19 +190,84 @@ def test_alpha_r_consistency_identities():
         assert -r * lam == (r + 6) * lam
 
 
+def coefficient_rows(genus):
+    """Per built-in knot, (J, Q, surgery side less 36 lambda^2) of its twist."""
+    rows = []
+    for knot in (TREFOIL, FIGURE_EIGHT):
+        tau = tau2_bscc_twist(*knot.bscc_basis, genus)
+        lam = casson_surgery(knot, 1)
+        rows.append((j_form(tau, tau), q_form(tau, tau),
+                     surgery_cocycle_value(knot) - 36 * lam * lam))
+    return rows
+
+
+def report_values(genus):
+    return {c.name: c.computed for c in build_report(genus).checks}
+
+
 def test_cocycle_equations_match_linear_system():
-    assert cocycle_equation(TREFOIL, 5) == (12, 48, 72)
-    assert cocycle_equation(FIGURE_EIGHT, 5) == (12, 80, 96)
+    for genus in (5, 6):
+        assert coefficient_rows(genus) == [(12, 48, 72), (12, 80, 96)]
+        computed = report_values(genus)
+        assert computed["coefficient_equation_trefoil"] \
+            == "12*r1 + 48*r2 = 72"
+        assert computed["coefficient_equation_figure_eight"] \
+            == "12*r1 + 80*r2 = 96"
 
 
 def test_cocycle_coefficients():
-    assert cocycle_coefficients(5) == (3, Fraction(3, 4))
-    assert cocycle_coefficients(6) == (3, Fraction(3, 4))
+    for genus in (5, 6):
+        rows = coefficient_rows(genus)
+        assert solve_linear([[j, q] for j, q, _ in rows],
+                            [rhs for _, _, rhs in rows]) \
+            == [3, Fraction(3, 4)]
+        assert report_values(genus)["cocycle_coefficients"] == "(3, 3/4)"
 
 
-def test_cocycle_coefficients_rejects_small_genus():
-    with pytest.raises(ValueError):
-        cocycle_coefficients(4)
+def linking(u, v):
+    """L(u, v) = sum_i u_{a_i} v_{b_i}, the Seifert form in Heegaard position."""
+    return sum(c * v.coeff(b(label.index))
+               for label, c in u.items() if label.family == "a")
+
+
+@st.composite
+def bounding_bases(draw):
+    """(genus, x, y) with omega(x, y) = 1 on at most four indices: a pair
+    (a_i, b_i) moved by random symplectic transvections u -> u + w(u, v) v."""
+    genus = draw(st.integers(5, 8))
+    indices = draw(st.lists(st.integers(1, genus), min_size=2, max_size=4,
+                            unique=True))
+    labels = [f(i) for i in indices for f in (a, b)]
+    x, y = FreeVec.single(a(indices[0])), FreeVec.single(b(indices[0]))
+    for _ in range(draw(st.integers(2, 6))):
+        v = FreeVec(zip(labels, draw(st.lists(st.integers(-2, 2),
+                                              min_size=len(labels),
+                                              max_size=len(labels)))))
+        # omega is a Fraction; int() keeps the coefficients integers.
+        x, y = x + int(omega(x, v)) * v, y + int(omega(y, v)) * v
+    return genus, x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounding_bases())
+@example((5, *reversed(TREFOIL.bscc_basis)))       # c2 = 1
+@example((5, *FIGURE_EIGHT.bscc_basis))             # c2 = -1
+def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
+    genus, x, y = basis
+    assert omega(x, y) == 1
+    c2 = linking(x, x) * linking(y, y) - linking(x, y) * linking(y, x)
+    tau = tau2_bscc_twist(x, y, genus)
+    assert j_form(tau, tau) == 12 * c2 ** 2
+    assert q_form(tau, tau) == 64 * c2 ** 2 - 16 * c2
+    # The genus-1 Seifert surface gives Conway 1 + c2 z^2 and the Jones
+    # polynomial with v2 = -6 c2 and v3 = c4 = 0.
+    knot = KnotRecord(name="bounding", conway=LaurentPoly({0: 1, 2: c2}),
+                      jones=LaurentPoly({0: 1 + 6 * c2, 1: -3 * c2,
+                                         -1: -3 * c2}))
+    lam = casson_surgery(knot, 1)
+    assert lam == c2
+    assert b_form(tau, tau) == surgery_cocycle_value(knot) - 36 * lam ** 2 \
+        == 84 * c2 ** 2 - 12 * c2
 
 
 def test_cross_route_cocycle_equality():
