@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import solve_linear
 from .forms import b_form, cocycle, j_form, q_form, trace_a, trace_b
 from .grammar import (
     ParseError,
@@ -30,6 +29,7 @@ from .surgery import (
     LaurentPoly,
     POINCARE,
     SphereInvariants,
+    bounding_casson,
     casson_surgery,
     conway_coefficient,
     d2_value,
@@ -40,7 +40,7 @@ from .surgery import (
     twist_cocycle_data,
     vanishing_combo,
 )
-from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index, omega
+from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
 from .trees import tau2_bscc_twist, tree_expand
 
 
@@ -95,7 +95,7 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     report = ReplicationReport(genus)
 
     # One row j*r1 + q*r2 = B per knot, B taken from the surgery side.
-    equations, rows, rhs = [], [], []
+    equations, rows = [], []
     for name, knot in BUILTIN_KNOTS.items():
         want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
@@ -113,13 +113,18 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
             "coefficient_equation_%s" % slug,
             "%s*r1 + %s*r2 = %s" % (want["j"], want["q"], want["b"]),
             "%s*r1 + %s*r2 = %s" % (j, q, tree_part)))
-        rows.append([j, q])
-        rhs.append(tree_part)
+        rows.append((j, q, tree_part))
 
     for check in equations:
         report.add(*check)
-    r1, r2 = solve_linear(rows, rhs)
-    report.add("cocycle_coefficients", "(3, 3/4)", "(%s, %s)" % (r1, r2))
+    # Cramer's rule; the rows hold Fractions, so r1 and r2 stay exact.
+    (j1, q1, b1), (j2, q2, b2) = rows
+    det = j1 * q2 - j2 * q1
+    coefficients = "not unique"
+    if det:
+        coefficients = "(%s, %s)" % ((b1 * q2 - b2 * q1) / det,
+                                     (j1 * b2 - j2 * b1) / det)
+    report.add("cocycle_coefficients", "(3, 3/4)", coefficients)
     report.add("alpha_r", "(18, -3)", "(%s, %s)" % solve_alpha_r())
 
     report.add("c4_trefoil", 0, conway_coefficient(BUILTIN_KNOTS["trefoil"].conway, 4))
@@ -180,21 +185,11 @@ def _rational(option: str, text: str) -> Fraction:
                          % (option, text)) from None
 
 
-def _bounding_basis(x, y) -> tuple:
-    """Require omega(x, y) = +-1: (x, y) must be a symplectic basis, in
-    either orientation, of the genus-1 subsurface a bounding curve cuts off."""
-    w = omega(x, y)
-    if abs(w) != 1:
-        raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
-                         "got %s" % w)
-    return x, y
-
-
 def _twist_argument(text: str, genus: int, option: str, lam_text):
     """Resolve a knot name or twist(x; y) spec to (casson value, tree image).
 
-    A twist spec takes its Casson value from ``option`` (0 when it is not
-    given).  A built-in knot has its own, so ``option`` may only repeat it.
+    A twist spec takes its Casson value from ``option``, or else the c2 of
+    its basis.  A built-in knot has its own, so ``option`` may only repeat it.
     """
     lam = None if lam_text is None else _rational(option, lam_text)
     if text in BUILTIN_KNOTS:
@@ -204,13 +199,12 @@ def _twist_argument(text: str, genus: int, option: str, lam_text):
             raise ValueError("%s %s contradicts the Casson value %s of the "
                              "built-in knot %r" % (option, lam, own, text))
         return twist_cocycle_data(knot, genus)
-    if lam is None:
-        lam = Fraction(0)
-    x, y = _bounding_basis(*parse_twist(text))
+    x, y = parse_twist(text)
+    c2 = bounding_casson(x, y)
     top = max(max_index(x), max_index(y))
     if top > genus:
         raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
-    return lam, tau2_bscc_twist(x, y, genus)
+    return (c2 if lam is None else lam), tau2_bscc_twist(x, y, genus)
 
 
 def _cmd_cocycle(args) -> int:
@@ -262,7 +256,7 @@ def load_knot_document(path: str) -> KnotRecord:
                 and all(isinstance(text, str) for text in basis)):
             raise ValueError("knot document: 'bscc_basis' must be a list "
                              "of two vector strings")
-        basis = _bounding_basis(*map(parse_hvec, basis))
+        basis = tuple(map(parse_hvec, basis))
     return KnotRecord(
         name=doc["name"],
         conway=_polynomial(doc, "conway"),
@@ -329,12 +323,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_cocycle.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
     p_cocycle.add_argument("--lambda-x",
                            help="Casson value for a twist-spec first "
-                                "argument (default 0; a built-in knot "
-                                "accepts only its own)")
+                                "argument (default: c2 of its basis; a "
+                                "built-in knot accepts only its own)")
     p_cocycle.add_argument("--lambda-y",
                            help="Casson value for a twist-spec second "
-                                "argument (default 0; a built-in knot "
-                                "accepts only its own)")
+                                "argument (default: c2 of its basis; a "
+                                "built-in knot accepts only its own)")
     p_cocycle.add_argument("--format", choices=("text", "json"), default="text")
     p_cocycle.set_defaults(func=_cmd_cocycle)
 

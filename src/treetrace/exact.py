@@ -1,39 +1,17 @@
-"""Exact rational arithmetic and exact linear solving.
+"""Exact free vectors over the rationals.
 
-Everything downstream is built on two primitives: ``FreeVec``, a sparse
-linear combination of arbitrary ordered basis keys with rational
-coefficients, and ``solve_linear``, Gaussian elimination over the rationals
-for a system with a unique solution.  There is no floating point anywhere.
+Everything downstream is built on ``FreeVec``, a sparse linear combination
+of arbitrary ordered basis keys with exact rational coefficients (ints or
+Fractions).  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction
-
-
-def scalar(value) -> Fraction:
-    """Coerce an int, a string like ``"3/4"``, or a Fraction to a Scalar."""
-    if isinstance(value, float):
-        raise TypeError("float values are not exact")
-    return Fraction(value)
-
-
-class LinearSystemError(ValueError):
-    """Base class for failures of exact linear solving."""
-
-
-class InconsistentSystem(LinearSystemError):
-    """The system admits no exact solution."""
-
-
-class UnderdeterminedSystem(LinearSystemError):
-    """The system has more than one exact solution."""
-
 
 class FreeVec:
-    """Finite linear combination of basis keys with nonzero Scalar coefficients.
+    """Finite linear combination of basis keys with nonzero exact coefficients.
 
     Keys may be any hashable, totally ordered values (tuples of tuples in
     practice).  Zero coefficients are never stored, so two values are equal
@@ -155,51 +133,3 @@ class FreeVec:
         parts = ["%s*%r" % (c, k) for k, c in self.sorted_items()]
         return "FreeVec(%s)" % " + ".join(parts)
 
-
-def solve_linear(matrix, rhs) -> list:
-    """Solve ``matrix . x = rhs`` exactly.
-
-    ``matrix`` is a rectangular list of coefficient rows, ``rhs`` a list of
-    the same length.  Returns the unique solution as a list of Scalars, or
-    raises ``InconsistentSystem`` / ``UnderdeterminedSystem``.
-    """
-    m = len(matrix)
-    if m == 0:
-        raise UnderdeterminedSystem("empty system")
-    n = len(matrix[0])
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix rows have unequal lengths")
-    if len(rhs) != m:
-        raise ValueError("rhs length does not match row count")
-
-    rows = [[Fraction(x) for x in row] + [Fraction(b)]
-            for row, b in zip(matrix, rhs)]
-
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-
-    for i in range(r, m):
-        if rows[i][n]:
-            raise InconsistentSystem("no exact solution")
-    if len(pivot_cols) < n:
-        raise UnderdeterminedSystem("solution is not unique")
-
-    x = [Fraction(0)] * n
-    for i, col in enumerate(pivot_cols):
-        x[col] = rows[i][n]
-    return x

@@ -6,14 +6,14 @@ with an A-label the trace ``trace_a`` lands in S^2(B) (and ``trace_b``
 mirrors it); their kernels cut out the subspaces W0 inside bidegrees (1,3)
 and (3,1).
 
-Two scalar pairings are assembled from the contraction ``contract_cs`` and
-the perfect pairing ``eta_s`` on S^2(H): ``upsilon`` contracts both
-arguments and pairs the results, while ``nabla`` is the inner product
-computed by a signed sum over gluings of the two trees.  Restricting to
-complementary bidegrees gives the forms ``q_form`` ((1,3) against (3,1))
-and ``j_form`` ((0,4) against (4,0)); the tree part of the degree-two
-cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times the product
-of Casson values.
+Two rational-valued pairings are assembled from the contraction
+``contract_cs`` and the perfect pairing ``eta_s`` on S^2(H): ``upsilon``
+contracts both arguments and pairs the results, while ``nabla`` is the
+inner product computed by a signed sum over gluings of the two trees.
+Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
+against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
+degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
+the product of Casson values.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, a, b
+from .symplectic import (DEFAULT_GENUS, a, b, omega, omega_bar,
+                         project_lagrangian)
 from .trees import tau2_bscc_twist
 
 
@@ -87,6 +88,21 @@ class SphereInvariants(NamedTuple):
     lam2: Fraction
 
 
+def bounding_casson(x: FreeVec, y: FreeVec) -> Fraction:
+    """Conway c2, and so the 1/1-surgery Casson value, of the knot cut off
+    by a genus-1 bounding curve with basis (x, y), where omega(x, y) = +-1:
+    the determinant L(x,x) L(y,y) - L(x,y) L(y,x) of the Seifert form
+    L(u, v) = omega_bar(pi_A u, pi_B v)."""
+    w = omega(x, y)
+    if abs(w) != 1:
+        raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
+                         "got %s" % w)
+    xa, xb = project_lagrangian(x, "a"), project_lagrangian(x, "b")
+    ya, yb = project_lagrangian(y, "a"), project_lagrangian(y, "b")
+    return (omega_bar(xa, xb) * omega_bar(ya, yb)
+            - omega_bar(xa, yb) * omega_bar(ya, xb))
+
+
 @dataclass(frozen=True)
 class KnotRecord:
     """A knot's polynomial data plus, optionally, the homology classes of a
@@ -114,6 +130,17 @@ class KnotRecord:
         if jones_h_derivative(self.jones, 2) != -6 * c2:
             raise ValueError("Jones polynomial of %r has v2 != -6*c2 = %d"
                              % (self.name, -6 * c2))
+        if self.bscc_basis is None:
+            return
+        basis_c2 = bounding_casson(*self.bscc_basis)
+        if basis_c2 != c2:
+            raise ValueError("bounding-curve basis of %r gives c2 = %s, but "
+                             "its Conway polynomial has c2 = %d"
+                             % (self.name, basis_c2, c2))
+        if any(e > 2 for e, _ in self.conway.terms()):
+            raise ValueError("Conway polynomial of %r has a term above z^2, "
+                             "which a genus-1 bounding curve cannot give"
+                             % self.name)
 
 
 TREFOIL = KnotRecord(

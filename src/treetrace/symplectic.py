@@ -238,9 +238,7 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
     which every index pair appears once, renamed ascending by first
     occurrence, and distinct matchings give distinct chords.
     """
-    if isinstance(t, tuple):
-        t = FreeVec.single(t)
-    items = t.items()
+    items = [(t, 1)] if isinstance(t, tuple) else t.items()
     degrees = {len(tensor) for tensor, _ in items}
     if len(degrees) > 1:
         raise ValueError("tensor combination mixes degrees %s" % sorted(degrees))

@@ -5,7 +5,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treetrace.cli
 from treetrace.cli import build_report, load_knot_document, main
+from treetrace.forms import j_form
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +49,16 @@ def test_report_stable_across_genus(capsys):
     base = computed()
     for genus in ("6", "8", "12", "20"):
         assert computed("--genus", genus) == base
+
+
+def test_report_with_dependent_rows_fails_its_check(capsys, monkeypatch):
+    # Q = 4 J on both knots makes the two coefficient rows proportional.
+    monkeypatch.setattr(treetrace.cli, "q_form",
+                        lambda x, y: 4 * j_form(x, y))
+    code, out, err = run_cli(capsys, "report")
+    assert code == 1
+    assert "FAIL cocycle_coefficients" in out
+    assert "Traceback" not in err
 
 
 def test_report_rejects_small_genus(capsys):
@@ -239,6 +251,8 @@ def test_builtin_knot_bases_pass_as_twist_specs(capsys):
                                "--lambda-x", lam, "--lambda-y", lam)
         assert code == 0
         assert c in out
+        # Without the options the Casson value is the basis's own c2.
+        assert run_cli(capsys, "cocycle", spec, spec) == (0, out, "")
 
 
 def test_knot_document_rejects_degenerate_basis(tmp_path, capsys):
@@ -301,7 +315,12 @@ def test_inconsistent_knot_document_is_rejected(tmp_path, capsys):
     for change, word in (({"conway": [[0, 1], [1, 1]]}, "Conway"),
                          ({"conway": [[0, 2], [2, 1]]}, "Conway"),
                          ({"jones": [[0, 2], [1, -1]]}, "V'(1)"),
-                         ({"conway": [[0, 1], [2, -1]]}, "-6*c2")):
+                         ({"conway": [[0, 1], [2, -1]]}, "-6*c2"),
+                         ({"bscc_basis": ["a1 + b1", "a2 + b1 - b2"]},
+                          "c2 = -1"),
+                         ({"conway": [[2, 1], [0, 1], [4, 1]],
+                           "bscc_basis": ["a1 + b1", "a2 - b1 + b2"]},
+                          "above z^2")):
         path = write_document(tmp_path, dict(TREFOIL_DOC, **change))
         code, out, err = run_cli(capsys, "surgery", path, "1")
         assert_one_line_usage_error(code, err)

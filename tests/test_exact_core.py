@@ -12,39 +12,8 @@ from helpers import (
     rand_scalar,
     span_reduce,
 )
-from treetrace.exact import (
-    FreeVec,
-    InconsistentSystem,
-    UnderdeterminedSystem,
-    scalar,
-    solve_linear,
-)
+from treetrace.exact import FreeVec
 from treetrace.symplectic import a, b
-
-
-def test_scalar_coercion_and_canonical_form():
-    assert scalar("3/4") == Fraction(3, 4)
-    assert scalar(6) / scalar(8) == Fraction(3, 4)
-    x = Fraction(-6, -8)
-    assert x.numerator == 3 and x.denominator == 4
-
-
-def test_scalar_field_axioms_randomized():
-    rng = random.Random(1001)
-    for _ in range(200):
-        x = rand_scalar(rng, -50, 50)
-        y = rand_scalar(rng, -50, 50)
-        z = rand_scalar(rng, -50, 50)
-        assert x + (-x) == 0
-        assert x * (1 / x) == 1
-        assert (x + y) * z == x * z + y * z
-        assert x * y == y * x
-
-
-def test_scalar_exactness_beyond_64_bits():
-    big = Fraction(2 ** 80 + 1, 3)
-    assert big * 3 - 1 == Fraction(2 ** 80)
-    assert (big - big) == 0
 
 
 def test_freevec_drops_zeros_and_compares_exactly():
@@ -66,46 +35,6 @@ def test_freevec_algebra_randomized():
         assert u - u == FreeVec()
         assert c * (u + v) == c * u + c * v
         assert (-1) * u == -u
-
-
-def test_solve_linear_cocycle_coefficient_system():
-    assert solve_linear([[12, 48], [12, 80]], [72, 96]) == [3, Fraction(3, 4)]
-
-
-def test_solve_linear_identity():
-    assert solve_linear([[1, 0], [0, 1]], [5, 7]) == [5, 7]
-
-
-def test_solve_linear_inconsistent():
-    with pytest.raises(InconsistentSystem):
-        solve_linear([[1, 1], [2, 2]], [1, 3])
-
-
-def test_solve_linear_underdetermined():
-    with pytest.raises(UnderdeterminedSystem):
-        solve_linear([[1, 1], [2, 2]], [1, 2])
-
-
-def test_solve_linear_overdetermined_consistent():
-    assert solve_linear([[1, 0], [0, 1], [1, 1]], [2, 3, 5]) == [2, 3]
-
-
-def test_solve_linear_substitution_randomized():
-    rng = random.Random(1003)
-    solved = 0
-    while solved < 100:
-        n = rng.randint(1, 4)
-        matrix = [[Fraction(rng.randint(-5, 5)) for _ in range(n)]
-                  for _ in range(n)]
-        x_true = [rand_scalar(rng) for _ in range(n)]
-        rhs = [sum(row[j] * x_true[j] for j in range(n)) for row in matrix]
-        try:
-            x = solve_linear(matrix, rhs)
-        except UnderdeterminedSystem:
-            continue
-        for row, want in zip(matrix, rhs):
-            assert sum(c * xi for c, xi in zip(row, x)) == want
-        solved += 1
 
 
 def test_span_reduce_partial_membership():
@@ -168,8 +97,6 @@ def test_float_coefficients_are_rejected():
         FreeVec({"x": 0.5})
     with pytest.raises(TypeError):
         FreeVec.single("x") * 0.5
-    with pytest.raises(TypeError):
-        scalar(0.5)
 
 
 def test_package_exports_only_public_names():

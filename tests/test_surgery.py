@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import jones_series_derivative
 from treetrace.cli import build_report
-from treetrace.exact import FreeVec, solve_linear
+from treetrace.exact import FreeVec
 from treetrace.forms import b_form, j_form, q_form
 from treetrace.surgery import (
     BUILTIN_KNOTS,
@@ -16,6 +16,7 @@ from treetrace.surgery import (
     POINCARE,
     SphereInvariants,
     TREFOIL,
+    bounding_casson,
     casson_surgery,
     connected_sum,
     conway_coefficient,
@@ -119,13 +120,10 @@ def test_lambda2_surgery_is_the_displayed_quadratic():
         v2 = jones_h_derivative(knot.jones, 2)
         v3 = jones_h_derivative(knot.jones, 3)
         c4 = conway_coefficient(knot.conway, 4)
-        samples = [(n, lambda2_surgery(knot, n)) for n in range(4)]
-        matrix = [[1, n, n * n] for n, _ in samples]
-        rhs = [value for _, value in samples]
-        const, linear, quad = solve_linear(matrix, rhs)
-        assert const == 0
-        assert linear == Fraction(v2, 2) - Fraction(v3, 3)
-        assert quad == v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
+        linear = Fraction(v2, 2) - Fraction(v3, 3)
+        quad = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
+        for n in range(-3, 4):
+            assert lambda2_surgery(knot, n) == linear * n + quad * n * n
 
 
 def test_connected_sum_of_poincare_spheres():
@@ -217,10 +215,12 @@ def test_cocycle_equations_match_linear_system():
 
 def test_cocycle_coefficients():
     for genus in (5, 6):
-        rows = coefficient_rows(genus)
-        assert solve_linear([[j, q] for j, q, _ in rows],
-                            [rhs for _, _, rhs in rows]) \
-            == [3, Fraction(3, 4)]
+        (j1, q1, b1), (j2, q2, b2) = coefficient_rows(genus)
+        # (3, 3/4) solves both rows, and the rows are independent, so it
+        # is the only solution.
+        for j, q, rhs in ((j1, q1, b1), (j2, q2, b2)):
+            assert 3 * j + Fraction(3, 4) * q == rhs
+        assert j1 * q2 - j2 * q1 != 0
         assert report_values(genus)["cocycle_coefficients"] == "(3, 3/4)"
 
 
@@ -261,9 +261,11 @@ def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
     assert q_form(tau, tau) == 64 * c2 ** 2 - 16 * c2
     # The genus-1 Seifert surface gives Conway 1 + c2 z^2 and the Jones
     # polynomial with v2 = -6 c2 and v3 = c4 = 0.
+    assert bounding_casson(x, y) == c2
     knot = KnotRecord(name="bounding", conway=LaurentPoly({0: 1, 2: c2}),
                       jones=LaurentPoly({0: 1 + 6 * c2, 1: -3 * c2,
-                                         -1: -3 * c2}))
+                                         -1: -3 * c2}),
+                      bscc_basis=(x, y))
     lam = casson_surgery(knot, 1)
     assert lam == c2
     assert b_form(tau, tau) == surgery_cocycle_value(knot) - 36 * lam ** 2 \
