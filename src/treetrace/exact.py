@@ -16,10 +16,12 @@ class FreeVec:
     Keys may be any hashable, totally ordered values (tuples of tuples in
     practice).  Zero coefficients are never stored, so two values are equal
     iff they hold identical key -> coefficient associations.  Instances are
-    immutable; all operators return fresh vectors.
+    immutable; all operators return fresh vectors.  ``cached`` keeps values
+    derived from one vector with it; the memo slot stays unset until then,
+    and equality, ``repr`` and arithmetic ignore it.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_memo")
 
     def __init__(self, terms=None):
         data = {}
@@ -52,6 +54,22 @@ class FreeVec:
         v = cls.__new__(cls)
         v._terms = data
         return v
+
+    def cached(self, fn):
+        """``fn(self)``, computed at most once per vector.
+
+        Sound because a vector never changes after construction; a vector
+        made by arithmetic starts without a memo.
+        """
+        try:
+            memo = self._memo
+        except AttributeError:
+            memo = self._memo = {}
+        try:
+            return memo[fn]
+        except KeyError:
+            value = memo[fn] = fn(self)
+            return value
 
     def coeff(self, key):
         """Coefficient of ``key`` (an exact number; 0 when absent)."""

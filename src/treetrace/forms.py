@@ -1,10 +1,12 @@
 """Bidegree projections, Lagrangian traces, and the bilinear forms on trees.
 
 The tree space splits by the number of A-labels versus B-labels among the
-four slots of each term; ``project_bidegree`` picks one piece.  On pieces
-with an A-label the trace ``trace_a`` lands in S^2(B) (and ``trace_b``
-mirrors it); their kernels cut out the subspaces W0 inside bidegrees (1,3)
-and (3,1).
+four slots of each term; ``project_bidegree`` picks one piece.  A vector
+is split once: its five pieces and the contractions of its (1,3) and (3,1)
+pieces are kept with it (``FreeVec.cached``), and every form reads them
+from there.  On pieces with an A-label the trace ``trace_a`` lands in
+S^2(B) (and ``trace_b`` mirrors it); their kernels cut out the subspaces W0
+inside bidegrees (1,3) and (3,1).
 
 Two rational-valued pairings are assembled from the contraction
 ``contract_cs`` and the perfect pairing ``eta_s`` on S^2(H): ``upsilon``
@@ -19,6 +21,7 @@ the product of Casson values.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import FreeVec
 from .symplectic import FAMILY_A, FAMILY_B, label_omega, label_omega_bar
@@ -39,15 +42,32 @@ _C2 = (((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1))
 
 def key_bidegree(key) -> tuple:
     """(number of A-labels, number of B-labels) among the four slots."""
-    s = sum(1 for lbl in key_labels(key) if lbl.family == FAMILY_A)
+    (w, x), (y, z) = key
+    s = ((w.family == FAMILY_A) + (x.family == FAMILY_A)
+         + (y.family == FAMILY_A) + (z.family == FAMILY_A))
     return s, 4 - s
+
+
+class _Split(NamedTuple):
+    pieces: tuple           # the bidegree (s, 4 - s) piece at index s
+    contract_13: FreeVec    # contract_cs of the (1,3) piece
+    contract_31: FreeVec    # contract_cs of the (3,1) piece
+
+
+def _split(v: FreeVec) -> _Split:
+    # One pass over the terms, bucketed by their number of A-labels.
+    buckets = ({}, {}, {}, {}, {})
+    for key, coeff in v.items():
+        buckets[key_bidegree(key)[0]][key] = coeff
+    pieces = tuple(FreeVec._raw(data) for data in buckets)
+    return _Split(pieces, contract_cs(pieces[1]), contract_cs(pieces[3]))
 
 
 def project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
     """The component of ``v`` with exactly s A-labels and t B-labels per term."""
     if s < 0 or t < 0 or s + t != 4:
         raise ValueError("bidegree must be nonnegative with s + t = 4")
-    return FreeVec((key, c) for key, c in v.items() if key_bidegree(key) == (s, t))
+    return v.cached(_split).pieces[s]
 
 
 def _trace(v: FreeVec, family: str) -> FreeVec:
@@ -60,8 +80,8 @@ def _trace(v: FreeVec, family: str) -> FreeVec:
         slot = next((k for k, lbl in enumerate(labels) if lbl.family == family),
                     None)
         if slot is None:
-            raise ValueError(
-                "term %r has no %s-label; trace undefined there" % (key, family))
+            raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
+                             "undefined there" % (labels + (family,)))
         perm, sign = _FRONT[slot]
         head, c_, d_, e_ = (labels[p] for p in perm)
         total = coeff * sign
@@ -109,7 +129,7 @@ def contract_cs(v: FreeVec) -> FreeVec:
     (a^b)(c^d) goes to w(a,d) bc - w(a,c) bd - w(b,d) ac + w(b,c) ad with w
     the symmetric A-B pairing; the embedded Lambda^4 H is killed.
     """
-    terms = []
+    data = {}
     for key, coeff in v.items():
         la, lb, lc, ld = key_labels(key)
         for u, w, keep1, keep2, sign in (
@@ -120,20 +140,20 @@ def contract_cs(v: FreeVec) -> FreeVec:
             val = label_omega_bar(u, w)
             if val:
                 pair = (keep1, keep2) if keep1 <= keep2 else (keep2, keep1)
-                terms.append((pair, coeff * sign * val))
-    return FreeVec(terms)
+                data[pair] = data.get(pair, 0) + coeff * sign * val
+    return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c)."""
-    total = Fraction(0)
+    total = 0
     for (u, v), cx in x.items():
         for (w, z), cy in y.items():
             val = (label_omega(u, w) * label_omega(v, z)
                    + label_omega(u, z) * label_omega(v, w))
             if val:
                 total += cx * cy * val
-    return total
+    return Fraction(total)
 
 
 def upsilon(x: FreeVec, y: FreeVec) -> Fraction:
@@ -148,6 +168,11 @@ def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
     the left tree's second leg; the two half-weight terms realize the fused
     gluing pattern.
     """
+    return Fraction(_nabla_pair2(xs, ys), 2)
+
+
+def _nabla_pair2(xs: tuple, ys: tuple) -> int:
+    # Twice nabla_pair, an integer.
     acc = 0
     for sigma in _V4:
         y0 = ys[sigma[0]]
@@ -164,29 +189,30 @@ def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
             t3 = (label_omega(xs[1], y3)
                   * label_omega(xt2, y2) * label_omega(xt3, y1))
             acc += sgn * w0 * (2 * t1 - t2 + t3)
-    return Fraction(acc, 2)
+    return acc
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Bilinear extension of the tree inner product to expanded vectors."""
-    total = Fraction(0)
+    ys = [(key_labels(ky), cy) for ky, cy in y.items()]
+    total = 0
     for kx, cx in x.items():
         xs = key_labels(kx)
-        for ky, cy in y.items():
-            val = nabla_pair(xs, key_labels(ky))
+        for labels, cy in ys:
+            val = _nabla_pair2(xs, labels)
             if val:
                 total += cx * cy * val
-    return total
+    return Fraction(total, 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Contraction pairing of the (1,3) part of x against the (3,1) part of y."""
-    return upsilon(project_bidegree(x, 1, 3), project_bidegree(y, 3, 1))
+    return eta_s(x.cached(_split).contract_13, y.cached(_split).contract_31)
 
 
 def j_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product of the (0,4) part of x against the (4,0) part of y."""
-    return nabla(project_bidegree(x, 0, 4), project_bidegree(y, 4, 0))
+    return nabla(x.cached(_split).pieces[0], y.cached(_split).pieces[4])
 
 
 def b_form(x: FreeVec, y: FreeVec) -> Fraction:

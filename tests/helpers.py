@@ -4,6 +4,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
     FAMILY_A,
@@ -54,6 +56,35 @@ def rand_basic_tensor(rng, genus, degree=4):
 def expand(*slots) -> FreeVec:
     """tree_expand of a tree given by labels or H vectors."""
     return tree_expand(tree(*slots))
+
+
+@st.composite
+def tree_combinations(draw, genera=(4, 5, 6)):
+    """A genus drawn from ``genera`` and a combination of expanded trees
+    whose legs are small vectors of H, so labels repeat within and across
+    trees.  Coefficients are nonzero ints or Fractions."""
+    genus = draw(st.sampled_from(genera))
+    label = st.sampled_from(basis_labels(genus))
+    leg = st.dictionaries(label, st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                          min_size=1, max_size=3)
+    numerator = st.sampled_from([n for n in range(-9, 10) if n])
+    coeff = st.one_of(numerator,
+                      st.builds(Fraction, numerator, st.integers(1, 4)))
+    v = FreeVec()
+    for c, legs in draw(st.lists(st.tuples(coeff, st.tuples(leg, leg, leg, leg)),
+                                 min_size=1, max_size=4)):
+        v = v + c * tree_expand(HTree(*map(FreeVec, legs)))
+    return genus, v
+
+
+def filter_project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
+    """Bidegree projection by filtering terms on their A-label count; the
+    oracle for the memoised split behind ``forms.project_bidegree``."""
+    def bidegree(key):
+        n_a = sum(1 for lbl in key_labels(key) if lbl.family == FAMILY_A)
+        return n_a, 4 - n_a
+
+    return FreeVec((key, c) for key, c in v.items() if bidegree(key) == (s, t))
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,13 @@ def assert_one_line_usage_error(code, err):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_trace_error_names_the_term_in_label_notation(capsys):
+    code, _, err = run_cli(capsys, "trace", "T(b2, b3; b4, b2)", "--side", "A")
+    assert_one_line_usage_error(code, err)
+    assert "(b2^b3)(b2^b4)" in err
+    assert "BasisLabel" not in err
+
+
 def test_bad_lambda_is_a_usage_error(capsys):
     # Fraction() reads '١/٢' (Arabic-Indic digits) as 1/2.
     for option, value in (("--lambda-x", "1/0"), ("--lambda-y", "three"),

@@ -37,6 +37,30 @@ def test_freevec_algebra_randomized():
         assert (-1) * u == -u
 
 
+def test_cached_computes_once_per_vector():
+    calls = []
+
+    def size(vec):
+        calls.append(vec)
+        return len(vec)
+
+    v = FreeVec({"x": 1, "y": Fraction(1, 2)})
+    w = FreeVec({"y": 3})
+    text = repr(v)
+    with pytest.raises(AttributeError):
+        v._memo
+    assert v.cached(size) == 2
+    assert v.cached(size) == 2
+    assert len(calls) == 1
+    assert v == FreeVec({"x": 1, "y": Fraction(1, 2)})
+    assert repr(v) == text
+    for derived in (v + w, v - w, -v, 2 * v):
+        with pytest.raises(AttributeError):
+            derived._memo
+    assert w.cached(size) == 1
+    assert len(calls) == 2
+
+
 def test_span_reduce_partial_membership():
     e1 = FreeVec.single(1)
     e2 = FreeVec.single(2)

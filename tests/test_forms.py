@@ -3,14 +3,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import (
     SpanBasis,
     all_generators,
     expand,
+    filter_project_bidegree,
     gl_tree_action,
     rand_label,
     rand_tree,
+    tree_combinations,
 )
 from treetrace.exact import FreeVec
 from treetrace.forms import (
@@ -426,3 +429,26 @@ def test_j_form_vanishes_without_pure_b_part():
         assert project_bidegree(x, 0, 4).is_zero()
         y = tree_expand(rand_tree(rng, 4))
         assert j_form(x, y) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_combinations(genera=(5, 6, 7, 8)), tree_combinations(genera=(5, 6, 7, 8)))
+def test_forms_match_filter_projection_oracle(case_x, case_y):
+    (_, x), (_, y) = case_x, case_y
+    P = filter_project_bidegree
+    q, j = q_form(x, y), j_form(x, y)
+    assert q == upsilon(P(x, 1, 3), P(y, 3, 1))
+    assert j == nabla(P(x, 0, 4), P(y, 4, 0))
+    for s in range(5):
+        assert project_bidegree(x, s, 4 - s) == P(x, s, 4 - s)
+    values = [q, j, b_form(x, y), cocycle(1, x, 2, y)]
+    # Vectors derived from x start without x's split; x keeps its own.
+    for other in (x + y, -x, 2 * x):
+        values += [q_form(other, y), j_form(other, y),
+                   q_form(y, other), j_form(y, other)]
+    assert (q_form(x, y), j_form(x, y)) == (q, j)
+    assert q_form(-x, y) == -q and j_form(-x, y) == -j
+    assert q_form(2 * x, y) == 2 * q and j_form(2 * x, y) == 2 * j
+    assert q_form(x + y, y) == q + q_form(y, y)
+    values += [upsilon(x, y), nabla(x, y), eta_s(contract_cs(x), contract_cs(y))]
+    assert all(type(value) is Fraction for value in values)

@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from helpers import (
     expand,
@@ -12,6 +11,7 @@ from helpers import (
     rand_hvec,
     rand_tree,
     span_a2_normalize,
+    tree_combinations,
 )
 from treetrace.exact import FreeVec
 from treetrace.symplectic import a, b, basis_labels, hvec
@@ -107,23 +107,6 @@ def test_normalize_idempotent():
         v = tree_expand(rand_tree(rng, 4))
         nf = a2_normalize(v, 5)
         assert a2_normalize(nf, 5) == nf
-
-
-@st.composite
-def tree_combinations(draw):
-    """A genus in 4..6 and a rational combination of expanded trees whose
-    legs are small vectors of H, so labels repeat within and across trees."""
-    genus = draw(st.sampled_from((4, 5, 6)))
-    label = st.sampled_from(basis_labels(genus))
-    leg = st.dictionaries(label, st.sampled_from((-3, -2, -1, 1, 2, 3)),
-                          min_size=1, max_size=3)
-    coeff = st.builds(Fraction, st.sampled_from([n for n in range(-9, 10) if n]),
-                      st.integers(1, 4))
-    v = FreeVec()
-    for c, legs in draw(st.lists(st.tuples(coeff, st.tuples(leg, leg, leg, leg)),
-                                 min_size=1, max_size=4)):
-        v = v + c * tree_expand(HTree(*map(FreeVec, legs)))
-    return genus, v
 
 
 @settings(max_examples=200, deadline=None)
