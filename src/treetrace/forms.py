@@ -8,14 +8,19 @@ from there.  On pieces with an A-label the trace ``trace_a`` lands in
 S^2(B) (and ``trace_b`` mirrors it); their kernels cut out the subspaces W0
 inside bidegrees (1,3) and (3,1).
 
-Two rational-valued pairings are assembled from the contraction
-``contract_cs`` and the perfect pairing ``eta_s`` on S^2(H): ``upsilon``
-contracts both arguments and pairs the results, while ``nabla`` is the
-inner product computed by a signed sum over gluings of the two trees.
+Two rational-valued pairings act on these pieces: the perfect pairing
+``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
+tree inner product ``nabla``, a signed sum over gluings of two trees.  A
+term of either is a product of omegas over a bijection of slots, so each
+pairing keeps the other argument's terms in buckets keyed by their sorted
+labels (built once per vector, like the split) and pairs a term only with
+the bucket of its omega-partner labels; the totals stay ints (Fractions
+only for Fraction coefficients) until one Fraction is made per value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
-the product of Casson values.
+the product of Casson values.  ``b_form`` and ``cocycle`` pair each piece
+once and divide by 4 once.
 """
 
 from __future__ import annotations
@@ -24,7 +29,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import FAMILY_A, FAMILY_B, label_omega, label_omega_bar
+from .symplectic import (
+    FAMILY_A,
+    FAMILY_B,
+    BasisLabel,
+    label_omega,
+    label_omega_bar,
+)
 from .trees import key_labels
 
 # Permutations sending slot s to position 0 using the two tree symmetries
@@ -144,82 +155,113 @@ def contract_cs(v: FreeVec) -> FreeVec:
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
+def _by_labels(v: FreeVec) -> dict:
+    # v's terms bucketed by their sorted slot labels; each bucket carries
+    # its sorted omega-partner labels (a_i <-> b_i), the key of the only
+    # bucket of the other argument that it pairs with.
+    buckets = {}
+    for key, coeff in v.items():
+        labels = key if isinstance(key[0], BasisLabel) else key_labels(key)
+        own = tuple(sorted(labels))
+        bucket = buckets.get(own)
+        if bucket is None:
+            partners = tuple(sorted(
+                BasisLabel(lbl.index, FAMILY_B if lbl.family == FAMILY_A
+                           else FAMILY_A) for lbl in own))
+            bucket = buckets[own] = (partners, [])
+        bucket[1].append((labels, coeff))
+    return buckets
+
+
+def _eta_total(x: FreeVec, y: FreeVec):
+    # eta_s(x, y) as an int (a Fraction when a coefficient is one).
+    total = 0
+    ybuckets = y.cached(_by_labels)
+    for partners, xterms in x.cached(_by_labels).values():
+        match = ybuckets.get(partners)
+        if match is None:
+            continue
+        for (u, v), cx in xterms:
+            for (w, z), cy in match[1]:
+                val = (label_omega(u, w) * label_omega(v, z)
+                       + label_omega(u, z) * label_omega(v, w))
+                if val:
+                    total += cx * cy * val
+    return total
+
+
+def _nabla_total(x: FreeVec, y: FreeVec):
+    # Twice nabla(x, y): a signed sum over the Klein four-group on the right
+    # slots and the swap of the left tree's second leg, where the two
+    # half-weight terms realize the fused gluing pattern.
+    total = 0
+    ybuckets = y.cached(_by_labels)
+    for partners, xterms in x.cached(_by_labels).values():
+        match = ybuckets.get(partners)
+        if match is None:
+            continue
+        for xs, cx in xterms:
+            x0, x1 = xs[0], xs[1]
+            for ys, cy in match[1]:
+                acc = 0
+                for sigma in _V4:
+                    w0 = label_omega(x0, ys[sigma[0]])
+                    if not w0:
+                        continue
+                    y1, y2, y3 = ys[sigma[1]], ys[sigma[2]], ys[sigma[3]]
+                    for tau, sgn in _C2:
+                        xt2, xt3 = xs[tau[2]], xs[tau[3]]
+                        t1 = (label_omega(x1, y1)
+                              * label_omega(xt2, y2) * label_omega(xt3, y3))
+                        t2 = (label_omega(x1, y2)
+                              * label_omega(xt2, y3) * label_omega(xt3, y1))
+                        t3 = (label_omega(x1, y3)
+                              * label_omega(xt2, y2) * label_omega(xt3, y1))
+                        acc += sgn * w0 * (2 * t1 - t2 + t3)
+                if acc:
+                    total += cx * cy * acc
+    return total
+
+
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c)."""
-    total = 0
-    for (u, v), cx in x.items():
-        for (w, z), cy in y.items():
-            val = (label_omega(u, w) * label_omega(v, z)
-                   + label_omega(u, z) * label_omega(v, w))
-            if val:
-                total += cx * cy * val
-    return Fraction(total)
-
-
-def upsilon(x: FreeVec, y: FreeVec) -> Fraction:
-    """Pair the contractions of both arguments: eta_s(C x, C y)."""
-    return eta_s(contract_cs(x), contract_cs(y))
-
-
-def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
-    """Inner product of two basic trees given as 4-tuples of slot labels.
-
-    Signed sum over the Klein four-group on the right slots and the swap of
-    the left tree's second leg; the two half-weight terms realize the fused
-    gluing pattern.
-    """
-    return Fraction(_nabla_pair2(xs, ys), 2)
-
-
-def _nabla_pair2(xs: tuple, ys: tuple) -> int:
-    # Twice nabla_pair, an integer.
-    acc = 0
-    for sigma in _V4:
-        y0 = ys[sigma[0]]
-        w0 = label_omega(xs[0], y0)
-        if not w0:
-            continue
-        y1, y2, y3 = ys[sigma[1]], ys[sigma[2]], ys[sigma[3]]
-        for tau, sgn in _C2:
-            xt2, xt3 = xs[tau[2]], xs[tau[3]]
-            t1 = (label_omega(xs[1], y1)
-                  * label_omega(xt2, y2) * label_omega(xt3, y3))
-            t2 = (label_omega(xs[1], y2)
-                  * label_omega(xt2, y3) * label_omega(xt3, y1))
-            t3 = (label_omega(xs[1], y3)
-                  * label_omega(xt2, y2) * label_omega(xt3, y1))
-            acc += sgn * w0 * (2 * t1 - t2 + t3)
-    return acc
+    return Fraction(_eta_total(x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Bilinear extension of the tree inner product to expanded vectors."""
-    ys = [(key_labels(ky), cy) for ky, cy in y.items()]
-    total = 0
-    for kx, cx in x.items():
-        xs = key_labels(kx)
-        for labels, cy in ys:
-            val = _nabla_pair2(xs, labels)
-            if val:
-                total += cx * cy * val
-    return Fraction(total, 2)
+    return Fraction(_nabla_total(x, y), 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Contraction pairing of the (1,3) part of x against the (3,1) part of y."""
-    return eta_s(x.cached(_split).contract_13, y.cached(_split).contract_31)
+    return Fraction(_eta_total(x.cached(_split).contract_13,
+                               y.cached(_split).contract_31))
 
 
 def j_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product of the (0,4) part of x against the (4,0) part of y."""
-    return nabla(x.cached(_split).pieces[0], y.cached(_split).pieces[4])
+    return Fraction(_nabla_total(x.cached(_split).pieces[0],
+                                 y.cached(_split).pieces[4]), 2)
 
 
 def b_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree part of the degree-two cocycle: 3*J + (3/4)*Q."""
-    return 3 * j_form(x, y) + Fraction(3, 4) * q_form(x, y)
+    return cocycle(0, x, 0, y)
 
 
 def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fraction:
-    """Full cocycle 36*lam_x*lam_y + B on (Casson value, tree image) pairs."""
-    return 36 * Fraction(lam_x) * Fraction(lam_y) + b_form(x, y)
+    """Full cocycle 36*lam_x*lam_y + 3*J + (3/4)*Q on (Casson value, tree
+    image) pairs, as one Fraction (144*lam_x*lam_y + 6*N + 3*E) / 4 of the
+    raw totals N = 2*J and E = Q.  Casson values are exact: ints and
+    Fractions as they are, anything else through Fraction, never a float."""
+    lam = 144
+    for value in (lam_x, lam_y):
+        if not isinstance(value, (int, Fraction)):
+            if isinstance(value, float):
+                raise TypeError("float coefficients are not exact")
+            value = Fraction(value)
+        lam *= value
+    sx, sy = x.cached(_split), y.cached(_split)
+    return Fraction(lam + 6 * _nabla_total(sx.pieces[0], sy.pieces[4])
+                    + 3 * _eta_total(sx.contract_13, sy.contract_31), 4)

@@ -7,6 +7,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from treetrace.exact import FreeVec
+from treetrace.forms import contract_cs
 from treetrace.symplectic import (
     FAMILY_A,
     FAMILY_B,
@@ -20,6 +21,7 @@ from treetrace.symplectic import (
     basis_labels,
     generator_label_image,
     hvec,
+    label_omega,
 )
 from treetrace.trees import HTree, key_labels, lambda4_embed, tree, tree_expand
 
@@ -85,6 +87,76 @@ def filter_project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
         return n_a, 4 - n_a
 
     return FreeVec((key, c) for key, c in v.items() if bidegree(key) == (s, t))
+
+
+# ---------------------------------------------------------------------------
+# Quadratic pairings: every pair of terms, the oracles for the label-bucketed
+# ``forms.eta_s`` and ``forms.nabla``
+# ---------------------------------------------------------------------------
+
+_V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+_C2 = (((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1))
+
+
+def quadratic_eta_s(x: FreeVec, y: FreeVec) -> Fraction:
+    """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c)."""
+    total = 0
+    for (u, v), cx in x.items():
+        for (w, z), cy in y.items():
+            val = (label_omega(u, w) * label_omega(v, z)
+                   + label_omega(u, z) * label_omega(v, w))
+            if val:
+                total += cx * cy * val
+    return Fraction(total)
+
+
+def upsilon(x: FreeVec, y: FreeVec) -> Fraction:
+    """Pair the contractions of both arguments: eta_s(C x, C y)."""
+    return quadratic_eta_s(contract_cs(x), contract_cs(y))
+
+
+def _nabla_pair2(xs: tuple, ys: tuple) -> int:
+    # Twice nabla_pair, an integer.
+    acc = 0
+    for sigma in _V4:
+        y0 = ys[sigma[0]]
+        w0 = label_omega(xs[0], y0)
+        if not w0:
+            continue
+        y1, y2, y3 = ys[sigma[1]], ys[sigma[2]], ys[sigma[3]]
+        for tau, sgn in _C2:
+            xt2, xt3 = xs[tau[2]], xs[tau[3]]
+            t1 = (label_omega(xs[1], y1)
+                  * label_omega(xt2, y2) * label_omega(xt3, y3))
+            t2 = (label_omega(xs[1], y2)
+                  * label_omega(xt2, y3) * label_omega(xt3, y1))
+            t3 = (label_omega(xs[1], y3)
+                  * label_omega(xt2, y2) * label_omega(xt3, y1))
+            acc += sgn * w0 * (2 * t1 - t2 + t3)
+    return acc
+
+
+def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
+    """Inner product of two basic trees given as 4-tuples of slot labels.
+
+    Signed sum over the Klein four-group on the right slots and the swap of
+    the left tree's second leg; the two half-weight terms realize the fused
+    gluing pattern.
+    """
+    return Fraction(_nabla_pair2(xs, ys), 2)
+
+
+def quadratic_nabla(x: FreeVec, y: FreeVec) -> Fraction:
+    """Bilinear extension of the tree inner product, over every term pair."""
+    ys = [(key_labels(ky), cy) for ky, cy in y.items()]
+    total = 0
+    for kx, cx in x.items():
+        xs = key_labels(kx)
+        for labels, cy in ys:
+            val = _nabla_pair2(xs, labels)
+            if val:
+                total += cx * cy * val
+    return Fraction(total, 2)
 
 
 # ---------------------------------------------------------------------------

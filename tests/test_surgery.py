@@ -272,6 +272,27 @@ def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
         == 84 * c2 ** 2 - 12 * c2
 
 
+@pytest.mark.parametrize("genus", (10, 12))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_j_form_on_dense_twists_at_large_genus(genus, data):
+    # Full support on every a_i and b_i: the (0,4) and (4,0) pieces hold
+    # about 1 500 terms each at genus 12, and J(tau, tau) = 12 c2^2 for any
+    # (x, y), with c2 = L(x,x) L(y,y) - L(x,y) L(y,x) from plain dicts.
+    nonzero = st.sampled_from((-2, -1, 1, 2))
+    x, y = ({(i, f): data.draw(nonzero) for i in range(1, genus + 1)
+             for f in "ab"} for _ in range(2))
+
+    def link(u, v):
+        return sum(u[i, "a"] * v[i, "b"] for i in range(1, genus + 1))
+
+    c2 = link(x, x) * link(y, y) - link(x, y) * link(y, x)
+    tau = tau2_bscc_twist(*(FreeVec({(a if f == "a" else b)(i): c
+                                     for (i, f), c in u.items()})
+                            for u in (x, y)), genus)
+    assert j_form(tau, tau) == 12 * c2 ** 2
+
+
 def test_cross_route_cocycle_equality():
     from treetrace.forms import cocycle
     from treetrace.surgery import twist_cocycle_data
