@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .forms import j_form, q_form, trace_a, trace_b
+from .forms import cocycle_values, trace_a, trace_b
 from .grammar import (
     ParseError,
     format_s2h,
@@ -100,14 +100,14 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
         want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
         lam, tau = twist_cocycle_data(knot, genus)
-        q, j = q_form(tau, tau), j_form(tau, tau)
-        b = 3 * j + Fraction(3, 4) * q
+        q, j, b, c = cocycle_values(lam, tau, lam, tau)
         surgery = surgery_cocycle_value(knot)
-        tree_part = surgery - 36 * lam * lam
+        # The surgery side less the Casson part c - b of the cocycle.
+        tree_part = surgery - (c - b)
         report.add("q_%s" % slug, want["q"], q)
         report.add("j_%s" % slug, want["j"], j)
         report.add("b_%s" % slug, want["b"], b)
-        report.add("cocycle_%s" % slug, want["c"], 36 * lam * lam + b)
+        report.add("cocycle_%s" % slug, want["c"], c)
         report.add("surgery_difference_%s" % slug, want["c"], surgery)
         report.add("cross_route_%s" % slug, tree_part, b)
         equations.append((
@@ -213,9 +213,8 @@ def _cmd_cocycle(args) -> int:
                                    "--lambda-x", args.lambda_x)
     lam_y, tau_y = _twist_argument(args.y, args.genus,
                                    "--lambda-y", args.lambda_y)
-    q, j = q_form(tau_x, tau_y), j_form(tau_x, tau_y)
-    values = {"Q": q, "J": j,
-              "C": 36 * lam_x * lam_y + 3 * j + Fraction(3, 4) * q}
+    q, j, _, c = cocycle_values(lam_x, tau_x, lam_y, tau_y)
+    values = {"Q": q, "J": j, "C": c}
     if args.format == "json":
         print(json.dumps({k: str(v) for k, v in values.items()}, indent=2))
     else:

@@ -10,32 +10,23 @@ inside bidegrees (1,3) and (3,1).
 
 Two rational-valued pairings act on these pieces: the perfect pairing
 ``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
-tree inner product ``nabla``, a signed sum over gluings of two trees.  A
-term of either is a product of omegas over a bijection of slots, so each
-pairing keeps the other argument's terms in buckets keyed by their sorted
-labels (built once per vector, like the split) and pairs a term only with
-the bucket of its omega-partner labels; the totals stay ints (Fractions
-only for Fraction coefficients) until one Fraction is made per value.
+tree inner product ``nabla``, a signed sum over gluings of two trees.
+Both sum over every pair of terms; the totals stay ints (Fractions only
+for Fraction coefficients) until one Fraction is made per value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
 the product of Casson values.  ``b_form`` and ``cocycle`` pair each piece
-once and divide by 4 once.
+once and divide by 4 once; ``cocycle_values`` gives Q, J, B and C of one
+pair of arguments from the same single pairing of each piece.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import (
-    FAMILY_A,
-    FAMILY_B,
-    BasisLabel,
-    label_omega,
-    label_omega_bar,
-)
+from .symplectic import FAMILY_A, FAMILY_B, label_omega, label_omega_bar
 from .trees import key_labels
 
 # Permutations sending slot s to position 0 using the two tree symmetries
@@ -59,26 +50,25 @@ def key_bidegree(key) -> tuple:
     return s, 4 - s
 
 
-class _Split(NamedTuple):
-    pieces: tuple           # the bidegree (s, 4 - s) piece at index s
-    contract_13: FreeVec    # contract_cs of the (1,3) piece
-    contract_31: FreeVec    # contract_cs of the (3,1) piece
+# Where ``_split`` keeps the contractions of the (1,3) and (3,1) pieces.
+_C13, _C31 = 5, 6
 
 
-def _split(v: FreeVec) -> _Split:
-    # One pass over the terms, bucketed by their number of A-labels.
+def _split(v: FreeVec) -> tuple:
+    # One pass over the terms, bucketed by their number of A-labels: the
+    # bidegree (s, 4 - s) piece at index s, then the two contractions.
     buckets = ({}, {}, {}, {}, {})
     for key, coeff in v.items():
         buckets[key_bidegree(key)[0]][key] = coeff
     pieces = tuple(FreeVec._raw(data) for data in buckets)
-    return _Split(pieces, contract_cs(pieces[1]), contract_cs(pieces[3]))
+    return pieces + (contract_cs(pieces[1]), contract_cs(pieces[3]))
 
 
 def project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
     """The component of ``v`` with exactly s A-labels and t B-labels per term."""
     if s < 0 or t < 0 or s + t != 4:
         raise ValueError("bidegree must be nonnegative with s + t = 4")
-    return v.cached(_split).pieces[s]
+    return v.cached(_split)[s]
 
 
 def _trace(v: FreeVec, family: str) -> FreeVec:
@@ -155,38 +145,16 @@ def contract_cs(v: FreeVec) -> FreeVec:
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
-def _by_labels(v: FreeVec) -> dict:
-    # v's terms bucketed by their sorted slot labels; each bucket carries
-    # its sorted omega-partner labels (a_i <-> b_i), the key of the only
-    # bucket of the other argument that it pairs with.
-    buckets = {}
-    for key, coeff in v.items():
-        labels = key if isinstance(key[0], BasisLabel) else key_labels(key)
-        own = tuple(sorted(labels))
-        bucket = buckets.get(own)
-        if bucket is None:
-            partners = tuple(sorted(
-                BasisLabel(lbl.index, FAMILY_B if lbl.family == FAMILY_A
-                           else FAMILY_A) for lbl in own))
-            bucket = buckets[own] = (partners, [])
-        bucket[1].append((labels, coeff))
-    return buckets
-
-
 def _eta_total(x: FreeVec, y: FreeVec):
     # eta_s(x, y) as an int (a Fraction when a coefficient is one).
     total = 0
-    ybuckets = y.cached(_by_labels)
-    for partners, xterms in x.cached(_by_labels).values():
-        match = ybuckets.get(partners)
-        if match is None:
-            continue
-        for (u, v), cx in xterms:
-            for (w, z), cy in match[1]:
-                val = (label_omega(u, w) * label_omega(v, z)
-                       + label_omega(u, z) * label_omega(v, w))
-                if val:
-                    total += cx * cy * val
+    yterms = list(y.items())
+    for (u, v), cx in x.items():
+        for (w, z), cy in yterms:
+            val = (label_omega(u, w) * label_omega(v, z)
+                   + label_omega(u, z) * label_omega(v, w))
+            if val:
+                total += cx * cy * val
     return total
 
 
@@ -195,31 +163,28 @@ def _nabla_total(x: FreeVec, y: FreeVec):
     # slots and the swap of the left tree's second leg, where the two
     # half-weight terms realize the fused gluing pattern.
     total = 0
-    ybuckets = y.cached(_by_labels)
-    for partners, xterms in x.cached(_by_labels).values():
-        match = ybuckets.get(partners)
-        if match is None:
-            continue
-        for xs, cx in xterms:
-            x0, x1 = xs[0], xs[1]
-            for ys, cy in match[1]:
-                acc = 0
-                for sigma in _V4:
-                    w0 = label_omega(x0, ys[sigma[0]])
-                    if not w0:
-                        continue
-                    y1, y2, y3 = ys[sigma[1]], ys[sigma[2]], ys[sigma[3]]
-                    for tau, sgn in _C2:
-                        xt2, xt3 = xs[tau[2]], xs[tau[3]]
-                        t1 = (label_omega(x1, y1)
-                              * label_omega(xt2, y2) * label_omega(xt3, y3))
-                        t2 = (label_omega(x1, y2)
-                              * label_omega(xt2, y3) * label_omega(xt3, y1))
-                        t3 = (label_omega(x1, y3)
-                              * label_omega(xt2, y2) * label_omega(xt3, y1))
-                        acc += sgn * w0 * (2 * t1 - t2 + t3)
-                if acc:
-                    total += cx * cy * acc
+    yterms = [(key_labels(k), c) for k, c in y.items()]
+    for kx, cx in x.items():
+        xs = key_labels(kx)
+        x0, x1 = xs[0], xs[1]
+        for ys, cy in yterms:
+            acc = 0
+            for sigma in _V4:
+                w0 = label_omega(x0, ys[sigma[0]])
+                if not w0:
+                    continue
+                y1, y2, y3 = ys[sigma[1]], ys[sigma[2]], ys[sigma[3]]
+                for tau, sgn in _C2:
+                    xt2, xt3 = xs[tau[2]], xs[tau[3]]
+                    t1 = (label_omega(x1, y1)
+                          * label_omega(xt2, y2) * label_omega(xt3, y3))
+                    t2 = (label_omega(x1, y2)
+                          * label_omega(xt2, y3) * label_omega(xt3, y1))
+                    t3 = (label_omega(x1, y3)
+                          * label_omega(xt2, y2) * label_omega(xt3, y1))
+                    acc += sgn * w0 * (2 * t1 - t2 + t3)
+            if acc:
+                total += cx * cy * acc
     return total
 
 
@@ -235,26 +200,22 @@ def nabla(x: FreeVec, y: FreeVec) -> Fraction:
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Contraction pairing of the (1,3) part of x against the (3,1) part of y."""
-    return Fraction(_eta_total(x.cached(_split).contract_13,
-                               y.cached(_split).contract_31))
+    return Fraction(_eta_total(x.cached(_split)[_C13],
+                               y.cached(_split)[_C31]))
 
 
 def j_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product of the (0,4) part of x against the (4,0) part of y."""
-    return Fraction(_nabla_total(x.cached(_split).pieces[0],
-                                 y.cached(_split).pieces[4]), 2)
+    return Fraction(_nabla_total(x.cached(_split)[0],
+                                 y.cached(_split)[4]), 2)
 
 
-def b_form(x: FreeVec, y: FreeVec) -> Fraction:
-    """Tree part of the degree-two cocycle: 3*J + (3/4)*Q."""
-    return cocycle(0, x, 0, y)
-
-
-def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fraction:
-    """Full cocycle 36*lam_x*lam_y + 3*J + (3/4)*Q on (Casson value, tree
-    image) pairs, as one Fraction (144*lam_x*lam_y + 6*N + 3*E) / 4 of the
-    raw totals N = 2*J and E = Q.  Casson values are exact: ints and
-    Fractions as they are, anything else through Fraction, never a float."""
+def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
+    # Q, 2*J, 4*B and 4*C of two (Casson value, tree image) pairs, each piece
+    # paired once; ints unless a coefficient or a Casson value is a Fraction.
+    # B = 3*J + (3/4)*Q = (6*N + 3*E) / 4 with N = 2*J and E = Q, and
+    # C = 36*lam_x*lam_y + B.  Casson values are exact: ints and Fractions
+    # as they are, anything else through Fraction, never a float.
     lam = 144
     for value in (lam_x, lam_y):
         if not isinstance(value, (int, Fraction)):
@@ -263,5 +224,27 @@ def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fractio
             value = Fraction(value)
         lam *= value
     sx, sy = x.cached(_split), y.cached(_split)
-    return Fraction(lam + 6 * _nabla_total(sx.pieces[0], sy.pieces[4])
-                    + 3 * _eta_total(sx.contract_13, sy.contract_31), 4)
+    e = _eta_total(sx[_C13], sy[_C31])
+    n = _nabla_total(sx[0], sy[4])
+    b = 6 * n + 3 * e
+    return e, n, b, lam + b
+
+
+def b_form(x: FreeVec, y: FreeVec) -> Fraction:
+    """Tree part of the degree-two cocycle: 3*J + (3/4)*Q."""
+    return Fraction(_cocycle_totals(0, x, 0, y)[2], 4)
+
+
+def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fraction:
+    """Full cocycle 36*lam_x*lam_y + 3*J + (3/4)*Q on (Casson value, tree
+    image) pairs.  Casson values must be exact: a float raises TypeError."""
+    return Fraction(_cocycle_totals(lam_x, x, lam_y, y)[3], 4)
+
+
+def cocycle_values(lam_x: Fraction, x: FreeVec, lam_y: Fraction,
+                   y: FreeVec) -> tuple:
+    """(Q, J, B, C) of two (Casson value, tree image) pairs at once, pairing
+    each piece once: the values of ``q_form``, ``j_form``, ``b_form`` and
+    ``cocycle`` on the same arguments."""
+    e, n, b, c = _cocycle_totals(lam_x, x, lam_y, y)
+    return Fraction(e), Fraction(n, 2), Fraction(b, 4), Fraction(c, 4)

@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from treetrace.exact import FreeVec
-from treetrace.forms import contract_cs
+from treetrace.forms import contract_cs, eta_s
 from treetrace.symplectic import (
     FAMILY_A,
     FAMILY_B,
@@ -90,33 +90,26 @@ def filter_project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic pairings: every pair of terms, the oracles for the label-bucketed
-# ``forms.eta_s`` and ``forms.nabla``
+# Pairings the package does not export: the contraction pairing of two tree
+# vectors and the inner product of two basic trees given as label tuples
 # ---------------------------------------------------------------------------
 
 _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _C2 = (((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1))
 
 
-def quadratic_eta_s(x: FreeVec, y: FreeVec) -> Fraction:
-    """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c)."""
-    total = 0
-    for (u, v), cx in x.items():
-        for (w, z), cy in y.items():
-            val = (label_omega(u, w) * label_omega(v, z)
-                   + label_omega(u, z) * label_omega(v, w))
-            if val:
-                total += cx * cy * val
-    return Fraction(total)
-
-
 def upsilon(x: FreeVec, y: FreeVec) -> Fraction:
     """Pair the contractions of both arguments: eta_s(C x, C y)."""
-    return quadratic_eta_s(contract_cs(x), contract_cs(y))
+    return eta_s(contract_cs(x), contract_cs(y))
 
 
-def _nabla_pair2(xs: tuple, ys: tuple) -> int:
-    # Twice nabla_pair, an integer.
+def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
+    """Inner product of two basic trees given as 4-tuples of slot labels.
+
+    Signed sum over the Klein four-group on the right slots and the swap of
+    the left tree's second leg; the two half-weight terms realize the fused
+    gluing pattern.
+    """
     acc = 0
     for sigma in _V4:
         y0 = ys[sigma[0]]
@@ -133,30 +126,7 @@ def _nabla_pair2(xs: tuple, ys: tuple) -> int:
             t3 = (label_omega(xs[1], y3)
                   * label_omega(xt2, y2) * label_omega(xt3, y1))
             acc += sgn * w0 * (2 * t1 - t2 + t3)
-    return acc
-
-
-def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
-    """Inner product of two basic trees given as 4-tuples of slot labels.
-
-    Signed sum over the Klein four-group on the right slots and the swap of
-    the left tree's second leg; the two half-weight terms realize the fused
-    gluing pattern.
-    """
-    return Fraction(_nabla_pair2(xs, ys), 2)
-
-
-def quadratic_nabla(x: FreeVec, y: FreeVec) -> Fraction:
-    """Bilinear extension of the tree inner product, over every term pair."""
-    ys = [(key_labels(ky), cy) for ky, cy in y.items()]
-    total = 0
-    for kx, cx in x.items():
-        xs = key_labels(kx)
-        for labels, cy in ys:
-            val = _nabla_pair2(xs, labels)
-            if val:
-                total += cx * cy * val
-    return Fraction(total, 2)
+    return Fraction(acc, 2)
 
 
 # ---------------------------------------------------------------------------

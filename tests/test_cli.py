@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import treetrace.cli
 from treetrace.cli import build_report, load_knot_document, main
-from treetrace.forms import j_form
 
 
 def run_cli(capsys, *argv):
@@ -53,8 +52,13 @@ def test_report_stable_across_genus(capsys):
 
 def test_report_with_dependent_rows_fails_its_check(capsys, monkeypatch):
     # Q = 4 J on both knots makes the two coefficient rows proportional.
-    monkeypatch.setattr(treetrace.cli, "q_form",
-                        lambda x, y: 4 * j_form(x, y))
+    values = treetrace.cli.cocycle_values
+
+    def proportional(lam_x, x, lam_y, y):
+        _, j, b, c = values(lam_x, x, lam_y, y)
+        return 4 * j, j, b, c
+
+    monkeypatch.setattr(treetrace.cli, "cocycle_values", proportional)
     code, out, err = run_cli(capsys, "report")
     assert code == 1
     assert "FAIL cocycle_coefficients" in out

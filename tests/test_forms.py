@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from helpers import (
     SpanBasis,
@@ -12,8 +12,6 @@ from helpers import (
     filter_project_bidegree,
     gl_tree_action,
     nabla_pair,
-    quadratic_eta_s,
-    quadratic_nabla,
     rand_label,
     rand_tree,
     tree_combinations,
@@ -23,6 +21,7 @@ from treetrace.exact import FreeVec
 from treetrace.forms import (
     b_form,
     cocycle,
+    cocycle_values,
     contract_cs,
     eta_s,
     j_form,
@@ -298,13 +297,22 @@ def test_nabla_pair_respects_tree_symmetries():
              ((1, 0, 3, 2), 1), ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1),
              ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1)]
     labels = basis_labels(4)
+
+    def basic(slots):
+        return FreeVec.single((slots[:2], slots[2:]))
+
     for _ in range(120):
         xs = tuple(rng.choice(labels) for _ in range(4))
         ys = tuple(rng.choice(labels) for _ in range(4))
         base = nabla_pair(xs, ys)
+        # The package's nabla on one-term vectors keyed by the raw labels.
+        assert nabla(basic(xs), basic(ys)) == base
         for perm, sign in perms:
-            assert nabla_pair(tuple(xs[p] for p in perm), ys) == sign * base
-            assert nabla_pair(xs, tuple(ys[p] for p in perm)) == sign * base
+            pxs, pys = tuple(xs[p] for p in perm), tuple(ys[p] for p in perm)
+            assert nabla_pair(pxs, ys) == sign * base
+            assert nabla_pair(xs, pys) == sign * base
+            assert nabla(basic(pxs), basic(ys)) == sign * base
+            assert nabla(basic(xs), basic(pys)) == sign * base
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +380,8 @@ def test_cocycle_refuses_float_casson_values():
     for lam_x, lam_y in ((0.5, 2), (1, 2.0)):
         with pytest.raises(TypeError, match="float coefficients are not exact"):
             cocycle(lam_x, FreeVec(), lam_y, FreeVec())
+        with pytest.raises(TypeError, match="float coefficients are not exact"):
+            cocycle_values(lam_x, FreeVec(), lam_y, FreeVec())
     assert cocycle(Fraction(1, 2), FreeVec(), 2, FreeVec()) == 36
     assert type(cocycle(1, FreeVec(), 2, FreeVec())) is Fraction
 
@@ -448,12 +458,15 @@ def test_forms_match_filter_projection_oracle(case_x, case_y):
     P = filter_project_bidegree
     q, j = q_form(x, y), j_form(x, y)
     assert q == upsilon(P(x, 1, 3), P(y, 3, 1))
-    assert j == quadratic_nabla(P(x, 0, 4), P(y, 4, 0))
+    assert j == nabla(P(x, 0, 4), P(y, 4, 0))
     assert b_form(x, y) == 3 * j + Fraction(3, 4) * q
     assert cocycle(Fraction(2, 3), x, -3, y) == -72 + 3 * j + Fraction(3, 4) * q
+    assert cocycle_values(Fraction(2, 3), x, -3, y) == (
+        q, j, b_form(x, y), cocycle(Fraction(2, 3), x, -3, y))
     for s in range(5):
         assert project_bidegree(x, s, 4 - s) == P(x, s, 4 - s)
     values = [q, j, b_form(x, y), cocycle(1, x, 2, y)]
+    values += cocycle_values(1, x, 2, y)
     # Vectors derived from x start without x's split; x keeps its own.
     for other in (x + y, -x, 2 * x):
         values += [q_form(other, y), j_form(other, y),
@@ -464,33 +477,3 @@ def test_forms_match_filter_projection_oracle(case_x, case_y):
     assert q_form(x + y, y) == q + q_form(y, y)
     values += [upsilon(x, y), nabla(x, y), eta_s(contract_cs(x), contract_cs(y))]
     assert all(type(value) is Fraction for value in values)
-
-
-@st.composite
-def s2h_vectors(draw, genus):
-    """A vector of S^2(H) over sorted label pairs with int or Fraction
-    coefficients."""
-    label = st.sampled_from(basis_labels(genus))
-    numerator = st.sampled_from([n for n in range(-5, 6) if n])
-    coeff = st.one_of(numerator,
-                      st.builds(Fraction, numerator, st.integers(1, 3)))
-    pairs = draw(st.lists(st.tuples(label, label, coeff), max_size=12))
-    return FreeVec((tuple(sorted((u, v))), c) for u, v, c in pairs)
-
-
-@settings(max_examples=40, deadline=None)
-@given(tree_combinations(genera=(2, 4, 6, 8)),
-       tree_combinations(genera=(2, 4, 6, 8)), st.data())
-def test_bucketed_pairings_match_quadratic_oracles(case_x, case_y, data):
-    (gx, x), (gy, y) = case_x, case_y
-    # Mixed bidegrees, the single pieces, and their contractions.
-    assert nabla(x, y) == quadratic_nabla(x, y)
-    for s in range(5):
-        px, py = project_bidegree(x, s, 4 - s), project_bidegree(y, 4 - s, s)
-        assert nabla(px, py) == quadratic_nabla(px, py)
-    cx, cy = contract_cs(x), contract_cs(y)
-    assert eta_s(cx, cy) == quadratic_eta_s(cx, cy)
-    u = data.draw(s2h_vectors(max(gx, gy)))
-    v = data.draw(s2h_vectors(max(gx, gy)))
-    assert eta_s(u, v) == quadratic_eta_s(u, v)
-    assert eta_s(u, cy) == quadratic_eta_s(u, cy)

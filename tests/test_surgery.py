@@ -273,20 +273,21 @@ def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
 
 
 @pytest.mark.parametrize("genus", (10, 12))
-@settings(max_examples=2, deadline=None)
-@given(data=st.data())
-def test_j_form_on_dense_twists_at_large_genus(genus, data):
+def test_j_form_on_dense_twists_at_large_genus(genus):
     # Full support on every a_i and b_i: the (0,4) and (4,0) pieces hold
     # about 1 500 terms each at genus 12, and J(tau, tau) = 12 c2^2 for any
     # (x, y), with c2 = L(x,x) L(y,y) - L(x,y) L(y,x) from plain dicts.
-    nonzero = st.sampled_from((-2, -1, 1, 2))
-    x, y = ({(i, f): data.draw(nonzero) for i in range(1, genus + 1)
+    # J pairs every term of one piece with every term of the other, so the
+    # genus-12 case takes seconds.
+    rng = random.Random(genus)
+    x, y = ({(i, f): rng.choice((-2, -1, 1, 2)) for i in range(1, genus + 1)
              for f in "ab"} for _ in range(2))
 
     def link(u, v):
         return sum(u[i, "a"] * v[i, "b"] for i in range(1, genus + 1))
 
     c2 = link(x, x) * link(y, y) - link(x, y) * link(y, x)
+    assert c2
     tau = tau2_bscc_twist(*(FreeVec({(a if f == "a" else b)(i): c
                                      for (i, f), c in u.items()})
                             for u in (x, y)), genus)
