@@ -31,7 +31,6 @@ from .surgery import (
     SphereInvariants,
     bounding_casson,
     casson_surgery,
-    conway_coefficient,
     d2_value,
     jones_h_derivative,
     lambda2_surgery,
@@ -128,9 +127,9 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     report.add("cocycle_coefficients", "(3, 3/4)", coefficients)
     report.add("alpha_r", "(18, -3)", "(%s, %s)" % solve_alpha_r())
 
-    report.add("c4_trefoil", 0, conway_coefficient(BUILTIN_KNOTS["trefoil"].conway, 4))
+    report.add("c4_trefoil", 0, BUILTIN_KNOTS["trefoil"].conway.coefficient(4))
     report.add("c4_figure_eight", 0,
-               conway_coefficient(BUILTIN_KNOTS["figure-eight"].conway, 4))
+               BUILTIN_KNOTS["figure-eight"].conway.coefficient(4))
     report.add("v2_trefoil", -6,
                jones_h_derivative(BUILTIN_KNOTS["trefoil"].jones, 2))
     report.add("v2_figure_eight", 6,
@@ -161,6 +160,16 @@ def _emit_report(report: ReplicationReport, fmt: str) -> int:
 
 def _cmd_report(args) -> int:
     return _emit_report(build_report(args.genus), args.format)
+
+
+def _print_values(values: dict, fmt: str) -> int:
+    """Print named exact values as ``key = value`` lines or a JSON object."""
+    if fmt == "json":
+        print(json.dumps({k: str(v) for k, v in values.items()}, indent=2))
+    else:
+        for key, value in values.items():
+            print("%s = %s" % (key, value))
+    return 0
 
 
 def _integer(text: str) -> int:
@@ -214,13 +223,7 @@ def _cmd_cocycle(args) -> int:
     lam_y, tau_y = _twist_argument(args.y, args.genus,
                                    "--lambda-y", args.lambda_y)
     q, j, _, c = cocycle_values(lam_x, tau_x, lam_y, tau_y)
-    values = {"Q": q, "J": j, "C": c}
-    if args.format == "json":
-        print(json.dumps({k: str(v) for k, v in values.items()}, indent=2))
-    else:
-        for key in ("Q", "J", "C"):
-            print("%s = %s" % (key, values[key]))
-    return 0
+    return _print_values({"Q": q, "J": j, "C": c}, args.format)
 
 
 def _polynomial(doc: dict, key: str) -> LaurentPoly:
@@ -270,18 +273,12 @@ def _cmd_surgery(args) -> int:
         knot = load_knot_document(args.knot)
     sphere = SphereInvariants(casson_surgery(knot, args.n),
                               lambda2_surgery(knot, args.n))
-    values = {
+    return _print_values({
         "lambda": sphere.lam,
         "lambda2": sphere.lam2,
         "d2": d2_value(sphere),
         "vanishing_combo": vanishing_combo(sphere),
-    }
-    if args.format == "json":
-        print(json.dumps({k: str(v) for k, v in values.items()}, indent=2))
-    else:
-        for key in ("lambda", "lambda2", "d2", "vanishing_combo"):
-            print("%s = %s" % (key, values[key]))
-    return 0
+    }, args.format)
 
 
 def _cmd_coinvariants(args) -> int:

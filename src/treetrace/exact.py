@@ -2,12 +2,23 @@
 
 Everything downstream is built on ``FreeVec``, a sparse linear combination
 of arbitrary ordered basis keys with exact rational coefficients (ints or
-Fractions).  There is no floating point anywhere.
+Fractions); ``scalar`` is the one rule that makes a value exact.  There is
+no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def scalar(value):
+    """``value`` as an exact scalar: ints and Fractions as they are (exact
+    and cheap), a float refused, anything else through ``Fraction``."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, float):
+        raise TypeError("float coefficients are not exact")
+    return Fraction(value)
 
 
 class FreeVec:
@@ -28,12 +39,8 @@ class FreeVec:
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                # ints are kept as-is (exact and cheap); anything else is
-                # coerced to Fraction.  Floats are refused outright.
                 if not isinstance(coeff, (int, Fraction)):
-                    if isinstance(coeff, float):
-                        raise TypeError("float coefficients are not exact")
-                    coeff = Fraction(coeff)
+                    coeff = scalar(coeff)
                 if not coeff:
                     continue
                 acc = data.get(key, 0) + coeff
@@ -124,10 +131,7 @@ class FreeVec:
         return FreeVec._raw({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, value):
-        if not isinstance(value, (int, Fraction)):
-            if isinstance(value, float):
-                raise TypeError("float coefficients are not exact")
-            value = Fraction(value)
+        value = scalar(value)
         if not value:
             return FreeVec._raw({})
         return FreeVec._raw({k: c * value for k, c in self._terms.items()})

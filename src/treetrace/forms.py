@@ -4,9 +4,10 @@ The tree space splits by the number of A-labels versus B-labels among the
 four slots of each term; ``project_bidegree`` picks one piece.  A vector
 is split once: its five pieces and the contractions of its (1,3) and (3,1)
 pieces are kept with it (``FreeVec.cached``), and every form reads them
-from there.  On pieces with an A-label the trace ``trace_a`` lands in
-S^2(B) (and ``trace_b`` mirrors it); their kernels cut out the subspaces W0
-inside bidegrees (1,3) and (3,1).
+from there.  The trace ``trace_a`` to S^2(B) is the contraction of the
+(1,3) piece and zero on the other pieces with an A-label; ``trace_b`` to
+S^2(A) is minus the contraction of the (3,1) piece.  Their kernels cut out
+the subspaces W0 inside bidegrees (1,3) and (3,1).
 
 Two rational-valued pairings act on these pieces: the perfect pairing
 ``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
@@ -25,18 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import FreeVec
+from .exact import FreeVec, scalar
 from .symplectic import FAMILY_A, FAMILY_B, label_omega, label_omega_bar
 from .trees import key_labels
-
-# Permutations sending slot s to position 0 using the two tree symmetries
-# (sign for a swap within a leg, none for the leg swap).
-_FRONT = {
-    0: ((0, 1, 2, 3), 1),
-    1: ((1, 0, 2, 3), -1),
-    2: ((2, 3, 0, 1), 1),
-    3: ((3, 2, 0, 1), -1),
-}
 
 _V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _C2 = (((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1))
@@ -71,57 +63,46 @@ def project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
     return v.cached(_split)[s]
 
 
-def _trace(v: FreeVec, family: str) -> FreeVec:
-    # Move the first slot of the requested family to position 1 (tracking
-    # the AS sign), then contract it against the opposite family.
-    other = FAMILY_B if family == FAMILY_A else FAMILY_A
-    terms = []
-    for key, coeff in v.items():
-        labels = key_labels(key)
-        slot = next((k for k, lbl in enumerate(labels) if lbl.family == family),
-                    None)
-        if slot is None:
-            raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
-                             "undefined there" % (labels + (family,)))
-        perm, sign = _FRONT[slot]
-        head, c_, d_, e_ = (labels[p] for p in perm)
-        total = coeff * sign
-        if c_.family == other:
-            w = label_omega(head, e_)
-            if w and d_.family == other:
-                pair = (d_, c_) if d_ <= c_ else (c_, d_)
-                terms.append((pair, total * w))
-            w = label_omega(head, d_)
-            if w and e_.family == other:
-                pair = (e_, c_) if e_ <= c_ else (c_, e_)
-                terms.append((pair, -total * w))
-    return FreeVec(terms)
+def _refuse_pure(piece: FreeVec, family: str):
+    # A trace is undefined on a term with no label of ``family``; name the
+    # first such term.
+    if piece:
+        raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
+                         "undefined there"
+                         % (key_labels(piece.items()[0][0]) + (family,)))
 
 
 def trace_a(v: FreeVec) -> FreeVec:
     """Trace to S^2(B): on a tree with head a in A, omega(a,e) d c - omega(a,d) e c
-    after projecting the remaining labels to B.  Defined wherever every term
-    carries an A-label."""
-    return _trace(v, FAMILY_A)
+    after projecting the remaining labels to B.  That is the contraction of
+    the (1,3) piece; the (2,2), (3,1) and (4,0) pieces trace to zero, and a
+    (0,4) term, which has no A-label, raises ValueError."""
+    split = v.cached(_split)
+    _refuse_pure(split[0], FAMILY_A)
+    return split[_C13]
 
 
 def trace_b(v: FreeVec) -> FreeVec:
-    """Mirror trace to S^2(A), defined wherever every term carries a B-label."""
-    return _trace(v, FAMILY_B)
+    """Mirror trace to S^2(A): minus the contraction of the (3,1) piece, zero
+    on the (0,4), (1,3) and (2,2) pieces; a (4,0) term raises ValueError."""
+    split = v.cached(_split)
+    _refuse_pure(split[4], FAMILY_B)
+    return -split[_C31]
 
 
 def w0_member(v: FreeVec, side: str) -> bool:
     """Kernel-of-trace test inside bidegree (1,3) for side "A", (3,1) for "B"."""
     if side == FAMILY_A.upper() or side == FAMILY_A:
-        wanted, tracer = (1, 3), trace_a
+        s, image = 1, _C13
     elif side == FAMILY_B.upper() or side == FAMILY_B:
-        wanted, tracer = (3, 1), trace_b
+        s, image = 3, _C31
     else:
         raise ValueError("side must be 'A' or 'B'")
-    for key, _ in v.items():
-        if key_bidegree(key) != wanted:
-            raise ValueError("vector is not homogeneous of bidegree %r" % (wanted,))
-    return tracer(v).is_zero()
+    split = v.cached(_split)
+    if len(split[s]) != len(v):
+        raise ValueError("vector is not homogeneous of bidegree %r"
+                         % ((s, 4 - s),))
+    return not split[image]
 
 
 def contract_cs(v: FreeVec) -> FreeVec:
@@ -214,15 +195,8 @@ def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
     # Q, 2*J, 4*B and 4*C of two (Casson value, tree image) pairs, each piece
     # paired once; ints unless a coefficient or a Casson value is a Fraction.
     # B = 3*J + (3/4)*Q = (6*N + 3*E) / 4 with N = 2*J and E = Q, and
-    # C = 36*lam_x*lam_y + B.  Casson values are exact: ints and Fractions
-    # as they are, anything else through Fraction, never a float.
-    lam = 144
-    for value in (lam_x, lam_y):
-        if not isinstance(value, (int, Fraction)):
-            if isinstance(value, float):
-                raise TypeError("float coefficients are not exact")
-            value = Fraction(value)
-        lam *= value
+    # C = 36*lam_x*lam_y + B, with Casson values made exact by ``scalar``.
+    lam = 144 * scalar(lam_x) * scalar(lam_y)
     sx, sy = x.cached(_split), y.cached(_split)
     e = _eta_total(sx[_C13], sy[_C31])
     n = _nabla_total(sx[0], sy[4])

@@ -2,7 +2,7 @@
 
     HVec   := [sign] term (('+'|'-') term)*
     term   := [coeff '*']? label
-    label  := ('a'|'b') digits
+    label  := ('a'|'b') digits          (no space between letter and digits)
     coeff  := int ['/' int]
     Tree   := 'T(' HVec ',' HVec ';' HVec ',' HVec ')'
     Twist  := 'twist(' HVec ';' HVec ')'
@@ -70,6 +70,10 @@ class _Cursor:
 
     def integer(self) -> int:
         self.skip_ws()
+        return self.digits()
+
+    def digits(self) -> int:
+        # An integer starting right here, with no whitespace before it.
         start = self.pos
         while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
@@ -87,12 +91,11 @@ class _Cursor:
 
 
 def _label(cur: _Cursor) -> BasisLabel:
-    cur.skip_ws()
     ch = cur.peek()
     if ch not in ("a", "b"):
         raise ParseError("expected a basis label like a1 or b2", cur.pos)
     cur.pos += 1
-    index = cur.integer()
+    index = cur.digits()
     if index < 1:
         raise ParseError("basis index must be at least 1", cur.pos)
     return BasisLabel(index, ch)
@@ -152,34 +155,28 @@ def parse_hvec(text: str) -> FreeVec:
     return vec
 
 
-def parse_tree(text: str) -> HTree:
-    """Parse ``T(x1, x2; x3, x4)`` with HVec entries."""
+def _call(text: str, head: str, separators) -> list:
+    # ``head(v0 s0 v1 s1 ... vn)`` with HVec arguments between separators.
     cur = _Cursor(text)
-    cur.take("T")
+    cur.take(head)
     cur.take("(")
-    x1 = _hvec_body(cur)
-    cur.take(",")
-    x2 = _hvec_body(cur)
-    cur.take(";")
-    x3 = _hvec_body(cur)
-    cur.take(",")
-    x4 = _hvec_body(cur)
+    args = [_hvec_body(cur)]
+    for sep in separators:
+        cur.take(sep)
+        args.append(_hvec_body(cur))
     cur.take(")")
     cur.end()
-    return HTree(x1, x2, x3, x4)
+    return args
+
+
+def parse_tree(text: str) -> HTree:
+    """Parse ``T(x1, x2; x3, x4)`` with HVec entries."""
+    return HTree(*_call(text, "T", (",", ";", ",")))
 
 
 def parse_twist(text: str):
     """Parse ``twist(x; y)``: the subsurface basis of a genus-1 bounding curve."""
-    cur = _Cursor(text)
-    cur.take("twist")
-    cur.take("(")
-    x = _hvec_body(cur)
-    cur.take(";")
-    y = _hvec_body(cur)
-    cur.take(")")
-    cur.end()
-    return x, y
+    return tuple(_call(text, "twist", (";",)))
 
 
 def _tensor_term(cur: _Cursor):

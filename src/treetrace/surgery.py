@@ -58,11 +58,6 @@ class LaurentPoly:
     def terms(self):
         return sorted(self._coeffs.items())
 
-    def evaluate(self, x) -> Fraction:
-        """Exact value at a nonzero rational point."""
-        x = Fraction(x)
-        return sum((c * x ** e for e, c in self._coeffs.items()), Fraction(0))
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -114,7 +109,7 @@ class KnotRecord:
     bscc_basis: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.jones.evaluate(1) != 1:
+        if jones_h_derivative(self.jones, 0) != 1:
             raise ValueError(
                 "Jones polynomial of %r is not 1 at t = 1" % self.name)
         if any(e < 0 or e % 2 for e, _ in self.conway.terms()):
@@ -164,11 +159,6 @@ BUILTIN_KNOTS = {k.name: k for k in (TREFOIL, FIGURE_EIGHT)}
 POINCARE = SphereInvariants(Fraction(1), Fraction(39))
 
 
-def conway_coefficient(p: LaurentPoly, k: int) -> int:
-    """Coefficient of z^k in a Conway polynomial."""
-    return p.coefficient(k)
-
-
 def casson_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Casson invariant of the sphere from 1/n surgery: -n/6 times v2."""
     return Fraction(-n, 6) * jones_h_derivative(knot.jones, 2)
@@ -178,7 +168,7 @@ def lambda2_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Second invariant of the sphere from 1/n surgery on the knot."""
     v2 = jones_h_derivative(knot.jones, 2)
     v3 = jones_h_derivative(knot.jones, 3)
-    c4 = conway_coefficient(knot.conway, 4)
+    c4 = knot.conway.coefficient(4)
     quadratic = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
     return Fraction(n, 2) * v2 - Fraction(n, 3) * v3 + n * n * quadratic
 

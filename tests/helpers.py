@@ -90,6 +90,50 @@ def filter_project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
 
 
 # ---------------------------------------------------------------------------
+# Slot-by-slot Lagrangian trace: the oracle for ``forms.trace_a``/``trace_b``,
+# which read the cached contractions of the (1,3) and (3,1) pieces instead
+# ---------------------------------------------------------------------------
+
+# Permutations sending slot s to position 0 using the two tree symmetries
+# (sign for a swap within a leg, none for the leg swap).
+FRONT = {
+    0: ((0, 1, 2, 3), 1),
+    1: ((1, 0, 2, 3), -1),
+    2: ((2, 3, 0, 1), 1),
+    3: ((3, 2, 0, 1), -1),
+}
+
+
+def slotwise_trace(v: FreeVec, family: str) -> FreeVec:
+    """Trace of ``v`` to S^2 of the other family, term by term: move the
+    first slot of ``family`` to the front (tracking the AS sign), then
+    contract it against the opposite family.  A term with no label of
+    ``family`` raises ValueError."""
+    other = FAMILY_B if family == FAMILY_A else FAMILY_A
+    terms = []
+    for key, coeff in v.items():
+        labels = key_labels(key)
+        slot = next((k for k, lbl in enumerate(labels) if lbl.family == family),
+                    None)
+        if slot is None:
+            raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
+                             "undefined there" % (labels + (family,)))
+        perm, sign = FRONT[slot]
+        head, c_, d_, e_ = (labels[p] for p in perm)
+        total = coeff * sign
+        if c_.family == other:
+            w = label_omega(head, e_)
+            if w and d_.family == other:
+                pair = (d_, c_) if d_ <= c_ else (c_, d_)
+                terms.append((pair, total * w))
+            w = label_omega(head, d_)
+            if w and e_.family == other:
+                pair = (e_, c_) if e_ <= c_ else (c_, e_)
+                terms.append((pair, -total * w))
+    return FreeVec(terms)
+
+
+# ---------------------------------------------------------------------------
 # Pairings the package does not export: the contraction pairing of two tree
 # vectors and the inner product of two basic trees given as label tuples
 # ---------------------------------------------------------------------------

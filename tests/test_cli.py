@@ -100,6 +100,9 @@ def test_cocycle_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "cocycle", "twist(a1 $; b1)", "twist(a1; b1)")
     assert code == 2
     assert "offset" in err
+    code, out, err = run_cli(capsys, "cocycle", "twist(a 1; b1)", "trefoil")
+    assert code == 2 and out == ""
+    assert "(at offset 7)" in err
 
 
 def test_surgery_builtin_values(capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    FRONT,
     SpanBasis,
     all_generators,
     expand,
@@ -14,6 +15,7 @@ from helpers import (
     nabla_pair,
     rand_label,
     rand_tree,
+    slotwise_trace,
     tree_combinations,
     upsilon,
 )
@@ -34,7 +36,7 @@ from treetrace.forms import (
     w0_member,
 )
 from treetrace.surgery import FIGURE_EIGHT, TREFOIL
-from treetrace.symplectic import a, b, basis_labels
+from treetrace.symplectic import FAMILY_A, FAMILY_B, a, b, basis_labels
 from treetrace.trees import (
     lambda4_embed,
     tau2_bscc_twist,
@@ -138,12 +140,9 @@ def test_trace_requires_a_label():
 
 def test_trace_independent_of_which_slot_is_normalized():
     # Oracle: re-derive the trace putting each admissible slot first.
-    front = {0: ((0, 1, 2, 3), 1), 1: ((1, 0, 2, 3), -1),
-             2: ((2, 3, 0, 1), 1), 3: ((3, 2, 0, 1), -1)}
-
     def oracle(labels, slot):
         from treetrace.symplectic import label_omega
-        perm, sign = front[slot]
+        perm, sign = FRONT[slot]
         head, c_, d_, e_ = (labels[p] for p in perm)
         out = FreeVec()
         if c_.family == "b":
@@ -167,8 +166,37 @@ def test_trace_independent_of_which_slot_is_normalized():
             assert oracle(labels, slot) == reference
         vec = expand(*labels)
         if vec:
+            assert slotwise_trace(vec, "a") == reference
             assert trace_a(vec) == reference
         checked += 1
+
+
+def _trace_outcome(fn, *args):
+    # The trace, or the message of the ValueError it raises.
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_combinations(genera=(3, 4, 5, 6, 7, 8)), st.data())
+def test_traces_match_the_slotwise_oracle(case, data):
+    # Mixed-bidegree combinations, sometimes with a term that has no label
+    # of the traced family appended after the others: the package's cached
+    # contractions and the slot-by-slot oracle agree, or raise the same
+    # message naming the same first such term.
+    genus, v = case
+    labels = basis_labels(genus)
+    for family, tracer in ((FAMILY_A, trace_a), (FAMILY_B, trace_b)):
+        vec = v
+        if data.draw(st.booleans()):
+            pure = [lbl for lbl in labels if lbl.family != family]
+            slots = data.draw(st.tuples(*[st.sampled_from(pure)] * 4))
+            vec = v + data.draw(st.sampled_from((1, -2, Fraction(3, 4)))) \
+                * expand(*slots)
+        assert _trace_outcome(tracer, vec) \
+            == _trace_outcome(slotwise_trace, vec, family)
 
 
 def test_w0_membership():

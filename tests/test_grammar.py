@@ -37,9 +37,16 @@ def test_parse_with_coefficients():
 
 
 def test_parse_unknown_symbol_reports_offset():
-    with pytest.raises(ParseError) as err:
-        parse_hvec("2*q7")
-    assert err.value.offset == 2
+    # A label's digits follow its letter directly: "a 1" used to parse.
+    for parse, text, offset in ((parse_hvec, "2*q7", 2),
+                                (parse_hvec, "a 1", 1),
+                                (parse_hvec, "a1 + b 2", 6),
+                                (parse_twist, "twist(a 1; b1)", 7)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.offset == offset
+    # Whitespace around a coefficient's parts stays legal.
+    assert parse_hvec("3 / 4*a1") == FreeVec({a(1): Fraction(3, 4)})
 
 
 def test_parse_trailing_garbage_reports_offset():

@@ -19,7 +19,6 @@ from treetrace.surgery import (
     bounding_casson,
     casson_surgery,
     connected_sum,
-    conway_coefficient,
     d2_value,
     jones_h_derivative,
     lambda2_surgery,
@@ -40,7 +39,7 @@ def test_laurent_poly_drops_zero_coefficients():
     p = LaurentPoly({3: 0, 1: 2, -1: 1})
     assert p.terms() == [(-1, 1), (1, 2)]
     assert p.coefficient(3) == 0
-    assert p.evaluate(1) == 3
+    assert jones_h_derivative(p, 0) == 3
 
 
 def test_laurent_poly_refuses_non_integers():
@@ -59,14 +58,14 @@ def test_knot_normalization_enforced():
 
 def test_builtin_jones_polynomials_are_normalized():
     for knot in BUILTIN_KNOTS.values():
-        assert knot.jones.evaluate(1) == 1
+        assert jones_h_derivative(knot.jones, 0) == 1
 
 
 def test_conway_coefficients():
-    assert conway_coefficient(TREFOIL.conway, 4) == 0
-    assert conway_coefficient(FIGURE_EIGHT.conway, 4) == 0
-    assert conway_coefficient(LaurentPoly({4: 1, 2: 1, 0: 1}), 4) == 1
-    assert conway_coefficient(TREFOIL.conway, 2) == 1
+    assert TREFOIL.conway.coefficient(4) == 0
+    assert FIGURE_EIGHT.conway.coefficient(4) == 0
+    assert LaurentPoly({4: 1, 2: 1, 0: 1}).coefficient(4) == 1
+    assert TREFOIL.conway.coefficient(2) == 1
 
 
 def test_jones_h_derivatives():
@@ -119,7 +118,7 @@ def test_lambda2_surgery_is_the_displayed_quadratic():
     for knot in BUILTIN_KNOTS.values():
         v2 = jones_h_derivative(knot.jones, 2)
         v3 = jones_h_derivative(knot.jones, 3)
-        c4 = conway_coefficient(knot.conway, 4)
+        c4 = knot.conway.coefficient(4)
         linear = Fraction(v2, 2) - Fraction(v3, 3)
         quad = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
         for n in range(-3, 4):
