@@ -36,7 +36,6 @@ from .surgery import (
     lambda2_surgery,
     solve_alpha_r,
     surgery_cocycle_value,
-    twist_cocycle_data,
     vanishing_combo,
 )
 from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
@@ -98,7 +97,7 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     for name, knot in BUILTIN_KNOTS.items():
         want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
-        lam, tau = twist_cocycle_data(knot, genus)
+        lam, tau = _twist_argument(name, genus)
         q, j, b, c = cocycle_values(lam, tau, lam, tau)
         surgery = surgery_cocycle_value(knot)
         # The surgery side less the Casson part c - b of the cocycle.
@@ -195,26 +194,23 @@ def _rational(option: str, text: str) -> Fraction:
                          % (option, text)) from None
 
 
-def _twist_argument(text: str, genus: int, option: str, lam_text):
-    """Resolve a knot name or twist(x; y) spec to (casson value, tree image).
+def _twist_argument(text: str, genus: int, option=None, lam_text=None):
+    """Resolve a knot name or twist(x; y) spec to its basis (x, y), and
+    that to (Casson value, tree image).
 
-    A twist spec takes its Casson value from ``option``, or else the c2 of
-    its basis.  A built-in knot has its own, so ``option`` may only repeat it.
+    The Casson value is the c2 of the basis, unless ``option`` gives one; a
+    built-in knot's c2 is its own, so there ``option`` may only repeat it.
     """
     lam = None if lam_text is None else _rational(option, lam_text)
-    if text in BUILTIN_KNOTS:
-        knot = BUILTIN_KNOTS[text]
-        own = casson_surgery(knot, 1)
-        if lam is not None and lam != own:
-            raise ValueError("%s %s contradicts the Casson value %s of the "
-                             "built-in knot %r" % (option, lam, own, text))
-        return twist_cocycle_data(knot, genus)
-    x, y = parse_twist(text)
+    knot = BUILTIN_KNOTS.get(text)
+    x, y = parse_twist(text) if knot is None else knot.bscc_basis
     c2 = bounding_casson(x, y)
-    top = max(max_index(x), max_index(y))
-    if top > genus:
-        raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
-    return (c2 if lam is None else lam), tau2_bscc_twist(x, y, genus)
+    if lam is None:
+        lam = c2
+    elif knot is not None and lam != c2:
+        raise ValueError("%s %s contradicts the Casson value %s of the "
+                         "built-in knot %r" % (option, lam, c2, text))
+    return lam, tau2_bscc_twist(x, y, genus)
 
 
 def _cmd_cocycle(args) -> int:

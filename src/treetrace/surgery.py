@@ -14,9 +14,11 @@ obstructs deep Heegaard gluings; its value on the Poincare sphere is 24.
 
 The n-th power of a twist on a genus-1 bounding curve realizes 1/n surgery
 on the corresponding knot, which ties the tree-side bilinear forms to the
-surgery side: ``twist_cocycle_data`` gives the twist's Casson value and
-tree image, and ``surgery_cocycle_value`` the surgery side of the cocycle
-on it; the report matches the two.
+surgery side.  A basis (x, y) of the subsurface the curve bounds gives the
+knot's Seifert form ``seifert_form`` and its Casson value c2 =
+``bounding_casson(x, y)``; ``surgery_cocycle_value`` gives the surgery
+side of the cocycle on the twist, which the report matches with the
+tree-side value.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from .exact import FreeVec
-from .symplectic import (DEFAULT_GENUS, a, b, omega, omega_bar,
-                         project_lagrangian)
-from .trees import tau2_bscc_twist
+from .symplectic import FAMILY_A, a, b, omega
 
 
 class LaurentPoly:
@@ -83,19 +83,22 @@ class SphereInvariants(NamedTuple):
     lam2: Fraction
 
 
-def bounding_casson(x: FreeVec, y: FreeVec) -> Fraction:
+def seifert_form(u: FreeVec, v: FreeVec):
+    """Seifert form L(u, v) = sum_k u_{a_k} v_{b_k} on H, exact."""
+    return sum(c * v.coeff(b(k.index))
+               for k, c in u.items() if k.family == FAMILY_A)
+
+
+def bounding_casson(x: FreeVec, y: FreeVec):
     """Conway c2, and so the 1/1-surgery Casson value, of the knot cut off
     by a genus-1 bounding curve with basis (x, y), where omega(x, y) = +-1:
-    the determinant L(x,x) L(y,y) - L(x,y) L(y,x) of the Seifert form
-    L(u, v) = omega_bar(pi_A u, pi_B v)."""
+    the determinant L(x,x) L(y,y) - L(x,y) L(y,x) of its Seifert form."""
     w = omega(x, y)
     if abs(w) != 1:
         raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
                          "got %s" % w)
-    xa, xb = project_lagrangian(x, "a"), project_lagrangian(x, "b")
-    ya, yb = project_lagrangian(y, "a"), project_lagrangian(y, "b")
-    return (omega_bar(xa, xb) * omega_bar(ya, yb)
-            - omega_bar(xa, yb) * omega_bar(ya, xb))
+    return (seifert_form(x, x) * seifert_form(y, y)
+            - seifert_form(x, y) * seifert_form(y, x))
 
 
 @dataclass(frozen=True)
@@ -206,14 +209,6 @@ def solve_alpha_r() -> tuple:
     """
     m = SphereInvariants(Fraction(1), Fraction(0))
     return connected_sum(m, m).lam2 / 2, -reverse_orientation(m).lam2 / 2
-
-
-def twist_cocycle_data(knot: KnotRecord, genus: int = DEFAULT_GENUS) -> tuple:
-    """(Casson value, tree image) of the twist on the knot's bounding curve."""
-    if knot.bscc_basis is None:
-        raise ValueError("knot %r carries no bounding-curve basis" % knot.name)
-    x, y = knot.bscc_basis
-    return casson_surgery(knot, 1), tau2_bscc_twist(x, y, genus)
 
 
 def surgery_cocycle_value(knot: KnotRecord) -> Fraction:

@@ -1,10 +1,11 @@
 """The symplectic module H = A + B and its GL-coinvariant reduction.
 
 ``H`` carries the standard symplectic basis a_1, b_1, ..., a_g, b_g: the
-a_i span the Lagrangian A, the b_i span B.  Two pairings live on H: the
-antisymmetric intersection form ``omega`` with omega(a_i, b_j) = delta_ij,
-and the symmetric pairing ``omega_bar`` with omega_bar(a_i, b_j) = delta_ij
-and both Lagrangians isotropic.
+a_i span the Lagrangian A, the b_i span B.  Two pairings live on the basis
+labels: the antisymmetric intersection form ``label_omega`` with
+omega(a_i, b_j) = delta_ij, which ``omega`` extends bilinearly to H, and
+the symmetric pairing ``label_omega_bar`` with omega_bar(a_i, b_j) =
+delta_ij and both Lagrangians isotropic.
 
 GL_g(Z) acts on A by a matrix G and on B by its inverse transpose; the
 action on tensor powers is factor-wise.  ``coinvariant_reduce`` rewrites a
@@ -89,24 +90,6 @@ def omega(u: FreeVec, v: FreeVec) -> Fraction:
             if w:
                 total += cu * cv * w
     return total
-
-
-def omega_bar(u: FreeVec, v: FreeVec) -> Fraction:
-    """Bilinear extension of the symmetric A-B pairing to H."""
-    total = Fraction(0)
-    for ku, cu in u.items():
-        for kv, cv in v.items():
-            w = label_omega_bar(ku, kv)
-            if w:
-                total += cu * cv * w
-    return total
-
-
-def project_lagrangian(u: FreeVec, family: str) -> FreeVec:
-    """Keep only the components of ``u`` lying in the requested Lagrangian."""
-    if family not in (FAMILY_A, FAMILY_B):
-        raise ValueError("family must be %r or %r" % (FAMILY_A, FAMILY_B))
-    return FreeVec((k, c) for k, c in u.items() if k.family == family)
 
 
 def max_index(u: FreeVec) -> int:

@@ -12,7 +12,9 @@ so the normal form rewrites each key ((w,x),(y,z)) with x < y by
 
     (w^x)(y^z)  ->  (w^y)(x^z) - (w^z)(x^y)
 
-and keeps every other key: one rewrite per term, at any genus.
+and keeps every other key: one rewrite per term, at any genus.  So
+``a2_normalize`` takes no genus; ``tau2_bscc_twist``, the image of the twist
+on a genus-1 bounding curve, is where a basis is checked against one.
 
 Wedge keys store their two labels sorted (sign absorbed into the
 coefficient) and symmetric-product keys store their two wedges sorted, so
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, hvec
+from .symplectic import DEFAULT_GENUS, hvec, max_index
 
 
 class HTree(NamedTuple):
@@ -83,17 +85,9 @@ def key_labels(key) -> tuple:
     return key[0] + key[1]
 
 
-def s2l2_max_index(v: FreeVec) -> int:
-    return max((lbl.index for key, _ in v.items() for lbl in key_labels(key)),
-               default=0)
-
-
-def a2_normalize(v: FreeVec, genus: int = DEFAULT_GENUS) -> FreeVec:
-    """Canonical representative of ``v`` modulo the embedded Lambda^4 H;
-    ``genus`` only bounds the indices ``v`` may use."""
-    top = s2l2_max_index(v)
-    if top > genus:
-        raise ValueError("vector uses index %d beyond genus %d" % (top, genus))
+def a2_normalize(v: FreeVec) -> FreeVec:
+    """Canonical representative of ``v`` modulo the embedded Lambda^4 H, the
+    same at every genus that holds the indices of ``v``."""
     data = {}
     for key, coeff in v.items():
         (w, x), (y, z) = key
@@ -105,17 +99,21 @@ def a2_normalize(v: FreeVec, genus: int = DEFAULT_GENUS) -> FreeVec:
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
-def a2_equal(x: FreeVec, y: FreeVec, genus: int = DEFAULT_GENUS) -> bool:
+def a2_equal(x: FreeVec, y: FreeVec) -> bool:
     """Equality in the tree space, i.e. modulo Lambda^4 H."""
-    return a2_normalize(x - y, genus).is_zero()
+    return a2_normalize(x - y).is_zero()
 
 
 def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:
     """Image of the Dehn twist on a genus-1 bounding curve with subsurface basis (x, y).
 
     The twist maps to twice the tree with both legs (x, y); the result is
-    returned in A2 normal form.
+    returned in A2 normal form.  A basis index beyond ``genus`` is a
+    ValueError.
     """
     x, y = hvec(x), hvec(y)
-    return a2_normalize(2 * tree_expand(HTree(x, y, x, y)), genus)
+    top = max(max_index(x), max_index(y))
+    if top > genus:
+        raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
+    return a2_normalize(2 * tree_expand(HTree(x, y, x, y)))
 

@@ -18,6 +18,7 @@ from helpers import (
     rand_hvec,
     rand_tree,
     slotwise_trace,
+    span_a2_normalize,
 )
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
@@ -42,6 +43,7 @@ from treetrace.surgery import (
     POINCARE,
     SphereInvariants,
     TREFOIL,
+    bounding_casson,
     casson_surgery,
     connected_sum,
     d2_value,
@@ -50,7 +52,6 @@ from treetrace.surgery import (
     reverse_orientation,
     solve_alpha_r,
     surgery_cocycle_value,
-    twist_cocycle_data,
     vanishing_combo,
 )
 from treetrace.symplectic import (
@@ -107,8 +108,10 @@ def test_criterion_1_cocycle_coefficient_system():
 
 def test_criterion_2_form_values_on_twists():
     def checks():
-        lam_k, tau_k = twist_cocycle_data(TREFOIL, 5)
-        lam_l, tau_l = twist_cocycle_data(FIGURE_EIGHT, 5)
+        lam_k = bounding_casson(*TREFOIL.bscc_basis)
+        tau_k = tau2_bscc_twist(*TREFOIL.bscc_basis, 5)
+        lam_l = bounding_casson(*FIGURE_EIGHT.bscc_basis)
+        tau_l = tau2_bscc_twist(*FIGURE_EIGHT.bscc_basis, 5)
         assert (q_form(tau_k, tau_k), j_form(tau_k, tau_k),
                 b_form(tau_k, tau_k)) == (48, 12, 72)
         assert (q_form(tau_l, tau_l), j_form(tau_l, tau_l),
@@ -121,7 +124,8 @@ def test_criterion_2_form_values_on_twists():
 def test_criterion_3_cross_route_equality():
     def checks():
         for knot, want in ((TREFOIL, 108), (FIGURE_EIGHT, 132)):
-            lam, tau = twist_cocycle_data(knot, 5)
+            lam = bounding_casson(*knot.bscc_basis)
+            tau = tau2_bscc_twist(*knot.bscc_basis, 5)
             form_side = 36 * lam * lam + b_form(tau, tau)
             surgery_side = lambda2_surgery(knot, 2) - 2 * lambda2_surgery(knot, 1)
             assert form_side == surgery_side == want
@@ -209,7 +213,7 @@ def _suite_ihx_is_lambda4_membership():
         combination = (expand(w, x, y, z)
                        - expand(w, y, x, z)
                        + expand(w, z, x, y))
-        assert a2_normalize(combination, 4).is_zero()
+        assert a2_normalize(combination).is_zero()
 
 
 def _suite_contraction_kills_lambda4():
@@ -345,8 +349,8 @@ def _suite_genus_stability():
     rng = random.Random(8007)
     for _ in range(20):
         v = tree_expand(rand_tree(rng, 3))
-        n5, n6 = a2_normalize(v, 5), a2_normalize(v, 6)
-        assert n5 == n6
+        n5, n6 = span_a2_normalize(v, 5), span_a2_normalize(v, 6)
+        assert a2_normalize(v) == n5 == n6
         assert q_form(n5, n5) == q_form(n6, n6)
 
 

@@ -94,6 +94,14 @@ def test_cocycle_rejects_indices_beyond_genus(capsys):
                            "twist(a6; b6)", "twist(a1; b1)", "--genus", "5")
     assert code == 2
     assert "genus" in err
+    # Built-in knots and twist specs fail the same check, at the twist.
+    for argv, top, genus in (
+            (("trefoil", "trefoil", "--genus", "1"), 2, 1),
+            (("twist(a1; b1)", "twist(a7; b7)"), 7, 5)):
+        code, out, err = run_cli(capsys, "cocycle", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: twist uses index %d beyond genus %d\n" % (
+            top, genus)
 
 
 def test_cocycle_parse_error_exit_code(capsys):

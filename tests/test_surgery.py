@@ -23,6 +23,7 @@ from treetrace.surgery import (
     jones_h_derivative,
     lambda2_surgery,
     reverse_orientation,
+    seifert_form,
     solve_alpha_r,
     surgery_cocycle_value,
     vanishing_combo,
@@ -258,6 +259,8 @@ def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
     tau = tau2_bscc_twist(x, y, genus)
     assert j_form(tau, tau) == 12 * c2 ** 2
     assert q_form(tau, tau) == 64 * c2 ** 2 - 16 * c2
+    assert [[seifert_form(u, v) for v in (x, y)] for u in (x, y)] \
+        == [[linking(u, v) for v in (x, y)] for u in (x, y)]
     # The genus-1 Seifert surface gives Conway 1 + c2 z^2 and the Jones
     # polynomial with v2 = -6 c2 and v3 = c4 = 0.
     assert bounding_casson(x, y) == c2
@@ -295,9 +298,9 @@ def test_j_form_on_dense_twists_at_large_genus(genus):
 
 def test_cross_route_cocycle_equality():
     from treetrace.forms import cocycle
-    from treetrace.surgery import twist_cocycle_data
     for knot, want in ((TREFOIL, 108), (FIGURE_EIGHT, 132)):
-        lam, tau = twist_cocycle_data(knot, 5)
+        lam = bounding_casson(*knot.bscc_basis)
+        tau = tau2_bscc_twist(*knot.bscc_basis, 5)
         form_side = cocycle(lam, tau, lam, tau)
         surgery_side = lambda2_surgery(knot, 2) - 2 * lambda2_surgery(knot, 1)
         assert form_side == surgery_side == want

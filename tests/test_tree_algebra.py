@@ -82,14 +82,14 @@ def test_lambda4_alternating():
 
 
 def test_normalize_kills_embedded_four_forms():
-    assert a2_normalize(lambda4_embed(a(1), b(1), a(2), b(2)), 5).is_zero()
+    assert a2_normalize(lambda4_embed(a(1), b(1), a(2), b(2))).is_zero()
 
 
 def test_normalize_ihx_instance():
     combination = (expand(a(2), b(2), b(3), b(4))
                    - expand(b(2), b(3), b(4), a(2))
                    + expand(b(2), b(4), b(3), a(2)))
-    assert a2_normalize(combination, 5).is_zero()
+    assert a2_normalize(combination).is_zero()
 
 
 def test_ihx_equals_lambda4_membership_for_basis_tuples():
@@ -98,34 +98,37 @@ def test_ihx_equals_lambda4_membership_for_basis_tuples():
         combination = (expand(w, x, y, z)
                        - expand(w, y, x, z)
                        + expand(w, z, x, y))
-        assert a2_normalize(combination, 4).is_zero()
+        assert a2_normalize(combination).is_zero()
 
 
 def test_normalize_idempotent():
     rng = random.Random(3003)
     for _ in range(50):
         v = tree_expand(rand_tree(rng, 4))
-        nf = a2_normalize(v, 5)
-        assert a2_normalize(nf, 5) == nf
+        nf = a2_normalize(v)
+        assert a2_normalize(nf) == nf
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree_combinations())
 def test_normalize_matches_span_oracle(case):
     genus, v = case
-    assert a2_normalize(v, genus) == span_a2_normalize(v, genus)
+    assert a2_normalize(v) == span_a2_normalize(v, genus)
 
 
-def test_normalize_rejects_indices_beyond_genus():
-    with pytest.raises(ValueError):
-        a2_normalize(expand(a(5), b(5), a(1), b(1)), 4)
+def test_twist_rejects_indices_beyond_genus():
+    with pytest.raises(ValueError, match="^twist uses index 5 beyond genus 4$"):
+        tau2_bscc_twist(a(5), b(5), 4)
 
 
 def test_normalize_stable_under_genus_increase():
+    # The normal form takes no genus; it is the span residual at genus 5
+    # and at genus 6 alike.
     rng = random.Random(3004)
     for _ in range(40):
         v = tree_expand(rand_tree(rng, 4))
-        assert a2_normalize(v, 5) == a2_normalize(v, 6)
+        assert a2_normalize(v) == span_a2_normalize(v, 5) \
+            == span_a2_normalize(v, 6)
 
 
 def test_a2_equal_ignores_four_forms():
@@ -133,19 +136,19 @@ def test_a2_equal_ignores_four_forms():
     for _ in range(50):
         v = tree_expand(rand_tree(rng, 3))
         shifted = v + lambda4_embed(a(1), b(1), a(2), b(2))
-        assert a2_equal(v, shifted, 5)
+        assert a2_equal(v, shifted)
 
 
 def test_a2_equal_symmetric_product_commutes():
     left = expand(a(1), b(1), a(2), b(2))
     right = expand(a(2), b(2), a(1), b(1))
     assert left == right
-    assert a2_equal(left, right, 5)
+    assert a2_equal(left, right)
 
 
 def test_a2_equal_distinguishes_negation():
     v = expand(a(1), b(1), a(2), b(2))
-    assert not a2_equal(v, -v, 5)
+    assert not a2_equal(v, -v)
 
 
 def test_a2_equal_is_an_equivalence_on_samples():
@@ -154,9 +157,9 @@ def test_a2_equal_is_an_equivalence_on_samples():
         x = tree_expand(rand_tree(rng, 3))
         y = x + lambda4_embed(a(1), b(1), a(2), b(3))
         z = y + lambda4_embed(a(1), b(2), a(3), b(3))
-        assert a2_equal(x, x, 5)
-        assert a2_equal(x, y, 5) and a2_equal(y, x, 5)
-        assert a2_equal(x, y, 5) and a2_equal(y, z, 5) and a2_equal(x, z, 5)
+        assert a2_equal(x, x)
+        assert a2_equal(x, y) and a2_equal(y, x)
+        assert a2_equal(x, y) and a2_equal(y, z) and a2_equal(x, z)
 
 
 def test_twist_image_of_degenerate_basis_is_zero():
