@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +17,6 @@ from fractions import Fraction
 from .forms import cocycle_values, trace_a, trace_b
 from .grammar import (
     ParseError,
-    format_s2h,
     format_tensor,
     parse_hvec,
     parse_tensor,
@@ -171,27 +171,32 @@ def _print_values(values: dict, fmt: str) -> int:
     return 0
 
 
+# Option numbers in ASCII, as the grammar reads them: int() and Fraction()
+# alone also read '١', '1_0' and surrounding whitespace, and Fraction()
+# reads exponents, so '1e999999999' would build a billion-digit integer.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def _integer(text: str) -> int:
-    """An integer option value in ASCII digits; int() alone also reads '١'."""
+    """An integer option value: an optional sign, then digits."""
     try:
-        if text.isascii():
+        if _INTEGER.fullmatch(text):
             return int(text)
-    except ValueError:
+    except ValueError:  # more digits than int() converts
         pass
     raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
 def _rational(option: str, text: str) -> Fraction:
-    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``, in
-    ASCII (Fraction() also reads '١').  No exponent: ``1e999999999`` would
-    build a billion-digit integer."""
+    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``."""
     try:
-        if not text.isascii() or "e" in text.lower():
-            raise ValueError(text)
-        return Fraction(text)
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError("%s expects an exact rational like 3/4, got %r"
-                         % (option, text)) from None
+        pass
+    raise ValueError("%s expects an exact rational like 3/4, got %r"
+                     % (option, text))
 
 
 def _twist_argument(text: str, genus: int, option=None, lam_text=None):
@@ -291,7 +296,7 @@ def _cmd_trace(args) -> int:
         raise ValueError("tree uses index %d beyond genus %d" % (top, args.genus))
     expanded = tree_expand(t)
     traced = trace_a(expanded) if args.side == "A" else trace_b(expanded)
-    print(format_s2h(traced))
+    print(format_tensor(traced))
     return 0
 
 
@@ -354,7 +359,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

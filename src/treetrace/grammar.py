@@ -217,10 +217,13 @@ def _coeff_prefix(coeff: Fraction, body: str) -> str:
     return "%s*%s" % (coeff, body)
 
 
-def _join_terms(parts) -> str:
-    # parts: list of (coeff, body string); renders "x - y + z".
+def _format(vec: FreeVec, key_text) -> str:
+    # Sorted terms joined as "x - y + z", each key printed by ``key_text``.
+    if vec.is_zero():
+        return "0"
     out = []
-    for i, (coeff, body) in enumerate(parts):
+    for i, (key, coeff) in enumerate(vec.sorted_items()):
+        body = key_text(key)
         if i == 0:
             out.append(_coeff_prefix(coeff, body))
         elif coeff < 0:
@@ -232,37 +235,19 @@ def _join_terms(parts) -> str:
 
 def format_hvec(vec: FreeVec) -> str:
     """Canonical text form; ``parse_hvec`` is a left inverse of this."""
-    if vec.is_zero():
-        return "0"
-    return _join_terms([(c, str(k)) for k, c in vec.sorted_items()])
+    return _format(vec, str)
 
 
 def format_tree(t: HTree) -> str:
     return "T(%s, %s; %s, %s)" % tuple(format_hvec(x) for x in t)
 
 
-def format_s2h(vec: FreeVec) -> str:
-    """Print an S^2(H) vector, e.g. ``"b1*b2 - b2*b2"``."""
-    if vec.is_zero():
-        return "0"
-    return _join_terms(
-        [(c, "%s*%s" % (k[0], k[1])) for k, c in vec.sorted_items()])
-
-
 def format_s2l2(vec: FreeVec) -> str:
     """Print an S^2(Lambda^2 H) vector, e.g. ``"2*(b1^b2)(b1^b2)"``."""
-    if vec.is_zero():
-        return "0"
-    parts = []
-    for key, coeff in vec.sorted_items():
-        (u, v), (w, z) = key
-        parts.append((coeff, "(%s^%s)(%s^%s)" % (u, v, w, z)))
-    return _join_terms(parts)
+    return _format(vec, lambda key: "(%s^%s)(%s^%s)" % (*key[0], *key[1]))
 
 
 def format_tensor(vec: FreeVec) -> str:
-    """Print a tensor combination, e.g. ``"a1*b1*a2*b2 + a1*b2*a2*b1"``."""
-    if vec.is_zero():
-        return "0"
-    return _join_terms(
-        [(c, "*".join(str(lbl) for lbl in key)) for key, c in vec.sorted_items()])
+    """Print a tensor combination, e.g. ``"a1*b1*a2*b2 + a1*b2*a2*b1"``, or
+    an S^2(H) vector, whose keys are label pairs, e.g. ``"b1*b2 - b2*b2"``."""
+    return _format(vec, lambda key: "*".join(map(str, key)))

@@ -14,8 +14,9 @@ obstructs deep Heegaard gluings; its value on the Poincare sphere is 24.
 
 The n-th power of a twist on a genus-1 bounding curve realizes 1/n surgery
 on the corresponding knot, which ties the tree-side bilinear forms to the
-surgery side.  A basis (x, y) of the subsurface the curve bounds gives the
-knot's Seifert form ``seifert_form`` and its Casson value c2 =
+surgery side.  An integral basis (x, y) of the subsurface the curve bounds
+gives the knot's Seifert matrix V = [L(e_i, e_j)] of the Seifert form L
+(``symplectic.seifert_form``) and its Casson value c2 = det V =
 ``bounding_casson(x, y)``; ``surgery_cocycle_value`` gives the surgery
 side of the cocycle on the twist, which the report matches with the
 tree-side value.
@@ -29,7 +30,7 @@ from operator import index
 from typing import NamedTuple, Optional
 
 from .exact import FreeVec
-from .symplectic import FAMILY_A, a, b, omega
+from .symplectic import a, b, seifert_form
 
 
 class LaurentPoly:
@@ -83,22 +84,20 @@ class SphereInvariants(NamedTuple):
     lam2: Fraction
 
 
-def seifert_form(u: FreeVec, v: FreeVec):
-    """Seifert form L(u, v) = sum_k u_{a_k} v_{b_k} on H, exact."""
-    return sum(c * v.coeff(b(k.index))
-               for k, c in u.items() if k.family == FAMILY_A)
-
-
-def bounding_casson(x: FreeVec, y: FreeVec):
+def bounding_casson(x: FreeVec, y: FreeVec) -> int:
     """Conway c2, and so the 1/1-surgery Casson value, of the knot cut off
-    by a genus-1 bounding curve with basis (x, y), where omega(x, y) = +-1:
-    the determinant L(x,x) L(y,y) - L(x,y) L(y,x) of its Seifert form."""
-    w = omega(x, y)
+    by a genus-1 bounding curve with integral basis (x, y): the determinant
+    of its Seifert matrix V = [L(e_i, e_j)], whose omega(x, y) = V_01 -
+    V_10 must be 1 or -1."""
+    if any(c.denominator != 1 for u in (x, y) for _, c in u.items()):
+        raise ValueError("bounding-curve basis needs integer coefficients")
+    (v00, v01), (v10, v11) = [[seifert_form(u, v) for v in (x, y)]
+                              for u in (x, y)]
+    w = v01 - v10
     if abs(w) != 1:
         raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
                          "got %s" % w)
-    return (seifert_form(x, x) * seifert_form(y, y)
-            - seifert_form(x, y) * seifert_form(y, x))
+    return int(v00 * v11 - v01 * v10)
 
 
 @dataclass(frozen=True)
@@ -131,14 +130,12 @@ class KnotRecord:
         if self.bscc_basis is None:
             return
         basis_c2 = bounding_casson(*self.bscc_basis)
-        if basis_c2 != c2:
-            raise ValueError("bounding-curve basis of %r gives c2 = %s, but "
-                             "its Conway polynomial has c2 = %d"
-                             % (self.name, basis_c2, c2))
-        if any(e > 2 for e, _ in self.conway.terms()):
-            raise ValueError("Conway polynomial of %r has a term above z^2, "
-                             "which a genus-1 bounding curve cannot give"
-                             % self.name)
+        if self.conway != LaurentPoly({0: 1, 2: basis_c2}):
+            raise ValueError(
+                "bounding-curve basis of %r gives c2 = %d and no Conway term "
+                "above z^2, but its Conway polynomial is %s"
+                % (self.name, basis_c2,
+                   [list(term) for term in self.conway.terms()]))
 
 
 TREFOIL = KnotRecord(

@@ -3,9 +3,10 @@
 ``H`` carries the standard symplectic basis a_1, b_1, ..., a_g, b_g: the
 a_i span the Lagrangian A, the b_i span B.  Two pairings live on the basis
 labels: the antisymmetric intersection form ``label_omega`` with
-omega(a_i, b_j) = delta_ij, which ``omega`` extends bilinearly to H, and
-the symmetric pairing ``label_omega_bar`` with omega_bar(a_i, b_j) =
-delta_ij and both Lagrangians isotropic.
+omega(a_i, b_j) = delta_ij, and the symmetric pairing ``label_omega_bar``
+with omega_bar(a_i, b_j) = delta_ij and both Lagrangians isotropic.  On H
+the Seifert form ``seifert_form``, L(u, v) = sum_k u_{a_k} v_{b_k}, gives
+the intersection form as ``omega`` = L - L^T.
 
 GL_g(Z) acts on A by a matrix G and on B by its inverse transpose; the
 action on tensor powers is factor-wise.  ``coinvariant_reduce`` rewrites a
@@ -19,7 +20,6 @@ tensor is 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, permutations, product
 from typing import NamedTuple, Union
 
@@ -81,15 +81,15 @@ def label_omega_bar(u: BasisLabel, v: BasisLabel) -> int:
     return 1
 
 
-def omega(u: FreeVec, v: FreeVec) -> Fraction:
-    """Bilinear extension of the intersection form to H."""
-    total = Fraction(0)
-    for ku, cu in u.items():
-        for kv, cv in v.items():
-            w = label_omega(ku, kv)
-            if w:
-                total += cu * cv * w
-    return total
+def seifert_form(u: FreeVec, v: FreeVec):
+    """Seifert form L(u, v) = sum_k u_{a_k} v_{b_k} on H, exact."""
+    return sum(c * v.coeff(b(k.index))
+               for k, c in u.items() if k.family == FAMILY_A)
+
+
+def omega(u: FreeVec, v: FreeVec):
+    """Bilinear extension of the intersection form to H: L(u, v) - L(v, u)."""
+    return seifert_form(u, v) - seifert_form(v, u)
 
 
 def max_index(u: FreeVec) -> int:

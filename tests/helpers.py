@@ -443,3 +443,28 @@ def jones_series_derivative(poly, i):
     for k in range(1, i + 1):
         factorial *= k
     return series[i] * factorial
+
+
+def seifert_q_j(p, q):
+    """Closed-form oracle for (Q(tau_p, tau_q), J(tau_p, tau_q)) of the twist
+    images of two pairs p = (x_p, y_p), q = (x_q, y_q) of H vectors, in
+    plain integers: with L(u, v) = sum_i u_{a_i} v_{b_i}, the cross matrix
+    N_ij = L(q_i, p_j) and A(x, y) = [[2L(y,y), -s], [-s, 2L(x,x)]], where
+    s = L(x,y) + L(y,x), Q = 8 tr(A(p) N^T A(q) N) and J = 12 det(N)^2."""
+    def link(u, v):
+        return sum(int(c) * int(v.coeff(b(label.index)))
+                   for label, c in u.items() if label.family == FAMILY_A)
+
+    def adjugate(x, y):
+        s = link(x, y) + link(y, x)
+        return [[2 * link(y, y), -s], [-s, 2 * link(x, x)]]
+
+    def mul(m, n):
+        return [[sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2)]
+                for i in range(2)]
+
+    n = [[link(u, v) for v in p] for u in q]
+    n_t = [list(row) for row in zip(*n)]
+    m = mul(mul(mul(adjugate(*p), n_t), adjugate(*q)), n)
+    det = n[0][0] * n[1][1] - n[0][1] * n[1][0]
+    return 8 * (m[0][0] + m[1][1]), 12 * det ** 2

@@ -245,7 +245,8 @@ def test_trace_error_names_the_term_in_label_notation(capsys):
 def test_bad_lambda_is_a_usage_error(capsys):
     # Fraction() reads '١/٢' (Arabic-Indic digits) as 1/2.
     for option, value in (("--lambda-x", "1/0"), ("--lambda-y", "three"),
-                          ("--lambda-x", "١/٢")):
+                          ("--lambda-x", "١/٢"), ("--lambda-y", "1_0"),
+                          ("--lambda-x", " 1")):
         code, _, err = run_cli(capsys, "cocycle", "twist(a1; b1)", "trefoil",
                                option, value)
         assert_one_line_usage_error(code, err)
@@ -350,6 +351,20 @@ def test_inconsistent_knot_document_is_rejected(tmp_path, capsys):
         assert out == ""
 
 
+def test_non_integral_bounding_basis_is_a_usage_error(tmp_path, capsys):
+    # omega = 1 in both: a 1/2 coefficient times a 2 in the other vector.
+    code, out, err = run_cli(capsys, "cocycle",
+                             "twist(a1 + 1/2*b1 + a2; b1 + a3 + b3)", "trefoil")
+    assert_one_line_usage_error(code, err)
+    assert "integer" in err and out == ""
+    path = write_document(tmp_path, {"name": "half", "conway": [[0, 1]],
+                                     "jones": [[0, 1]],
+                                     "bscc_basis": ["1/2*a1", "2*b1"]})
+    code, out, err = run_cli(capsys, "surgery", path, "1")
+    assert_one_line_usage_error(code, err)
+    assert "integer" in err and out == ""
+
+
 def test_deeply_nested_knot_document_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 2000 + "]" * 2000)
@@ -370,7 +385,10 @@ def test_non_ascii_digit_is_a_parse_error(capsys):
 def test_non_ascii_digit_in_an_integer_option_is_a_usage_error(capsys):
     # int() reads '١' and '٥' (Arabic-Indic one and five) as 1 and 5.
     for argv in (("surgery", "trefoil", "١"),
-                 ("coinvariants", "a1*b1", "--genus", "٥")):
+                 ("coinvariants", "a1*b1", "--genus", "٥"),
+                 ("surgery", "trefoil", "1_0"),
+                 ("coinvariants", "a1*b1", "--genus", "1_0"),
+                 ("surgery", "trefoil", " 1")):
         with pytest.raises(SystemExit) as stop:
             main(list(argv))
         assert stop.value.code == 2

@@ -9,7 +9,6 @@ from treetrace.exact import FreeVec
 from treetrace.grammar import (
     ParseError,
     format_hvec,
-    format_s2h,
     format_s2l2,
     format_tensor,
     format_tree,
@@ -163,7 +162,7 @@ def test_format_tree_round_trip():
 
 
 def test_format_s2h_and_s2l2():
-    assert format_s2h(FreeVec({(b(1), b(2)): 4, (b(2), b(2)): -4})) \
+    assert format_tensor(FreeVec({(b(1), b(2)): 4, (b(2), b(2)): -4})) \
         == "4*b1*b2 - 4*b2*b2"
     v = 2 * tree_expand(tree(b(1), b(2), b(1), b(2)))
     assert format_s2l2(v) == "2*(b1^b2)(b1^b2)"

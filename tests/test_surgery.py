@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import jones_series_derivative
+from helpers import jones_series_derivative, seifert_q_j
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
 from treetrace.forms import b_form, j_form, q_form
@@ -294,6 +294,31 @@ def test_j_form_on_dense_twists_at_large_genus(genus):
                                      for (i, f), c in u.items()})
                             for u in (x, y)), genus)
     assert j_form(tau, tau) == 12 * c2 ** 2
+
+
+@st.composite
+def twist_pairs(draw):
+    """(genus, p, q): two pairs of H vectors on two or three shared indices
+    with coefficients in -2..2, omega(x, y) unconstrained."""
+    genus = draw(st.integers(5, 8))
+    indices = draw(st.lists(st.integers(1, genus), min_size=2, max_size=3,
+                            unique=True))
+    labels = [f(i) for i in indices for f in (a, b)]
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(labels),
+                      max_size=len(labels))
+    x_p, y_p, x_q, y_q = (FreeVec(zip(labels, draw(coeffs)))
+                          for _ in range(4))
+    return genus, (x_p, y_p), (x_q, y_q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twist_pairs())
+@example((5, TREFOIL.bscc_basis, FIGURE_EIGHT.bscc_basis))     # (16, 12)
+@example((5, FIGURE_EIGHT.bscc_basis, TREFOIL.bscc_basis))     # (-16, 12)
+def test_seifert_closed_form_gives_q_and_j_of_any_twist_pair(pairs):
+    genus, p, q = pairs
+    tau_p, tau_q = (tau2_bscc_twist(*pair, genus) for pair in (p, q))
+    assert (q_form(tau_p, tau_q), j_form(tau_p, tau_q)) == seifert_q_j(p, q)
 
 
 def test_cross_route_cocycle_equality():
