@@ -8,11 +8,12 @@ are printed as exact rationals ``p/q`` (or ``p``), never as decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .forms import cocycle_values, trace_a, trace_b
 from .grammar import (
@@ -42,8 +43,7 @@ from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
 from .trees import tau2_bscc_twist, tree_expand
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: str
     computed: str
@@ -53,10 +53,10 @@ class CheckResult:
         return self.expected == self.computed
 
 
-@dataclass
 class ReplicationReport:
-    genus: int
-    checks: list = field(default_factory=list)
+    def __init__(self, genus: int):
+        self.genus = genus
+        self.checks = []
 
     def add(self, name: str, expected, computed):
         self.checks.append(CheckResult(name, str(expected), str(computed)))
@@ -243,7 +243,7 @@ def load_knot_document(path: str) -> KnotRecord:
     """Read a knot document: JSON with name, conway/jones pair lists, and an
     optional pair of basis strings for a bounding curve.  A document of the
     wrong shape, or whose polynomials do not fit a knot, is a ValueError."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
         except RecursionError:
@@ -300,7 +300,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parsing leaves
+    no state in it, so every ``main`` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="treetrace",
         description="Exact symplectic tree-algebra and surgery-invariant calculator.")

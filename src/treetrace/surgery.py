@@ -24,7 +24,6 @@ tree-side value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 from typing import NamedTuple, Optional
@@ -100,17 +99,22 @@ def bounding_casson(x: FreeVec, y: FreeVec) -> int:
     return int(v00 * v11 - v01 * v10)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
-    """A knot's polynomial data plus, optionally, the homology classes of a
-    symplectic basis of the genus-1 subsurface its curve bounds."""
-
+class _KnotFields(NamedTuple):
     name: str
     conway: LaurentPoly
     jones: LaurentPoly
     bscc_basis: Optional[tuple] = None
 
-    def __post_init__(self):
+
+class KnotRecord(_KnotFields):
+    """A knot's polynomial data plus, optionally, the homology classes of a
+    symplectic basis of the genus-1 subsurface its curve bounds.  Immutable,
+    and checked whenever one is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, conway, jones, bscc_basis=None):
+        self = super().__new__(cls, name, conway, jones, bscc_basis)
         if jones_h_derivative(self.jones, 0) != 1:
             raise ValueError(
                 "Jones polynomial of %r is not 1 at t = 1" % self.name)
@@ -128,7 +132,7 @@ class KnotRecord:
             raise ValueError("Jones polynomial of %r has v2 != -6*c2 = %d"
                              % (self.name, -6 * c2))
         if self.bscc_basis is None:
-            return
+            return self
         basis_c2 = bounding_casson(*self.bscc_basis)
         if self.conway != LaurentPoly({0: 1, 2: basis_c2}):
             raise ValueError(
@@ -136,6 +140,12 @@ class KnotRecord:
                 "above z^2, but its Conway polynomial is %s"
                 % (self.name, basis_c2,
                    [list(term) for term in self.conway.terms()]))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make (and so _replace) skips __new__.
+        return cls(*iterable)
 
 
 TREFOIL = KnotRecord(

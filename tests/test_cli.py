@@ -1,12 +1,23 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import treetrace.cli
-from treetrace.cli import build_report, load_knot_document, main
+from treetrace.cli import (
+    build_arg_parser,
+    build_report,
+    load_knot_document,
+    main,
+)
+
+SRC = str(Path(treetrace.cli.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +159,57 @@ def test_surgery_from_knot_document(tmp_path, capsys):
     assert code == 0
     assert "lambda = 2" in out
     assert "lambda2 = 186" in out
+
+
+def run_python(*args, **env):
+    """Run a fresh interpreter with ``treetrace`` importable from this
+    checkout's sources and ``env`` added to the environment."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
+    env.pop("PYTHONUTF8", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, encoding="utf-8")
+
+
+def test_knot_document_is_read_as_utf8_under_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259), whatever the locale's encoding says.
+    path = tmp_path / "knot.json"
+    path.write_bytes(json.dumps(dict(TREFOIL_DOC, name="tr\u00e9foil"),
+                                ensure_ascii=False).encode("utf-8"))
+    command = ("-m", "treetrace.cli", "surgery", str(path), "1")
+    for proc in (run_python("-X", "utf8=0", *command, LC_ALL="C"),
+                 run_python("-X", "warn_default_encoding",
+                            "-W", "error::EncodingWarning", *command)):
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("lambda = 1\nlambda2 = 39\nd2 = 21\n"
+                               "vanishing_combo = 24\n")
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # Compared with the modules loaded before the import, so that what
+    # site loads at start-up does not count.
+    proc = run_python("-c", "import sys; before = set(sys.modules); "
+                            "import treetrace.cli; "
+                            "print(sorted(set(sys.modules) - before))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.replace("'", '"')))
+    assert "treetrace.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    assert build_arg_parser() is build_arg_parser()
+    x, y = "twist(a1; b1)", "twist(a3; b3)"
+    code, out, _ = run_cli(capsys, "cocycle", x, y, "--lambda-x", "2",
+                           "--lambda-y", "-5", "--format", "json")
+    assert code == 0 and json.loads(out)["C"] == "-360"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cocycle", x, "--genus", "x"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "cocycle", x, y)
+    fresh = run_python("-m", "treetrace.cli", "cocycle", x, y)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert out == "Q = 0\nJ = 0\nC = 0\n"
 
 
 def test_surgery_malformed_document(tmp_path, capsys):

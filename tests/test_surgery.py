@@ -57,6 +57,21 @@ def test_knot_normalization_enforced():
                    jones=LaurentPoly({1: 2}))
 
 
+def test_knot_record_is_immutable_and_compares_by_fields():
+    with pytest.raises(AttributeError):
+        TREFOIL.name = "x"
+    with pytest.raises(AttributeError):
+        TREFOIL.bscc_basis = None
+    fields = dict(name=TREFOIL.name, conway=TREFOIL.conway,
+                  jones=TREFOIL.jones, bscc_basis=TREFOIL.bscc_basis)
+    assert KnotRecord(**fields) == KnotRecord(**fields) == TREFOIL
+    assert KnotRecord(name="unknot", conway=LaurentPoly({0: 1}),
+                      jones=LaurentPoly({0: 1})).bscc_basis is None
+    # Replacing a field builds a new record, with the same checks.
+    with pytest.raises(ValueError, match="c0 != 1"):
+        TREFOIL._replace(conway=LaurentPoly({0: 2, 2: 1}))
+
+
 def test_builtin_jones_polynomials_are_normalized():
     for knot in BUILTIN_KNOTS.values():
         assert jones_h_derivative(knot.jones, 0) == 1
