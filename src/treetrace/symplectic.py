@@ -20,7 +20,8 @@ tensor is 0.
 
 from __future__ import annotations
 
-from itertools import chain, permutations, product
+from functools import cache
+from itertools import product
 from typing import NamedTuple, Union
 
 from .exact import FreeVec
@@ -126,8 +127,18 @@ class Elementary(NamedTuple):
 GLGenerator = Union[Transposition, SignFlip, Elementary]
 
 
-def generator_label_image(gen: GLGenerator, label: BasisLabel):
-    """Image of one basis label under a generator, as (label, int coeff) pairs."""
+def _check_generator(gen: GLGenerator):
+    if isinstance(gen, Elementary):
+        if gen.sign not in (1, -1):
+            raise ValueError("elementary generator sign must be +1 or -1")
+        if gen.i == gen.j:
+            raise ValueError("elementary generator needs distinct indices")
+    elif not isinstance(gen, (Transposition, SignFlip)):
+        raise TypeError("not a GL generator: %r" % (gen,))
+
+
+def _label_image(gen: GLGenerator, label: BasisLabel) -> list:
+    # Image of one label under a checked generator.
     if isinstance(gen, Transposition):
         if label.index == gen.i:
             return [(BasisLabel(gen.j, label.family), 1)]
@@ -138,40 +149,43 @@ def generator_label_image(gen: GLGenerator, label: BasisLabel):
         if label.index == gen.j:
             return [(label, -1)]
         return [(label, 1)]
-    if isinstance(gen, Elementary):
-        if gen.sign not in (1, -1):
-            raise ValueError("elementary generator sign must be +1 or -1")
-        if gen.i == gen.j:
-            raise ValueError("elementary generator needs distinct indices")
-        if label.family == FAMILY_A and label.index == gen.j:
-            return [(label, 1), (a(gen.i), gen.sign)]
-        if label.family == FAMILY_B and label.index == gen.i:
-            return [(label, 1), (b(gen.j), -gen.sign)]
-        return [(label, 1)]
-    raise TypeError("not a GL generator: %r" % (gen,))
+    if label.family == FAMILY_A and label.index == gen.j:
+        return [(label, 1), (a(gen.i), gen.sign)]
+    if label.family == FAMILY_B and label.index == gen.i:
+        return [(label, 1), (b(gen.j), -gen.sign)]
+    return [(label, 1)]
 
 
-def _tensor_images(gen: GLGenerator, tensor: tuple):
-    # Factor-wise expansion of gen . (basic tensor); integer coefficients.
-    expanded = [((), 1)]
-    for label in tensor:
-        images = generator_label_image(gen, label)
-        expanded = [(prefix + (lbl,), c * ic)
-                    for prefix, c in expanded
-                    for lbl, ic in images]
-    return expanded
+def generator_label_image(gen: GLGenerator, label: BasisLabel) -> list:
+    """Image of one basis label under a generator, as (label, int coeff) pairs."""
+    _check_generator(gen)
+    return _label_image(gen, label)
 
 
 def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
     """Diagonal action of a generator on a tensor-power vector.
 
     ``t`` is a FreeVec over basic tensors (tuples of labels) or a bare tuple.
+    The generator is checked once, before any term, and each distinct
+    label's image is computed once per call.
     """
+    _check_generator(gen)
+    images = {}
     out = {}
     for tensor, coeff in [(t, 1)] if isinstance(t, tuple) else t.items():
-        # Images of different tensors can cancel, so drop zero sums.
-        for image, ic in _tensor_images(gen, tensor):
-            acc = out.get(image, 0) + coeff * ic
+        factors = []
+        for label in tensor:
+            factor = images.get(label)
+            if factor is None:
+                factor = images[label] = _label_image(gen, label)
+            factors.append(factor)
+        # Factor-wise expansion; images of different tensors can cancel.
+        for choice in product(*factors):
+            image = tuple([lbl for lbl, _ in choice])
+            acc = coeff
+            for _, ic in choice:
+                acc *= ic
+            acc += out.get(image, 0)
             if acc:
                 out[image] = acc
             else:
@@ -184,30 +198,53 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
 # ---------------------------------------------------------------------------
 
 
-def _matchings(tensor: tuple, genus: int):
-    """Yield every matching of one basic tensor; none if it is unbalanced.
+@cache
+def _chord_labels(n: int) -> dict:
+    # Per family: (own, other) labels of pairs 1..n, at positions 0..n-1.
+    # Kept per degree, since a reduction would otherwise spend as long
+    # making these labels as pairing the slots of a small tensor.
+    a_labels = tuple(a(k) for k in range(1, n + 1))
+    b_labels = tuple(b(k) for k in range(1, n + 1))
+    return {FAMILY_A: (a_labels, b_labels), FAMILY_B: (b_labels, a_labels)}
 
-    A matching pairs, for every index i, the p_i slots holding a_i with the
-    p_i slots holding b_i, so a balanced tensor has prod p_i! of them.  Each
-    is given as its pairs (first slot, a_i slot, b_i slot), sorted.
+
+def _chords(tensor: tuple, labels: dict) -> list:
+    """The chords of a balanced basic tensor, one per matching.
+
+    Slots are paired from left to right: the first unpaired slot opens pair
+    k, labelled a_k or b_k by its own family, and is closed in turn at each
+    later unpaired slot of the same index and the other family; the last
+    pair is forced.  So each leaf is one matching, already numbered by
+    first slot.
     """
-    a_slots, b_slots = {}, {}
-    for slot, (index, family) in enumerate(tensor):
-        if not 0 < index <= genus:
-            raise ValueError("tensor uses indices outside genus %d" % genus)
-        slots = a_slots if family == FAMILY_A else b_slots
-        slots.setdefault(index, []).append(slot)
-    if len(a_slots) != len(b_slots):
-        return
-    choices = []
-    for index, tops in a_slots.items():
-        bottoms = b_slots.get(index)
-        if bottoms is None or len(bottoms) != len(tops):
-            return
-        choices.append([[(s if s < t else t, s, t) for s, t in zip(tops, perm)]
-                        for perm in permutations(bottoms)])
-    for parts in product(*choices):
-        yield sorted(chain.from_iterable(parts))
+    chord = [None] * len(tensor)
+    last = len(tensor) // 2 - 1
+    slots = {}
+    for slot, label in enumerate(tensor):
+        slots.setdefault(label, []).append(slot)
+    twins = [slots[index, FAMILY_B if family == FAMILY_A else FAMILY_A]
+             for index, family in tensor]
+    out = []
+
+    def pair(slot, k):
+        slot = chord.index(None, slot)
+        own, other = labels[tensor[slot].family]
+        chord[slot] = own[k]
+        if k == last:
+            partner = chord.index(None, slot)
+            chord[partner] = other[k]
+            out.append(tuple(chord))
+            chord[partner] = None
+        else:
+            for partner in twins[slot]:
+                if partner > slot and chord[partner] is None:
+                    chord[partner] = other[k]
+                    pair(slot + 1, k + 1)
+                    chord[partner] = None
+        chord[slot] = None
+
+    pair(0, 0)
+    return out
 
 
 def coinvariant_reduce(t, genus: int) -> FreeVec:
@@ -221,6 +258,8 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
     which every index pair appears once, renamed ascending by first
     occurrence, and distinct matchings give distinct chords.
     """
+    if genus < 2:
+        raise ValueError("coinvariants need genus >= 2, got genus %d" % genus)
     items = [(t, 1)] if isinstance(t, tuple) else t.items()
     degrees = {len(tensor) for tensor, _ in items}
     if len(degrees) > 1:
@@ -236,18 +275,21 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
         raise ValueError(
             "degree %d needs 1 <= degree/2 < genus, got genus %d"
             % (degree, genus))
-    labels = None  # chord labels by family and number, built on first use
-    chord = [None] * degree
+    labels = _chord_labels(n)
     for tensor, coeff in items:
-        for pairs in _matchings(tensor, genus):
-            if labels is None:
-                numbers = range(1, n + 1)
-                labels = ([BasisLabel(k, FAMILY_A) for k in numbers],
-                          [BasisLabel(k, FAMILY_B) for k in numbers])
-            for (_, a_slot, b_slot), a_label, b_label in zip(pairs, *labels):
-                chord[a_slot] = a_label
-                chord[b_slot] = b_label
-            key = tuple(chord)
+        balance = {}  # index -> count of a_index minus count of b_index
+        for index, family in tensor:
+            if not 0 < index <= genus:
+                raise ValueError("tensor uses indices outside genus %d" % genus)
+            balance[index] = balance.get(index, 0) + (
+                1 if family == FAMILY_A else -1)
+        if any(balance.values()):
+            continue
+        if not out:
+            # Distinct matchings give distinct chords.
+            out = dict.fromkeys(_chords(tensor, labels), coeff)
+            continue
+        for key in _chords(tensor, labels):
             acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc

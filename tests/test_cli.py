@@ -244,6 +244,24 @@ def test_coinvariants_precondition_errors(capsys):
     assert err
 
 
+@pytest.mark.parametrize("tensor, genus", [("0", "-3"),
+                                           ("a1*b1 - a1*b1", "1")])
+def test_coinvariants_refuse_small_genus_for_the_zero_vector(
+        capsys, tensor, genus):
+    code, out, err = run_cli(capsys, "coinvariants", tensor, "--genus", genus)
+    assert (code, out) == (2, "")
+    assert err == "error: coinvariants need genus >= 2, got genus %s\n" % genus
+
+
+def test_python_dash_m_treetrace_runs_the_cli():
+    proc = run_python("-m", "treetrace", "coinvariants", "a1*a1*b1*b1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "a1*a2*b1*b2 + a1*a2*b2*b1\n"
+    proc = run_python("-m", "treetrace", "coinvariants", "a1*")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("parse error: ")
+
+
 def test_trace_subcommand(capsys):
     code, out, _ = run_cli(capsys, "trace", "T(b2, b3; b4, a2)", "--side", "A")
     assert code == 0

@@ -92,6 +92,16 @@ def test_transposition_action():
     assert got == FreeVec.single((a(2), b(1)))
 
 
+def test_generator_is_checked_before_any_term():
+    # Even with no label to act on, a bad generator is refused.
+    with pytest.raises(ValueError):
+        gl_generator_action(Elementary(1, 2, 3), ())
+    with pytest.raises(ValueError):
+        gl_generator_action(Elementary(1, 1, 1), FreeVec())
+    with pytest.raises(TypeError):
+        gl_generator_action((1, 2), FreeVec())
+
+
 def test_generator_action_is_linear():
     rng = random.Random(2003)
     gens = all_generators(4)
@@ -257,6 +267,63 @@ def test_reduce_precondition_errors():
         coinvariant_reduce((a(1), b(1), a(2), b(2)), 2)  # degree/2 not < genus
     with pytest.raises(ValueError):
         coinvariant_reduce((a(6), b(6), a(1), b(1)), 5)  # index beyond genus
+
+
+def test_reduce_checks_the_genus_before_the_balance():
+    # Unbalanced, so it would die; the index beyond the genus still counts.
+    with pytest.raises(ValueError, match="outside genus 5"):
+        coinvariant_reduce((a(1), a(1), b(9), b(2)), 5)
+    with pytest.raises(ValueError, match="outside genus 5"):
+        coinvariant_reduce(FreeVec({(a(1), b(1), a(2), a(3)): 1,
+                                    (a(1), a(1), b(9), b(2)): 1}), 5)
+
+
+def test_reduce_refuses_a_genus_below_two_even_for_zero():
+    for t, genus in ((FreeVec(), -3), (FreeVec(), 1), ((a(1), b(1)), 1)):
+        with pytest.raises(ValueError, match="genus >= 2"):
+            coinvariant_reduce(t, genus)
+
+
+def _shuffled(rng, slots):
+    slots = list(slots)
+    rng.shuffle(slots)
+    return tuple(slots)
+
+
+def test_multiplicity_five_and_its_elementary_image_match_split_oracle():
+    rng = random.Random(2008)
+    genus = 6
+    for _ in range(3):
+        index, free = rng.sample(range(1, genus + 1), 2)
+        tensor = _shuffled(rng, [a(index)] * 5 + [b(index)] * 5)
+        reduced = coinvariant_reduce(tensor, genus)
+        assert len(reduced) == 120
+        assert {c for _, c in reduced.items()} == {1}
+        assert reduced == split_coinvariant_reduce(FreeVec.single(tensor))
+        # a_index -> a_index +- a_free on five slots: 32 image terms, and
+        # only the one without a_free is balanced.
+        image = gl_generator_action(
+            Elementary(free, index, rng.choice((1, -1))), tensor)
+        assert len(image) == 32
+        assert coinvariant_reduce(image, genus) == reduced
+        assert split_coinvariant_reduce(image) == reduced
+
+
+def test_fraction_combination_cancelling_across_terms_matches_oracle():
+    rng = random.Random(2009)
+    genus = 6
+    five = _shuffled(rng, [a(2)] * 5 + [b(2)] * 5)
+    swapped = gl_generator_action(Transposition(2, 5), five)
+    mixed = _shuffled(rng, [a(1)] * 3 + [b(1)] * 3 + [a(4), b(4)] * 2)
+    v = (Fraction(3, 4) * FreeVec.single(five) - Fraction(3, 4) * swapped
+         + Fraction(-2, 7) * FreeVec.single(mixed))
+    assert len(v) == 3
+    reduced = coinvariant_reduce(v, genus)
+    assert reduced == split_coinvariant_reduce(v)
+    assert reduced == Fraction(-2, 7) * coinvariant_reduce(mixed, genus)
+    assert len(reduced) == 12
+    assert coinvariant_reduce(v - Fraction(-2, 7) * FreeVec.single(mixed),
+                              genus).is_zero()
 
 
 def test_reduce_rejects_mixed_degrees():
