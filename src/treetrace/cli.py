@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
+from .exact import canonical
 from .forms import cocycle_values, trace_a, trace_b
 from .grammar import (
     ParseError,
@@ -188,11 +189,12 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
-def _rational(option: str, text: str) -> Fraction:
-    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``."""
+def _rational(option: str, text: str):
+    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``;
+    an int when it is integral (``4/2``, ``2.0``), else a Fraction."""
     try:
         if _RATIONAL.fullmatch(text):
-            return Fraction(text)
+            return canonical(Fraction(text))
     except (ValueError, ZeroDivisionError):
         pass
     raise ValueError("%s expects an exact rational like 3/4, got %r"
@@ -219,6 +221,8 @@ def _twist_argument(text: str, genus: int, option=None, lam_text=None):
 
 
 def _cmd_cocycle(args) -> int:
+    if args.genus < 1:
+        raise ValueError("cocycle needs genus >= 1, got genus %d" % args.genus)
     lam_x, tau_x = _twist_argument(args.x, args.genus,
                                    "--lambda-x", args.lambda_x)
     lam_y, tau_y = _twist_argument(args.y, args.genus,
@@ -290,6 +294,8 @@ def _cmd_coinvariants(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.genus < 1:
+        raise ValueError("trace needs genus >= 1, got genus %d" % args.genus)
     t = parse_tree(args.tree)
     top = max(max_index(x) for x in t)
     if top > args.genus:

@@ -2,8 +2,9 @@
 
 Everything downstream is built on ``FreeVec``, a sparse linear combination
 of arbitrary ordered basis keys with exact rational coefficients (ints or
-Fractions); ``scalar`` is the one rule that makes a value exact.  There is
-no floating point anywhere.
+Fractions); ``scalar`` is the one rule that makes a value exact, and
+``canonical`` the one that makes an integral one an ``int``.  There is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ def scalar(value):
     if isinstance(value, float):
         raise TypeError("float coefficients are not exact")
     return Fraction(value)
+
+
+def canonical(value):
+    """An exact ``value`` as an ``int`` when its denominator is 1, else the
+    Fraction itself."""
+    return value.numerator if value.denominator == 1 else value
 
 
 class FreeVec:

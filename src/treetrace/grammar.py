@@ -8,6 +8,10 @@
     Twist  := 'twist(' HVec ';' HVec ')'
     Tensor := [sign] factors (('+'|'-') factors)*,  factors := factor ('*' factor)*
 
+A parsed coefficient is an ``int`` when integral (``3``, ``2/2``, a bare
+label's 1, a tensor term's product ``2*1/2``) and a ``Fraction`` otherwise
+(``exact.canonical``).
+
 Digits are ASCII ``0``-``9`` only, and whitespace is ASCII only, so
 everything before a parse failure is ASCII.  Parse failures raise
 ``ParseError`` carrying the byte offset of the first offending character.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import FreeVec
+from .exact import FreeVec, canonical
 from .symplectic import BasisLabel
 from .trees import HTree
 
@@ -101,7 +105,7 @@ def _label(cur: _Cursor) -> BasisLabel:
     return BasisLabel(index, ch)
 
 
-def _coefficient(cur: _Cursor) -> Fraction:
+def _coefficient(cur: _Cursor):
     num = cur.integer()
     if cur.try_take("/"):
         cur.skip_ws()
@@ -109,8 +113,8 @@ def _coefficient(cur: _Cursor) -> Fraction:
         den = cur.integer()
         if not den:
             raise ParseError("zero denominator", start)
-        return Fraction(num, den)
-    return Fraction(num)
+        return canonical(Fraction(num, den))
+    return num
 
 
 def _signed_terms(cur: _Cursor, term_parser):
@@ -136,7 +140,7 @@ def _hvec_term(cur: _Cursor):
         if coeff == 0:
             return coeff, None          # a bare 0: the zero vector
         raise ParseError("expected '*'", cur.pos)
-    return Fraction(1), _label(cur)
+    return 1, _label(cur)
 
 
 def _hvec_body(cur: _Cursor) -> FreeVec:
@@ -180,7 +184,7 @@ def parse_twist(text: str):
 
 
 def _tensor_term(cur: _Cursor):
-    coeff = Fraction(1)
+    coeff = 1
     slots = []
     seen_number = False
     while True:
@@ -195,7 +199,7 @@ def _tensor_term(cur: _Cursor):
         if seen_number and coeff == 0:
             return coeff, None          # a bare 0: the zero tensor
         raise ParseError("tensor term has no basis labels", cur.pos)
-    return coeff, tuple(slots)
+    return canonical(coeff), tuple(slots)
 
 
 def parse_tensor(text: str) -> FreeVec:
@@ -209,7 +213,7 @@ def parse_tensor(text: str) -> FreeVec:
     return FreeVec(terms)
 
 
-def _coeff_prefix(coeff: Fraction, body: str) -> str:
+def _coeff_prefix(coeff, body: str) -> str:
     if coeff == 1:
         return body
     if coeff == -1:

@@ -128,13 +128,19 @@ GLGenerator = Union[Transposition, SignFlip, Elementary]
 
 
 def _check_generator(gen: GLGenerator):
-    if isinstance(gen, Elementary):
-        if gen.sign not in (1, -1):
-            raise ValueError("elementary generator sign must be +1 or -1")
-        if gen.i == gen.j:
-            raise ValueError("elementary generator needs distinct indices")
-    elif not isinstance(gen, (Transposition, SignFlip)):
+    if isinstance(gen, SignFlip):
+        if gen.j < 1:
+            raise ValueError("generator %r uses an index below 1" % (gen,))
+        return
+    if not isinstance(gen, (Transposition, Elementary)):
         raise TypeError("not a GL generator: %r" % (gen,))
+    i, j = gen.i, gen.j
+    if i < 1 or j < 1:
+        raise ValueError("generator %r uses an index below 1" % (gen,))
+    if i == j:
+        raise ValueError("generator %r needs distinct indices" % (gen,))
+    if isinstance(gen, Elementary) and gen.sign not in (1, -1):
+        raise ValueError("elementary generator sign must be +1 or -1")
 
 
 def _label_image(gen: GLGenerator, label: BasisLabel) -> list:

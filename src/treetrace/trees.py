@@ -107,13 +107,14 @@ def a2_equal(x: FreeVec, y: FreeVec) -> bool:
 def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:
     """Image of the Dehn twist on a genus-1 bounding curve with subsurface basis (x, y).
 
-    The twist maps to twice the tree with both legs (x, y); the result is
-    returned in A2 normal form.  A basis index beyond ``genus`` is a
-    ValueError.
+    The twist maps to twice the tree with both legs (x, y), that is twice
+    the square of the one wedge x ^ y; the result is returned in A2 normal
+    form.  A basis index beyond ``genus`` is a ValueError.
     """
     x, y = hvec(x), hvec(y)
     top = max(max_index(x), max_index(y))
     if top > genus:
         raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
-    return a2_normalize(2 * tree_expand(HTree(x, y, x, y)))
+    w = wedge_expand(x, y)
+    return a2_normalize(2 * sym_product(w, w))
 

@@ -23,7 +23,14 @@ from treetrace.symplectic import (
     hvec,
     label_omega,
 )
-from treetrace.trees import HTree, key_labels, lambda4_embed, tree, tree_expand
+from treetrace.trees import (
+    HTree,
+    a2_normalize,
+    key_labels,
+    lambda4_embed,
+    tree,
+    tree_expand,
+)
 
 
 def rand_scalar(rng, lo=-9, hi=9):
@@ -58,6 +65,14 @@ def rand_basic_tensor(rng, genus, degree=4):
 def expand(*slots) -> FreeVec:
     """tree_expand of a tree given by labels or H vectors."""
     return tree_expand(tree(*slots))
+
+
+def tau2_two_wedges(x, y) -> FreeVec:
+    """Twice the normal form of the tree with both legs (x, y), expanding
+    x ^ y once per leg: the oracle for ``trees.tau2_bscc_twist``, which
+    squares one wedge."""
+    x, y = hvec(x), hvec(y)
+    return 2 * a2_normalize(tree_expand(HTree(x, y, x, y)))
 
 
 @st.composite

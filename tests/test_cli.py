@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,17 @@ from hypothesis import given, settings, strategies as st
 
 import treetrace.cli
 from treetrace.cli import (
+    _rational,
     build_arg_parser,
     build_report,
     load_knot_document,
     main,
 )
+from treetrace.exact import FreeVec
+from treetrace.forms import cocycle_values
+from treetrace.surgery import bounding_casson
+from treetrace.symplectic import BasisLabel, omega
+from treetrace.trees import tau2_bscc_twist
 
 SRC = str(Path(treetrace.cli.__file__).resolve().parent.parent)
 
@@ -280,6 +287,18 @@ def test_trace_rejects_deep_indices(capsys):
     assert "genus" in err
 
 
+@pytest.mark.parametrize("genus", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("trace", "T(0, 0; 0, 0)"), ("trace", "T(a1, b1; a1, b1)"),
+    ("cocycle", "trefoil", "trefoil"),
+    ("cocycle", "twist(a1; b1)", "twist(0; 0)")])
+def test_trace_and_cocycle_refuse_a_genus_below_one(capsys, argv, genus):
+    code, out, err = run_cli(capsys, *argv, "--genus", genus)
+    assert (code, out) == (2, "")
+    assert err == "error: %s needs genus >= 1, got genus %s\n" % (
+        argv[0], genus)
+
+
 def test_unknown_knot_name(capsys):
     code, _, err = run_cli(capsys, "surgery", "granny", "1")
     assert code == 2
@@ -533,3 +552,81 @@ def test_cli_exits_0_or_2_on_any_arguments(argv):
     assert code in (0, 2), argv
     if code == 2:
         assert_one_line_usage_error(code, err.getvalue())
+
+
+def test_lambda_option_is_an_int_when_integral():
+    for text, integral in (("2", True), ("-4/2", True), ("2.0", True),
+                           ("3/4", False), ("0.5", False)):
+        got = _rational("--lambda-x", text)
+        assert got == Fraction(text)
+        assert (type(got) is int) == integral, text
+
+
+@st.composite
+def twist_specs(draw, genus=6):
+    """A bounding basis (x, y) with int coefficients and its text.  The
+    basis is (a_i, b_i) moved by transvections u -> u + omega(v, u) v,
+    which keep omega(x, y) = 1; each coefficient is written as an integer,
+    as k*c/k, or (for 1) not at all."""
+    index = st.integers(1, genus)
+    label = st.builds(BasisLabel, index, st.sampled_from("ab"))
+    i = draw(index)
+    x, y = FreeVec({BasisLabel(i, "a"): 1}), FreeVec({BasisLabel(i, "b"): 1})
+    for _ in range(draw(st.integers(0, 3))):
+        v = FreeVec(draw(st.dictionaries(label, st.sampled_from((1, -1)),
+                                         min_size=1, max_size=2)))
+        x, y = x + omega(v, x) * v, y + omega(v, y) * v
+
+    def text(vec):
+        parts = []
+        for n, (lbl, c) in enumerate(vec.sorted_items()):
+            k = draw(st.integers(0, 3))
+            if k:
+                coeff = "%d/%d*" % (abs(c) * k, k)
+            elif abs(c) != 1 or draw(st.booleans()):
+                coeff = "%d*" % abs(c)
+            else:
+                coeff = ""
+            sign = ("-" if c < 0 else "") if n == 0 else (
+                " - " if c < 0 else " + ")
+            parts.append("%s%s%s" % (sign, coeff, lbl))
+        return "".join(parts)
+
+    return x, y, "twist(%s; %s)" % (text(x), text(y))
+
+
+lambda_texts = st.one_of(
+    st.none(),
+    st.integers(-5, 5).map(str),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9).map(str),
+    st.tuples(st.integers(-6, 6), st.integers(1, 4)).map(
+        lambda t: "%d/%d" % (t[0] * t[1], t[1])),
+    st.tuples(st.integers(-20, 20), st.integers(0, 99)).map(
+        lambda t: "%d.%02d" % t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(twist_specs(), twist_specs(), lambda_texts, lambda_texts)
+def test_cocycle_text_path_matches_fraction_vectors(first, second,
+                                                    lam_x, lam_y):
+    # The CLI's int text path against the same twists with Fraction
+    # coefficients and Fraction Casson values, to the printed string.
+    argv = ["cocycle", first[2], second[2], "--genus", "6", "--format", "json"]
+    want = []
+    for (x, y, _), lam, option in ((first, lam_x, "--lambda-x"),
+                                   (second, lam_y, "--lambda-y")):
+        xf, yf = (FreeVec({k: Fraction(c) for k, c in u.items()})
+                  for u in (x, y))
+        if lam is None:
+            want.append(Fraction(bounding_casson(xf, yf)))
+        else:
+            argv.append("%s=%s" % (option, lam))
+            want.append(Fraction(lam))
+        want.append(tau2_bscc_twist(xf, yf, 6))
+    q, j, _, c = cocycle_values(*want)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    assert json.loads(out.getvalue()) == {
+        "Q": str(q), "J": str(j), "C": str(c)}, argv

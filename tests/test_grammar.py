@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import rand_basic_tensor, rand_hvec, rand_label, rand_scalar
 from treetrace.exact import FreeVec
+from treetrace.forms import _C13, _C31, _split
 from treetrace.grammar import (
     ParseError,
     format_hvec,
@@ -18,7 +19,7 @@ from treetrace.grammar import (
     parse_twist,
 )
 from treetrace.symplectic import a, b
-from treetrace.trees import HTree, tree, tree_expand
+from treetrace.trees import HTree, tau2_bscc_twist, tree, tree_expand
 
 
 def test_parse_simple_sum():
@@ -172,3 +173,21 @@ def test_format_s2h_and_s2l2():
 def test_format_tensor():
     v = FreeVec({(a(1), b(1)): 1, (a(2), b(2)): -2})
     assert format_tensor(v) == "a1*b1 - 2*a2*b2"
+
+
+def test_integral_text_keeps_int_coefficients_down_to_the_contractions():
+    def ints(vec):
+        assert vec, "an empty vector checks nothing"
+        return all(type(c) is int for _, c in vec.items())
+
+    # The trefoil's basis, with every way of writing an integral coefficient.
+    x, y = parse_twist("twist(a1 + 1*b1; 2/2*a2 - b1 + 3/3*b2)")
+    assert ints(x) and ints(y)
+    tau = tau2_bscc_twist(x, y, 5)
+    assert ints(tau)
+    split = tau.cached(_split)
+    assert ints(split[_C13]) and ints(split[_C31])
+    tensor = parse_tensor("2*1/2*a1*b1 - 3*a2*b2")
+    assert ints(tensor)
+    assert tensor == FreeVec({(a(1), b(1)): 1, (a(2), b(2)): -3})
+    assert type(parse_hvec("1/2*a1").coeff(a(1))) is Fraction

@@ -22,6 +22,7 @@ from treetrace.symplectic import (
     b,
     basis_labels,
     coinvariant_reduce,
+    generator_label_image,
     gl_generator_action,
     hvec,
     label_omega_bar,
@@ -100,6 +101,19 @@ def test_generator_is_checked_before_any_term():
         gl_generator_action(Elementary(1, 1, 1), FreeVec())
     with pytest.raises(TypeError):
         gl_generator_action((1, 2), FreeVec())
+
+
+@pytest.mark.parametrize("gen", [
+    Transposition(1, 0), Transposition(0, 2), Transposition(2, 2),
+    SignFlip(0), SignFlip(-4), Elementary(0, 1, 1), Elementary(1, -2, -1),
+    Elementary(2, 2, 1)])
+def test_generator_with_an_index_below_one_or_a_repeated_index_is_refused(gen):
+    with pytest.raises(ValueError):
+        gl_generator_action(gen, (a(1), b(1)))
+    with pytest.raises(ValueError):
+        gl_generator_action(gen, FreeVec())
+    with pytest.raises(ValueError):
+        generator_label_image(gen, a(2))
 
 
 def test_generator_action_is_linear():

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     expand,
@@ -11,6 +12,7 @@ from helpers import (
     rand_hvec,
     rand_tree,
     span_a2_normalize,
+    tau2_two_wedges,
     tree_combinations,
 )
 from treetrace.exact import FreeVec
@@ -189,3 +191,17 @@ def test_gl_tree_action_matches_keywise_action():
         gen = rng.choice(gens)
         assert tree_expand(gl_tree_action(gen, t)) \
             == gl_s2l2_action(gen, tree_expand(t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(genus=st.integers(3, 8), data=st.data())
+def test_one_wedge_twist_image_matches_the_two_wedge_tree(genus, data):
+    # Int and Fraction coefficients, labels repeating between x and y.
+    label = st.sampled_from(basis_labels(genus))
+    numerator = st.sampled_from([n for n in range(-4, 5) if n])
+    coeff = st.one_of(numerator,
+                      st.builds(Fraction, numerator, st.integers(1, 3)))
+    x, y = (FreeVec(data.draw(st.dictionaries(label, coeff, min_size=1,
+                                              max_size=4)))
+            for _ in range(2))
+    assert tau2_bscc_twist(x, y, genus) == tau2_two_wedges(x, y)
