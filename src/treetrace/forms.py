@@ -11,9 +11,14 @@ the subspaces W0 inside bidegrees (1,3) and (3,1).
 
 Two rational-valued pairings act on these pieces: the perfect pairing
 ``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
-tree inner product ``nabla``, a signed sum over gluings of two trees.
-Both sum over every pair of terms; the totals stay ints (Fractions only
-for Fraction coefficients) until one Fraction is made per value.
+tree inner product ``nabla``.  For terms with slot labels x_k and y_l, let
+M_kl = omega(x_k, y_l), with 2x2 minors m_ij on rows 0, 1 and n_kl on rows
+2, 3: D = m_01 n_23 + m_23 n_01 is their S^2(Lambda^2 H) pairing, det M the
+Lambda^4 H pairing of their four-slot wedges, and 2 nabla = 3 D - det M.
+The wedge of lambda4(q) is 3 q, and D pairs lambda4(q) with y as q with the
+wedge of y, so nabla vanishes on the embedded Lambda^4 H from either side.
+Both pairings sum over every pair of terms; the totals stay ints (Fractions
+only for Fraction coefficients) until one Fraction is made per value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
@@ -29,10 +34,6 @@ from fractions import Fraction
 from .exact import FreeVec, scalar
 from .symplectic import FAMILY_A, FAMILY_B, label_omega, label_omega_bar
 from .trees import key_labels
-
-_V4 = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-_C2 = (((0, 1, 2, 3), 1), ((0, 1, 3, 2), -1))
-
 
 def key_bidegree(key) -> tuple:
     """(number of A-labels, number of B-labels) among the four slots."""
@@ -140,30 +141,30 @@ def _eta_total(x: FreeVec, y: FreeVec):
 
 
 def _nabla_total(x: FreeVec, y: FreeVec):
-    # Twice nabla(x, y): a signed sum over the Klein four-group on the right
-    # slots and the swap of the left tree's second leg, where the two
-    # half-weight terms realize the fused gluing pattern.
+    # Twice nabla: 3 D - det M per term pair; m_ij n_kl weighs 3 [ij = 01 or
+    # 23] minus its sign in det M expanded along rows 0, 1.  A zero row adds 0.
+    w = label_omega
     total = 0
     yterms = [(key_labels(k), c) for k, c in y.items()]
     for kx, cx in x.items():
-        xs = key_labels(kx)
-        x0, x1 = xs[0], xs[1]
-        for ys, cy in yterms:
+        x0, x1, x2, x3 = key_labels(kx)
+        for (y0, y1, y2, y3), cy in yterms:
+            r0 = (w(x0, y0), w(x0, y1), w(x0, y2), w(x0, y3))
+            if r0 == (0, 0, 0, 0):
+                continue
+            r1 = (w(x1, y0), w(x1, y1), w(x1, y2), w(x1, y3))
+            if r1 == (0, 0, 0, 0):
+                continue
+            r2 = (w(x2, y0), w(x2, y1), w(x2, y2), w(x2, y3))
+            r3 = (w(x3, y0), w(x3, y1), w(x3, y2), w(x3, y3))
             acc = 0
-            for sigma in _V4:
-                w0 = label_omega(x0, ys[sigma[0]])
-                if not w0:
-                    continue
-                y1, y2, y3 = ys[sigma[1]], ys[sigma[2]], ys[sigma[3]]
-                for tau, sgn in _C2:
-                    xt2, xt3 = xs[tau[2]], xs[tau[3]]
-                    t1 = (label_omega(x1, y1)
-                          * label_omega(xt2, y2) * label_omega(xt3, y3))
-                    t2 = (label_omega(x1, y2)
-                          * label_omega(xt2, y3) * label_omega(xt3, y1))
-                    t3 = (label_omega(x1, y3)
-                          * label_omega(xt2, y2) * label_omega(xt3, y1))
-                    acc += sgn * w0 * (2 * t1 - t2 + t3)
+            for (i, j), (k, l), weight in (
+                    ((0, 1), (2, 3), 2), ((2, 3), (0, 1), 2),
+                    ((0, 2), (1, 3), 1), ((1, 3), (0, 2), 1),
+                    ((0, 3), (1, 2), -1), ((1, 2), (0, 3), -1)):
+                m = r0[i] * r1[j] - r0[j] * r1[i]
+                if m:
+                    acc += weight * m * (r2[k] * r3[l] - r2[l] * r3[k])
             if acc:
                 total += cx * cy * acc
     return total
@@ -175,20 +176,19 @@ def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
-    """Bilinear extension of the tree inner product to expanded vectors."""
+    """Tree inner product, 2 nabla = 3 <,>_{S^2 Lambda^2 H} - det M per term
+    pair: zero on lambda4(q), whose four-slot wedge is 3 q (module doc)."""
     return Fraction(_nabla_total(x, y), 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Contraction pairing of the (1,3) part of x against the (3,1) part of y."""
-    return Fraction(_eta_total(x.cached(_split)[_C13],
-                               y.cached(_split)[_C31]))
+    return eta_s(x.cached(_split)[_C13], y.cached(_split)[_C31])
 
 
 def j_form(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product of the (0,4) part of x against the (4,0) part of y."""
-    return Fraction(_nabla_total(x.cached(_split)[0],
-                                 y.cached(_split)[4]), 2)
+    return nabla(x.cached(_split)[0], y.cached(_split)[4])
 
 
 def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:

@@ -8,9 +8,9 @@
     Twist  := 'twist(' HVec ';' HVec ')'
     Tensor := [sign] factors (('+'|'-') factors)*,  factors := factor ('*' factor)*
 
-A parsed coefficient is an ``int`` when integral (``3``, ``2/2``, a bare
-label's 1, a tensor term's product ``2*1/2``) and a ``Fraction`` otherwise
-(``exact.canonical``).
+A parsed vector's coefficients are summed per key, then made ``int`` when
+integral (``2/2*a1``, ``2*1/2*a1*b1``, ``1/2*a1 + 1/2*a1``) and left a
+``Fraction`` otherwise (``exact.canonical``).
 
 Digits are ASCII ``0``-``9`` only, and whitespace is ASCII only, so
 everything before a parse failure is ASCII.  Parse failures raise
@@ -113,7 +113,7 @@ def _coefficient(cur: _Cursor):
         den = cur.integer()
         if not den:
             raise ParseError("zero denominator", start)
-        return canonical(Fraction(num, den))
+        return Fraction(num, den)
     return num
 
 
@@ -143,18 +143,19 @@ def _hvec_term(cur: _Cursor):
     return 1, _label(cur)
 
 
-def _hvec_body(cur: _Cursor) -> FreeVec:
+def _signed_sum(cur: _Cursor, term_parser) -> FreeVec:
+    # The +/- separated terms summed per key, each sum made canonical.
     terms = []
-    for sign, (coeff, label) in _signed_terms(cur, _hvec_term):
-        if label is not None:
-            terms.append((label, sign * coeff))
-    return FreeVec(terms)
+    for sign, (coeff, key) in _signed_terms(cur, term_parser):
+        if key is not None:
+            terms.append((key, sign * coeff))
+    return FreeVec._raw({k: canonical(c) for k, c in FreeVec(terms).items()})
 
 
 def parse_hvec(text: str) -> FreeVec:
     """Parse a vector of H like ``"a2 - b1 + b2"`` or ``"3*a1 - 1/2*b4"``."""
     cur = _Cursor(text)
-    vec = _hvec_body(cur)
+    vec = _signed_sum(cur, _hvec_term)
     cur.end()
     return vec
 
@@ -164,10 +165,10 @@ def _call(text: str, head: str, separators) -> list:
     cur = _Cursor(text)
     cur.take(head)
     cur.take("(")
-    args = [_hvec_body(cur)]
+    args = [_signed_sum(cur, _hvec_term)]
     for sep in separators:
         cur.take(sep)
-        args.append(_hvec_body(cur))
+        args.append(_signed_sum(cur, _hvec_term))
     cur.take(")")
     cur.end()
     return args
@@ -199,18 +200,15 @@ def _tensor_term(cur: _Cursor):
         if seen_number and coeff == 0:
             return coeff, None          # a bare 0: the zero tensor
         raise ParseError("tensor term has no basis labels", cur.pos)
-    return canonical(coeff), tuple(slots)
+    return coeff, tuple(slots)
 
 
 def parse_tensor(text: str) -> FreeVec:
     """Parse a tensor combination like ``"a1*b1*a2*b2"`` or ``"2*a1*a1*b1*b1"``."""
     cur = _Cursor(text)
-    terms = []
-    for sign, (coeff, slots) in _signed_terms(cur, _tensor_term):
-        if slots is not None:
-            terms.append((slots, sign * coeff))
+    vec = _signed_sum(cur, _tensor_term)
     cur.end()
-    return FreeVec(terms)
+    return vec
 
 
 def _coeff_prefix(coeff, body: str) -> str:

@@ -38,6 +38,8 @@ from treetrace.forms import (
 from treetrace.surgery import FIGURE_EIGHT, TREFOIL
 from treetrace.symplectic import FAMILY_A, FAMILY_B, a, b, basis_labels
 from treetrace.trees import (
+    a2_normalize,
+    key_labels,
     lambda4_embed,
     tau2_bscc_twist,
     tree_expand,
@@ -344,6 +346,40 @@ def test_nabla_pair_respects_tree_symmetries():
             assert nabla_pair(xs, pys) == sign * base
             assert nabla(basic(pxs), basic(ys)) == sign * base
             assert nabla(basic(xs), basic(pys)) == sign * base
+
+
+@st.composite
+def nabla_operand_pairs(draw):
+    """Two vectors at one genus in 2..6, each a raw ``tree_expand``
+    combination, its A2 normal form, or a bidegree piece of a twist image;
+    two twist pieces have complementary bidegrees, which nabla can pair."""
+    genus = draw(st.integers(2, 6))
+    label = st.sampled_from(basis_labels(genus))
+    hvec = st.dictionaries(label, st.sampled_from((-2, -1, 1, 2)),
+                           min_size=1, max_size=3).map(FreeVec)
+    s = draw(st.integers(0, 4))
+
+    def operand(s):
+        kind = draw(st.sampled_from(("raw", "normal", "twist")))
+        if kind == "twist":
+            tau = tau2_bscc_twist(draw(hvec), draw(hvec), genus)
+            return project_bidegree(tau, s, 4 - s)
+        v = draw(tree_combinations(genera=(genus,)))[1]
+        return a2_normalize(v) if kind == "normal" else v
+
+    return operand(s), operand(4 - s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nabla_operand_pairs())
+def test_nabla_on_combinations_matches_gluing_oracle(pair):
+    # The package pairs minors of the slot-pairing matrix; the oracle sums
+    # gluings of two basic trees, term pair by term pair.
+    x, y = pair
+    expected = sum((cx * cy * nabla_pair(key_labels(kx), key_labels(ky))
+                    for kx, cx in x.items() for ky, cy in y.items()),
+                   Fraction(0))
+    assert nabla(x, y) == expected
 
 
 # ---------------------------------------------------------------------------

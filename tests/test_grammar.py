@@ -191,3 +191,9 @@ def test_integral_text_keeps_int_coefficients_down_to_the_contractions():
     assert ints(tensor)
     assert tensor == FreeVec({(a(1), b(1)): 1, (a(2), b(2)): -3})
     assert type(parse_hvec("1/2*a1").coeff(a(1))) is Fraction
+    # Coefficients summed on one key are integral as a sum, too.
+    assert ints(parse_hvec("1/2*a1 + 1/2*a1"))
+    assert ints(parse_hvec("1/3*a1 + 2/3*a1"))
+    assert ints(parse_tensor("1/2*a1*b1 + 1/2*a1*b1"))
+    assert ints(parse_twist("twist(1/2*a1 + 1/2*a1; b1)")[0])
+    assert parse_hvec("1/2*a1 + 1/2*a1") == FreeVec({a(1): 1})
