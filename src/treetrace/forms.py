@@ -17,8 +17,16 @@ M_kl = omega(x_k, y_l), with 2x2 minors m_ij on rows 0, 1 and n_kl on rows
 Lambda^4 H pairing of their four-slot wedges, and 2 nabla = 3 D - det M.
 The wedge of lambda4(q) is 3 q, and D pairs lambda4(q) with y as q with the
 wedge of y, so nabla vanishes on the embedded Lambda^4 H from either side.
-Both pairings sum over every pair of terms; the totals stay ints (Fractions
-only for Fraction coefficients) until one Fraction is made per value.
+omega(u, v) is nonzero only when v is the omega-partner of u (same index,
+other family), so neither pairing visits every pair of terms: for each
+term of x it looks up in y's term dict the keys made of the partners of
+its labels.  For eta_s those are (u', v') and (v', u'); for nabla every
+product of minors is a sum of M_0s0 M_1s1 M_2s2 M_3s3 over bijections s,
+so a y term counts only if its labels are the partners of x's as a
+multiset, and the keys to look up are the at most 24 layouts of those
+partners.  This holds for any key layout, sorted or not.  The totals stay
+ints (Fractions only for Fraction coefficients) until one Fraction is made
+per value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
@@ -30,9 +38,11 @@ pair of arguments from the same single pairing of each piece.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 
 from .exact import FreeVec, scalar
-from .symplectic import FAMILY_A, FAMILY_B, label_omega, label_omega_bar
+from .symplectic import (FAMILY_A, FAMILY_B, BasisLabel, label_omega,
+                         label_omega_bar)
 from .trees import key_labels
 
 def key_bidegree(key) -> tuple:
@@ -127,34 +137,49 @@ def contract_cs(v: FreeVec) -> FreeVec:
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
+def _partner(u: BasisLabel) -> BasisLabel:
+    # The one basis label omega pairs with u: same index, other family.
+    return BasisLabel(u.index, FAMILY_B if u.family == FAMILY_A else FAMILY_A)
+
+
 def _eta_total(x: FreeVec, y: FreeVec):
-    # eta_s(x, y) as an int (a Fraction when a coefficient is one).
+    # eta_s(x, y) as an int (a Fraction when a coefficient is one).  A term
+    # (u, v) of x meets only the terms of y keyed (u', v') or (v', u'), with
+    # ' the omega-partner, so those two keys are looked up in y.
+    ydata = y._terms
+    if not x._terms or not ydata:
+        return 0
     total = 0
-    yterms = list(y.items())
-    for (u, v), cx in x.items():
-        for (w, z), cy in yterms:
-            val = (label_omega(u, w) * label_omega(v, z)
-                   + label_omega(u, z) * label_omega(v, w))
-            if val:
-                total += cx * cy * val
+    for (u, v), cx in x._terms.items():
+        pu, pv = _partner(u), _partner(v)
+        for w, z in {(pu, pv), (pv, pu)}:
+            cy = ydata.get((w, z))
+            if cy:
+                total += cx * cy * (label_omega(u, w) * label_omega(v, z)
+                                    + label_omega(u, z) * label_omega(v, w))
     return total
 
 
 def _nabla_total(x: FreeVec, y: FreeVec):
     # Twice nabla: 3 D - det M per term pair; m_ij n_kl weighs 3 [ij = 01 or
-    # 23] minus its sign in det M expanded along rows 0, 1.  A zero row adds 0.
+    # 23] minus its sign in det M expanded along rows 0, 1.  Only a y term
+    # whose labels are the partners of x's, as a multiset, adds anything, and
+    # its key is one of the at most 24 layouts of those partners.
+    ydata = y._terms
+    if not x._terms or not ydata:
+        return 0
     w = label_omega
     total = 0
-    yterms = [(key_labels(k), c) for k, c in y.items()]
-    for kx, cx in x.items():
-        x0, x1, x2, x3 = key_labels(kx)
-        for (y0, y1, y2, y3), cy in yterms:
+    for kx, cx in x._terms.items():
+        x0, x1, x2, x3 = labels = key_labels(kx)
+        layouts = {(q[:2], q[2:]) for q in permutations(map(_partner, labels))}
+        for ky in layouts:
+            cy = ydata.get(ky)
+            if not cy:
+                continue
+            y0, y1, y2, y3 = key_labels(ky)
             r0 = (w(x0, y0), w(x0, y1), w(x0, y2), w(x0, y3))
-            if r0 == (0, 0, 0, 0):
-                continue
             r1 = (w(x1, y0), w(x1, y1), w(x1, y2), w(x1, y3))
-            if r1 == (0, 0, 0, 0):
-                continue
             r2 = (w(x2, y0), w(x2, y1), w(x2, y2), w(x2, y3))
             r3 = (w(x3, y0), w(x3, y1), w(x3, y2), w(x3, y3))
             acc = 0
@@ -171,13 +196,18 @@ def _nabla_total(x: FreeVec, y: FreeVec):
 
 
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
-    """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c)."""
+    """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c).
+
+    Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab,
+    so each term of x looks up those two keys in y (module doc)."""
     return Fraction(_eta_total(x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product, 2 nabla = 3 <,>_{S^2 Lambda^2 H} - det M per term
-    pair: zero on lambda4(q), whose four-slot wedge is 3 q (module doc)."""
+    pair: zero on lambda4(q), whose four-slot wedge is 3 q.  A term pair
+    counts only if one holds the omega-partners of the other's labels, so
+    each term of x looks up the layouts of its partners in y (module doc)."""
     return Fraction(_nabla_total(x, y), 2)
 
 

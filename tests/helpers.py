@@ -162,6 +162,27 @@ def upsilon(x: FreeVec, y: FreeVec) -> Fraction:
     return eta_s(contract_cs(x), contract_cs(y))
 
 
+def omega_written_out(u: BasisLabel, v: BasisLabel) -> int:
+    """The intersection form on basis labels from their indices and
+    families: omega(a_i, b_i) = 1 = -omega(b_i, a_i), all else 0."""
+    if u.index != v.index:
+        return 0
+    if (u.family, v.family) == (FAMILY_A, FAMILY_B):
+        return 1
+    if (u.family, v.family) == (FAMILY_B, FAMILY_A):
+        return -1
+    return 0
+
+
+def eta_all_pairs(x: FreeVec, y: FreeVec) -> Fraction:
+    """eta_s(x, y) summed over every pair of terms: (u v, w z) pairs to
+    omega(u, w) omega(v, z) + omega(u, z) omega(v, w), for any key layout."""
+    om = omega_written_out
+    return sum((cx * cy * (om(u, w) * om(v, z) + om(u, z) * om(v, w))
+                for (u, v), cx in x.items() for (w, z), cy in y.items()),
+               Fraction(0))
+
+
 def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
     """Inner product of two basic trees given as 4-tuples of slot labels.
 
@@ -186,6 +207,13 @@ def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
                   * label_omega(xt2, y2) * label_omega(xt3, y1))
             acc += sgn * w0 * (2 * t1 - t2 + t3)
     return Fraction(acc, 2)
+
+
+def nabla_all_pairs(x: FreeVec, y: FreeVec) -> Fraction:
+    """nabla(x, y) as the sum of c c' nabla_pair over every pair of terms."""
+    return sum((cx * cy * nabla_pair(key_labels(kx), key_labels(ky))
+                for kx, cx in x.items() for ky, cy in y.items()),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ from helpers import (
     FRONT,
     SpanBasis,
     all_generators,
+    eta_all_pairs,
     expand,
     filter_project_bidegree,
     gl_tree_action,
+    nabla_all_pairs,
     nabla_pair,
     rand_label,
     rand_tree,
@@ -36,10 +38,10 @@ from treetrace.forms import (
     w0_member,
 )
 from treetrace.surgery import FIGURE_EIGHT, TREFOIL
-from treetrace.symplectic import FAMILY_A, FAMILY_B, a, b, basis_labels
+from treetrace.symplectic import (FAMILY_A, FAMILY_B, BasisLabel, a, b,
+                                  basis_labels)
 from treetrace.trees import (
     a2_normalize,
-    key_labels,
     lambda4_embed,
     tau2_bscc_twist,
     tree_expand,
@@ -376,10 +378,55 @@ def test_nabla_on_combinations_matches_gluing_oracle(pair):
     # The package pairs minors of the slot-pairing matrix; the oracle sums
     # gluings of two basic trees, term pair by term pair.
     x, y = pair
-    expected = sum((cx * cy * nabla_pair(key_labels(kx), key_labels(ky))
-                    for kx, cx in x.items() for ky, cy in y.items()),
-                   Fraction(0))
-    assert nabla(x, y) == expected
+    assert nabla(x, y) == nabla_all_pairs(x, y)
+
+
+@st.composite
+def raw_key_pairs(draw, slots):
+    """(x, y): vectors over raw keys of ``slots`` = 4 labels (tree keys
+    ((x0, x1), (x2, x3))) or 2 labels (S^2(H) keys (u, v)) at genus 1..3,
+    laid out as drawn, so wedges come unsorted or swapped and labels
+    repeat.  Each term of x may come with other layouts of its labels in x,
+    y holds its omega-partners in several layouts of one multiset, and y's
+    own random terms have partners that x may lack."""
+    genus = draw(st.integers(1, 3))
+    label = st.sampled_from(basis_labels(genus))
+    layout = st.permutations(range(slots))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+    def partner(u):
+        return BasisLabel(u.index, "b" if u.family == "a" else "a")
+
+    xs = draw(st.lists(st.tuples(*[label] * slots), min_size=1, max_size=3))
+    ys = draw(st.lists(st.tuples(*[label] * slots), max_size=2))
+    for labels in list(xs):
+        xs += [tuple(labels[k] for k in perm)
+               for perm in draw(st.lists(layout, max_size=2))]
+        partners = tuple(map(partner, labels))
+        ys += [tuple(partners[k] for k in perm)
+               for perm in draw(st.lists(layout, max_size=3))]
+
+    def vector(keys):
+        return FreeVec((labels if slots == 2 else (labels[:2], labels[2:]),
+                        draw(coeff)) for labels in keys)
+
+    return vector(xs), vector(ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_key_pairs(4))
+def test_nabla_finds_partners_in_any_key_layout(pair):
+    # nabla looks up the layouts of each x term's omega-partners in y; the
+    # oracle visits every term pair, whatever the layout of either key.
+    x, y = pair
+    assert nabla(x, y) == nabla_all_pairs(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_key_pairs(2))
+def test_eta_s_finds_partners_in_any_key_layout(pair):
+    x, y = pair
+    assert eta_s(x, y) == eta_all_pairs(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -289,26 +289,32 @@ def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
         == 84 * c2 ** 2 - 12 * c2
 
 
-@pytest.mark.parametrize("genus", (10, 12))
+@pytest.mark.parametrize("genus", (10, 12, 14))
 def test_j_form_on_dense_twists_at_large_genus(genus):
     # Full support on every a_i and b_i: the (0,4) and (4,0) pieces hold
     # about 1 500 terms each at genus 12, and J(tau, tau) = 12 c2^2 for any
-    # (x, y), with c2 = L(x,x) L(y,y) - L(x,y) L(y,x) from plain dicts.
-    # J pairs every term of one piece with every term of the other, so the
-    # genus-12 case takes seconds.
+    # (x, y), with c2 = L(x,x) L(y,y) - L(x,y) L(y,x) from plain dicts.  A
+    # second dense twist pairs with the first in both orders as the closed
+    # form seifert_q_j says.  The forms look up the omega-partners of each
+    # term in the other piece instead of visiting every pair of terms, so
+    # building the two twists costs more than pairing them.
     rng = random.Random(genus)
-    x, y = ({(i, f): rng.choice((-2, -1, 1, 2)) for i in range(1, genus + 1)
-             for f in "ab"} for _ in range(2))
+    x, y, x2, y2 = ({(i, f): rng.choice((-2, -1, 1, 2))
+                     for i in range(1, genus + 1) for f in "ab"}
+                    for _ in range(4))
 
     def link(u, v):
         return sum(u[i, "a"] * v[i, "b"] for i in range(1, genus + 1))
 
     c2 = link(x, x) * link(y, y) - link(x, y) * link(y, x)
     assert c2
-    tau = tau2_bscc_twist(*(FreeVec({(a if f == "a" else b)(i): c
-                                     for (i, f), c in u.items()})
-                            for u in (x, y)), genus)
-    assert j_form(tau, tau) == 12 * c2 ** 2
+    p, q = (tuple(FreeVec({(a if f == "a" else b)(i): c
+                           for (i, f), c in u.items()}) for u in pair)
+            for pair in ((x, y), (x2, y2)))
+    tau_p, tau_q = (tau2_bscc_twist(*pair, genus) for pair in (p, q))
+    assert j_form(tau_p, tau_p) == 12 * c2 ** 2
+    assert (q_form(tau_p, tau_q), j_form(tau_p, tau_q)) == seifert_q_j(p, q)
+    assert (q_form(tau_q, tau_p), j_form(tau_q, tau_p)) == seifert_q_j(q, p)
 
 
 @st.composite
