@@ -363,6 +363,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--option=--" as an empty list of values; refuse it as
+    # it refuses an option with no value.
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error("argument --%s: expected one argument"
+                         % name.replace("_", "-"))
     try:
         return args.func(args)
     except ParseError as err:

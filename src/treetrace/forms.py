@@ -11,22 +11,19 @@ the subspaces W0 inside bidegrees (1,3) and (3,1).
 
 Two rational-valued pairings act on these pieces: the perfect pairing
 ``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
-tree inner product ``nabla``.  For terms with slot labels x_k and y_l, let
-M_kl = omega(x_k, y_l), with 2x2 minors m_ij on rows 0, 1 and n_kl on rows
-2, 3: D = m_01 n_23 + m_23 n_01 is their S^2(Lambda^2 H) pairing, det M the
-Lambda^4 H pairing of their four-slot wedges, and 2 nabla = 3 D - det M.
-The wedge of lambda4(q) is 3 q, and D pairs lambda4(q) with y as q with the
-wedge of y, so nabla vanishes on the embedded Lambda^4 H from either side.
-omega(u, v) is nonzero only when v is the omega-partner of u (same index,
-other family), so neither pairing visits every pair of terms: for each
-term of x it looks up in y's term dict the keys made of the partners of
-its labels.  For eta_s those are (u', v') and (v', u'); for nabla every
-product of minors is a sum of M_0s0 M_1s1 M_2s2 M_3s3 over bijections s,
-so a y term counts only if its labels are the partners of x's as a
-multiset, and the keys to look up are the at most 24 layouts of those
-partners.  This holds for any key layout, sorted or not.  The totals stay
-ints (Fractions only for Fraction coefficients) until one Fraction is made
-per value.
+tree inner product ``nabla``.  omega(u, v) is nonzero only when v is the
+omega-partner u' of u (same index, other family), and omega(u, u') is +1
+for u in A, -1 for u in B.  So neither pairing evaluates omega: each term
+of x looks up in y's term dict the layouts of its partners that can pair
+with it and adds their coefficients with a sign, whatever the key layout.
+For the slot labels of two terms let M_kl = omega(x_k, y_l), with 2x2
+minors m_ij on rows 0, 1 and n_kl on rows 2, 3: the S^2(Lambda^2 H) pairing
+is D = m_01 n_23 + m_23 n_01, the Lambda^4 H pairing of the four-slot
+wedges is the determinant of M, and 2 nabla is 3 D less that determinant.
+The wedge of lambda4(q) is 3 q, and D pairs lambda4(q) with y as q with
+the wedge of y, so nabla vanishes on the embedded Lambda^4 H from either
+side.  The totals stay ints (Fractions only for Fraction coefficients)
+until one Fraction is made per value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
@@ -38,11 +35,9 @@ pair of arguments from the same single pairing of each piece.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 from .exact import FreeVec, scalar
-from .symplectic import (FAMILY_A, FAMILY_B, BasisLabel, label_omega,
-                         label_omega_bar)
+from .symplectic import FAMILY_A, FAMILY_B, BasisLabel, label_omega
 from .trees import key_labels
 
 def key_bidegree(key) -> tuple:
@@ -76,11 +71,11 @@ def project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
 
 def _refuse_pure(piece: FreeVec, family: str):
     # A trace is undefined on a term with no label of ``family``; name the
-    # first such term.
+    # least such term, so equal vectors fail alike.
     if piece:
         raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
                          "undefined there"
-                         % (key_labels(piece.items()[0][0]) + (family,)))
+                         % (key_labels(min(piece._terms)) + (family,)))
 
 
 def trace_a(v: FreeVec) -> FreeVec:
@@ -120,7 +115,7 @@ def contract_cs(v: FreeVec) -> FreeVec:
     """Contraction to S^2(H) via the symmetric pairing, term by term.
 
     (a^b)(c^d) goes to w(a,d) bc - w(a,c) bd - w(b,d) ac + w(b,c) ad with w
-    the symmetric A-B pairing; the embedded Lambda^4 H is killed.
+    = |omega| the symmetric A-B pairing; the embedded Lambda^4 H is killed.
     """
     data = {}
     for key, coeff in v.items():
@@ -130,10 +125,9 @@ def contract_cs(v: FreeVec) -> FreeVec:
                 (la, lc, lb, ld, -1),
                 (lb, ld, la, lc, -1),
                 (lb, lc, la, ld, 1)):
-            val = label_omega_bar(u, w)
-            if val:
+            if label_omega(u, w):
                 pair = (keep1, keep2) if keep1 <= keep2 else (keep2, keep1)
-                data[pair] = data.get(pair, 0) + coeff * sign * val
+                data[pair] = data.get(pair, 0) + coeff * sign
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
@@ -144,70 +138,60 @@ def _partner(u: BasisLabel) -> BasisLabel:
 
 def _eta_total(x: FreeVec, y: FreeVec):
     # eta_s(x, y) as an int (a Fraction when a coefficient is one).  A term
-    # (u, v) of x meets only the terms of y keyed (u', v') or (v', u'), with
-    # ' the omega-partner, so those two keys are looked up in y.
+    # (u, v) of x pairs to omega(u, u') omega(v, v') = +-1 with each of the
+    # keys (u', v') and (v', u') of y (one key, counted twice, when u = v).
     ydata = y._terms
     if not x._terms or not ydata:
         return 0
+    get = ydata.get
     total = 0
     for (u, v), cx in x._terms.items():
         pu, pv = _partner(u), _partner(v)
-        for w, z in {(pu, pv), (pv, pu)}:
-            cy = ydata.get((w, z))
-            if cy:
-                total += cx * cy * (label_omega(u, w) * label_omega(v, z)
-                                    + label_omega(u, z) * label_omega(v, w))
+        cy = get((pu, pv), 0) + get((pv, pu), 0)
+        if cy:
+            total += cx * cy if u.family == v.family else -cx * cy
     return total
 
 
 def _nabla_total(x: FreeVec, y: FreeVec):
-    # Twice nabla: 3 D - det M per term pair; m_ij n_kl weighs 3 [ij = 01 or
-    # 23] minus its sign in det M expanded along rows 0, 1.  Only a y term
-    # whose labels are the partners of x's, as a multiset, adds anything, and
-    # its key is one of the at most 24 layouts of those partners.
+    # Twice nabla: 2 (m01 n23 + m23 n01) + m02 n13 + m13 n02 - m03 n12
+    # - m12 n03 per term pair.  M is (-1)^(number of B-labels of x) times
+    # the 0/1 matrix placing x's partners in y's slots, so m_ij n_kl is
+    # that sign times the signed sum, over the four orders (p, q) of x's
+    # first leg and (r, t) of its second, of [y_i y_j y_k y_l = p q r t]:
+    # the coefficient in y of the key with those labels in those slots.
     ydata = y._terms
     if not x._terms or not ydata:
         return 0
-    w = label_omega
+    get = ydata.get
     total = 0
     for kx, cx in x._terms.items():
-        x0, x1, x2, x3 = labels = key_labels(kx)
-        layouts = {(q[:2], q[2:]) for q in permutations(map(_partner, labels))}
-        for ky in layouts:
-            cy = ydata.get(ky)
-            if not cy:
-                continue
-            y0, y1, y2, y3 = key_labels(ky)
-            r0 = (w(x0, y0), w(x0, y1), w(x0, y2), w(x0, y3))
-            r1 = (w(x1, y0), w(x1, y1), w(x1, y2), w(x1, y3))
-            r2 = (w(x2, y0), w(x2, y1), w(x2, y2), w(x2, y3))
-            r3 = (w(x3, y0), w(x3, y1), w(x3, y2), w(x3, y3))
-            acc = 0
-            for (i, j), (k, l), weight in (
-                    ((0, 1), (2, 3), 2), ((2, 3), (0, 1), 2),
-                    ((0, 2), (1, 3), 1), ((1, 3), (0, 2), 1),
-                    ((0, 3), (1, 2), -1), ((1, 2), (0, 3), -1)):
-                m = r0[i] * r1[j] - r0[j] * r1[i]
-                if m:
-                    acc += weight * m * (r2[k] * r3[l] - r2[l] * r3[k])
-            if acc:
-                total += cx * cy * acc
+        (x0, x1), (x2, x3) = kx
+        p0, p1, p2, p3 = _partner(x0), _partner(x1), _partner(x2), _partner(x3)
+        acc = 0
+        for p, q, r, t, sign in ((p0, p1, p2, p3, 1), (p1, p0, p2, p3, -1),
+                                 (p0, p1, p3, p2, -1), (p1, p0, p3, p2, 1)):
+            pq, rt = (p, q), (r, t)
+            pr, rp, qt, tq = (p, r), (r, p), (q, t), (t, q)
+            acc += sign * (2 * (get((pq, rt), 0) + get((rt, pq), 0))
+                           + get((pr, qt), 0) + get((rp, tq), 0)
+                           - get((pr, tq), 0) - get((rp, qt), 0))
+        if acc:
+            total += -cx * acc if key_bidegree(kx)[1] % 2 else cx * acc
     return total
 
 
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c).
 
-    Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab,
-    so each term of x looks up those two keys in y (module doc)."""
+    Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab."""
     return Fraction(_eta_total(x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
-    """Tree inner product, 2 nabla = 3 <,>_{S^2 Lambda^2 H} - det M per term
-    pair: zero on lambda4(q), whose four-slot wedge is 3 q.  A term pair
-    counts only if one holds the omega-partners of the other's labels, so
-    each term of x looks up the layouts of its partners in y (module doc)."""
+    """Tree inner product: 3 times the S^2(Lambda^2 H) pairing less the
+    Lambda^4 H pairing of the four-slot wedges, halved, so zero on
+    lambda4(q) (module doc)."""
     return Fraction(_nabla_total(x, y), 2)
 
 

@@ -1,11 +1,10 @@
 """The symplectic module H = A + B and its GL-coinvariant reduction.
 
 ``H`` carries the standard symplectic basis a_1, b_1, ..., a_g, b_g: the
-a_i span the Lagrangian A, the b_i span B.  Two pairings live on the basis
+a_i span the Lagrangian A, the b_i span B.  One pairing lives on the basis
 labels: the antisymmetric intersection form ``label_omega`` with
-omega(a_i, b_j) = delta_ij, and the symmetric pairing ``label_omega_bar``
-with omega_bar(a_i, b_j) = delta_ij and both Lagrangians isotropic.  On H
-the Seifert form ``seifert_form``, L(u, v) = sum_k u_{a_k} v_{b_k}, gives
+omega(a_i, b_j) = delta_ij and both Lagrangians isotropic.  On H the
+Seifert form ``seifert_form``, L(u, v) = sum_k u_{a_k} v_{b_k}, gives
 the intersection form as ``omega`` = L - L^T.
 
 GL_g(Z) acts on A by a matrix G and on B by its inverse transpose; the
@@ -73,13 +72,6 @@ def label_omega(u: BasisLabel, v: BasisLabel) -> int:
     if u.index != v.index or u.family == v.family:
         return 0
     return 1 if u.family == FAMILY_A else -1
-
-
-def label_omega_bar(u: BasisLabel, v: BasisLabel) -> int:
-    """Symmetric pairing on basis labels: a_i and b_i pair to 1, A and B isotropic."""
-    if u.index != v.index or u.family == v.family:
-        return 0
-    return 1
 
 
 def seifert_form(u: FreeVec, v: FreeVec):

@@ -123,10 +123,10 @@ def slotwise_trace(v: FreeVec, family: str) -> FreeVec:
     """Trace of ``v`` to S^2 of the other family, term by term: move the
     first slot of ``family`` to the front (tracking the AS sign), then
     contract it against the opposite family.  A term with no label of
-    ``family`` raises ValueError."""
+    ``family`` raises ValueError, naming the least such key."""
     other = FAMILY_B if family == FAMILY_A else FAMILY_A
     terms = []
-    for key, coeff in v.items():
+    for key, coeff in v.sorted_items():
         labels = key_labels(key)
         slot = next((k for k, lbl in enumerate(labels) if lbl.family == family),
                     None)
@@ -511,3 +511,43 @@ def seifert_q_j(p, q):
     m = mul(mul(mul(adjugate(*p), n_t), adjugate(*q)), n)
     det = n[0][0] * n[1][1] - n[0][1] * n[1][0]
     return 8 * (m[0][0] + m[1][1]), 12 * det ** 2
+
+
+def block_q_j(w_p, w_q, genus):
+    """Closed-form oracle for (Q(tau_p, tau_q), J(tau_p, tau_q)) of the
+    images tau_w = 2 w.w of two vectors w of Lambda^2 H over wedge keys,
+    decomposable or not, in plain lists: w is read as the blocks
+    A = W[a, a], B = W[b, b] and C = W[a, b] of its antisymmetric
+    coefficient matrix W (C_ij the coefficient of a_i ^ b_j), and
+    Q = 16 tr((B_p C_p - C_p^T B_p) C_q A_q),
+    J = 2 tr(A_q B_p)^2 + 2 tr((A_q B_p)^2)."""
+    indices = range(1, genus + 1)
+
+    def blocks(w):
+        entry = {}
+        for (u, v), c in w.items():
+            entry[u, v] = entry.get((u, v), 0) + c
+            entry[v, u] = entry.get((v, u), 0) - c
+
+        def block(left, right):
+            return [[entry.get((BasisLabel(i, left), BasisLabel(j, right)), 0)
+                     for j in indices] for i in indices]
+
+        return (block(FAMILY_A, FAMILY_A), block(FAMILY_B, FAMILY_B),
+                block(FAMILY_A, FAMILY_B))
+
+    def mul(m, n):
+        return [[sum(m[i][k] * n[k][j] for k in range(genus))
+                 for j in range(genus)] for i in range(genus)]
+
+    def trace(m):
+        return sum(m[i][i] for i in range(genus))
+
+    _, b_p, c_p = blocks(w_p)
+    a_q, _, c_q = blocks(w_q)
+    c_p_t = [list(row) for row in zip(*c_p)]
+    twist = [[x - y for x, y in zip(r, s)]
+             for r, s in zip(mul(b_p, c_p), mul(c_p_t, b_p))]
+    ab = mul(a_q, b_p)
+    return (16 * trace(mul(mul(twist, c_q), a_q)),
+            2 * trace(ab) ** 2 + 2 * trace(mul(ab, ab)))

@@ -352,6 +352,21 @@ def test_bad_lambda_is_a_usage_error(capsys):
         assert option in err
 
 
+@pytest.mark.parametrize("argv", (
+    ["cocycle", "--lambda-x=--", "--", "", ""],
+    ["cocycle", "--format=--", "trefoil", "trefoil"],
+    ["trace", "--genus=--", "T(b2, b3; b4, a2)"],
+    ["trace", "--side=--", "T(b2, b3; b4, a2)"],
+    ["report", "--genus=--"],
+))
+def test_option_given_a_bare_double_dash_is_a_usage_error(argv, capsys):
+    # argparse would hand the command an empty list as the option's value.
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_zero_denominator_in_tree_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, "trace", "T(1/0*a1, b1; a2, b2)")
     assert_one_line_usage_error(code, err)

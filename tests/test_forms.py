@@ -142,6 +142,19 @@ def test_trace_requires_a_label():
         trace_b(expand(a(1), a(2), a(3), a(4)))
 
 
+def test_trace_error_names_the_least_pure_term_of_equal_vectors():
+    # Equal vectors built in different insertion orders fail alike.
+    k1 = ((b(1), b(2)), (b(1), b(2)))
+    k2 = ((b(1), b(3)), (b(2), b(3)))
+    first, second = FreeVec({k1: 1, k2: 1}), FreeVec({k2: 1, k1: 1})
+    assert first == second
+    message = "term (b1^b2)(b1^b2) has no a-label; trace undefined there"
+    for v in (first, second):
+        with pytest.raises(ValueError) as err:
+            trace_a(v)
+        assert str(err.value) == message
+
+
 def test_trace_independent_of_which_slot_is_normalized():
     # Oracle: re-derive the trace with the one A-slot of a (1,3) tree moved
     # first, wherever the draw put it.
@@ -192,7 +205,7 @@ def test_traces_match_the_slotwise_oracle(case, data):
     # Mixed-bidegree combinations, sometimes with a term that has no label
     # of the traced family appended after the others: the package's cached
     # contractions and the slot-by-slot oracle agree, or raise the same
-    # message naming the same first such term.
+    # message naming the same least such term.
     genus, v = case
     labels = basis_labels(genus)
     for family, tracer in ((FAMILY_A, trace_a), (FAMILY_B, trace_b)):

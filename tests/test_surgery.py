@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import jones_series_derivative, seifert_q_j
+from helpers import block_q_j, jones_series_derivative, seifert_q_j
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
 from treetrace.forms import b_form, j_form, q_form
@@ -29,7 +30,8 @@ from treetrace.surgery import (
     vanishing_combo,
 )
 from treetrace.symplectic import a, b, omega
-from treetrace.trees import tau2_bscc_twist
+from treetrace.trees import (a2_normalize, sym_product, tau2_bscc_twist,
+                              wedge_expand)
 
 
 def sphere(lam, lam2):
@@ -340,6 +342,42 @@ def test_seifert_closed_form_gives_q_and_j_of_any_twist_pair(pairs):
     genus, p, q = pairs
     tau_p, tau_q = (tau2_bscc_twist(*pair, genus) for pair in (p, q))
     assert (q_form(tau_p, tau_q), j_form(tau_p, tau_q)) == seifert_q_j(p, q)
+
+
+@st.composite
+def lambda2_pairs(draw):
+    """(genus, w_p, w_q): two vectors of Lambda^2 H on two or three shared
+    indices, each a wedge of two H vectors or a sum of three to eight
+    wedge keys, so about two draws in five give a nonzero Q or J."""
+    genus = draw(st.integers(2, 8))
+    indices = draw(st.lists(st.integers(1, genus), min_size=2, max_size=3,
+                            unique=True))
+    labels = [f(i) for i in sorted(indices) for f in (a, b)]
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+    leg = st.dictionaries(st.sampled_from(labels), coeff, min_size=2,
+                          max_size=4)
+    wedges = st.dictionaries(st.sampled_from(list(combinations(labels, 2))),
+                             coeff, min_size=3, max_size=8)
+
+    def vector():
+        if draw(st.booleans()):
+            return wedge_expand(FreeVec(draw(leg)), FreeVec(draw(leg)))
+        return FreeVec(draw(wedges))
+
+    return genus, vector(), vector()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lambda2_pairs())
+def test_block_trace_closed_form_gives_q_and_j_of_any_square(case):
+    # tau_w = 2 w.w for any w of Lambda^2 H, decomposable or not, against
+    # traces of the blocks of w's coefficient matrix, in both orders.
+    genus, w_p, w_q = case
+    tau_p, tau_q = (a2_normalize(2 * sym_product(w, w)) for w in (w_p, w_q))
+    assert (q_form(tau_p, tau_q), j_form(tau_p, tau_q)) \
+        == block_q_j(w_p, w_q, genus)
+    assert (q_form(tau_q, tau_p), j_form(tau_q, tau_p)) \
+        == block_q_j(w_q, w_p, genus)
 
 
 def test_cross_route_cocycle_equality():

@@ -25,7 +25,6 @@ from treetrace.symplectic import (
     generator_label_image,
     gl_generator_action,
     hvec,
-    label_omega_bar,
     omega,
 )
 
@@ -48,22 +47,12 @@ def test_omega_bilinear_expansion():
     assert omega(u, v) == -1
 
 
-def test_omega_bar_on_basis():
-    assert label_omega_bar(a(1), b(1)) == 1
-    assert label_omega_bar(a(1), a(1)) == 0
-    assert label_omega_bar(b(2), a(2)) == 1
-    assert label_omega_bar(b(1), b(1)) == 0
-
-
 def test_pairing_symmetries_randomized():
     rng = random.Random(2001)
     for _ in range(150):
         u = rand_hvec(rng, 4)
         v = rand_hvec(rng, 4)
         assert omega(u, v) == -omega(v, u)
-        for ku in u.support():
-            for kv in v.support():
-                assert label_omega_bar(ku, kv) == label_omega_bar(kv, ku)
 
 
 def test_sign_flip_action():
