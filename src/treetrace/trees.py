@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, hvec, max_index
+from .symplectic import DEFAULT_GENUS, FAMILY_A, FAMILY_B, BasisLabel, hvec
 
 
 class HTree(NamedTuple):
@@ -45,26 +45,29 @@ def tree(x1, x2, x3, x4) -> HTree:
 
 def wedge_expand(u: FreeVec, v: FreeVec) -> FreeVec:
     """Bilinear expansion of u ^ v over sorted wedge keys."""
-    terms = []
-    for ku, cu in u.items():
-        for kv, cv in v.items():
-            if ku == kv:
-                continue
+    data = {}
+    terms = v._terms.items()
+    for ku, cu in u._terms.items():
+        for kv, cv in terms:
             if ku < kv:
-                terms.append(((ku, kv), cu * cv))
+                key, coeff = (ku, kv), cu * cv
+            elif kv < ku:
+                key, coeff = (kv, ku), -cu * cv
             else:
-                terms.append(((kv, ku), -cu * cv))
-    return FreeVec(terms)
+                continue
+            data[key] = data.get(key, 0) + coeff
+    return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
 def sym_product(left: FreeVec, right: FreeVec) -> FreeVec:
     """Commutative product of two Lambda^2 vectors over sorted wedge pairs."""
-    terms = []
-    for kl, cl in left.items():
-        for kr, cr in right.items():
+    data = {}
+    terms = right._terms.items()
+    for kl, cl in left._terms.items():
+        for kr, cr in terms:
             key = (kl, kr) if kl <= kr else (kr, kl)
-            terms.append((key, cl * cr))
-    return FreeVec(terms)
+            data[key] = data.get(key, 0) + cl * cr
+    return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
 def tree_expand(t: HTree) -> FreeVec:
@@ -104,17 +107,62 @@ def a2_equal(x: FreeVec, y: FreeVec) -> bool:
     return a2_normalize(x - y).is_zero()
 
 
+def tau2_square(w: FreeVec) -> FreeVec:
+    """A2 normal form of 2 * w.w for ``w`` in Lambda^2 H over sorted wedge
+    keys, in one pass.
+
+    The square is 2c^2 (k, k) for each term c k of ``w`` and 4c c' (k, k')
+    for each pair of its keys k < k'; a key (p^q)(r^t) with q < r is
+    rewritten as it is made, as ``a2_normalize`` would rewrite it.
+    """
+    items = w.sorted_items()
+    data = {}
+    get = data.get
+    for i, (left, c) in enumerate(items):
+        data[left, left] = 2 * c * c
+        p, q = left
+        c4 = 4 * c
+        for right, d in items[i + 1:]:
+            d *= c4
+            r, t = right
+            if q < r:
+                key = (p, r), (q, t)
+                data[key] = get(key, 0) + d
+                key = (p, t), (q, r)
+                data[key] = get(key, 0) - d
+            else:
+                key = left, right
+                data[key] = get(key, 0) + d
+    return FreeVec._raw({k: c for k, c in data.items() if c})
+
+
+def _check_basis(x: FreeVec, y: FreeVec, genus: int):
+    # Every label of a twist basis is a_i or b_i with 1 <= i <= genus.  The
+    # loop is the fast path; a failure is named from the sorted labels, so
+    # equal vectors fail alike.
+    for label in (*x._terms, *y._terms):
+        if not (isinstance(label, BasisLabel) and 1 <= label.index <= genus
+                and label.family in (FAMILY_A, FAMILY_B)):
+            break
+    else:
+        return
+    labels = x.support() + y.support()
+    for label in labels:
+        if not (isinstance(label, BasisLabel) and label.index >= 1
+                and label.family in (FAMILY_A, FAMILY_B)):
+            raise ValueError("twist uses %s, not a basis label a_i or b_i "
+                             "with 1 <= i <= %d" % (label, genus))
+    raise ValueError("twist uses index %d beyond genus %d"
+                     % (max(label.index for label in labels), genus))
+
+
 def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:
     """Image of the Dehn twist on a genus-1 bounding curve with subsurface basis (x, y).
 
-    The twist maps to twice the tree with both legs (x, y), that is twice
-    the square of the one wedge x ^ y; the result is returned in A2 normal
-    form.  A basis index beyond ``genus`` is a ValueError.
+    The twist maps to twice the tree with both legs (x, y), that is
+    ``tau2_square`` of the one wedge x ^ y.  A label of x or y other than
+    a_i or b_i with 1 <= i <= ``genus`` is a ValueError.
     """
     x, y = hvec(x), hvec(y)
-    top = max(max_index(x), max_index(y))
-    if top > genus:
-        raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
-    w = wedge_expand(x, y)
-    return a2_normalize(2 * sym_product(w, w))
-
+    _check_basis(x, y, genus)
+    return tau2_square(wedge_expand(x, y))

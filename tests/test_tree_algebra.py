@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     expand,
@@ -16,13 +16,15 @@ from helpers import (
     tree_combinations,
 )
 from treetrace.exact import FreeVec
-from treetrace.symplectic import a, b, basis_labels, hvec
+from treetrace.symplectic import BasisLabel, a, b, basis_labels, hvec
 from treetrace.trees import (
     HTree,
     a2_equal,
     a2_normalize,
     lambda4_embed,
+    sym_product,
     tau2_bscc_twist,
+    tau2_square,
     tree_expand,
 )
 
@@ -123,6 +125,21 @@ def test_twist_rejects_indices_beyond_genus():
         tau2_bscc_twist(a(5), b(5), 4)
 
 
+@pytest.mark.parametrize("x, y, name", [
+    (a(0), b(0), "a0"),
+    (a(-2), b(-2), "a-2"),
+    (BasisLabel(1, "c"), b(1), "c1"),
+    (FreeVec({a(1): 1, b(0): 2}), b(1), "b0"),
+    (b(1), FreeVec({a(2): 1, BasisLabel(2, "c"): 1}), "c2"),
+])
+def test_twist_rejects_labels_outside_the_basis(x, y, name):
+    # Only a_i and b_i with 1 <= i <= genus make a twist basis, as in the
+    # grammar and the GL generators; these once gave a tree image.
+    with pytest.raises(ValueError, match="^twist uses %s, not a basis label "
+                       "a_i or b_i with 1 <= i <= 5$" % name):
+        tau2_bscc_twist(x, y, 5)
+
+
 def test_normalize_stable_under_genus_increase():
     # The normal form takes no genus; it is the span residual at genus 5
     # and at genus 6 alike.
@@ -166,6 +183,30 @@ def test_a2_equal_is_an_equivalence_on_samples():
 
 def test_twist_image_of_degenerate_basis_is_zero():
     assert tau2_bscc_twist(hvec(a(1)), hvec(a(1)), 5).is_zero()
+
+
+@st.composite
+def lambda2_vectors(draw):
+    """A vector of Lambda^2 H at genus 1-6 from up to ten wedge-key terms
+    with int or Fraction coefficients; a key may be drawn again, also with
+    the opposite coefficient, so terms can cancel down to the zero vector."""
+    genus = draw(st.integers(1, 6))
+    key = st.sampled_from(list(combinations(basis_labels(genus), 2)))
+    numerator = st.sampled_from([n for n in range(-4, 5) if n])
+    coeff = st.one_of(numerator,
+                      st.builds(Fraction, numerator, st.integers(1, 3)))
+    terms = draw(st.lists(st.tuples(key, coeff), max_size=10))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    return FreeVec(terms + [(k, -c) for k, c in cancel])
+
+
+@settings(max_examples=100, deadline=None)
+@given(lambda2_vectors())
+@example(FreeVec())
+def test_one_pass_square_is_the_normal_form_of_twice_the_square(w):
+    got = tau2_square(w)
+    assert got == a2_normalize(2 * sym_product(w, w))
+    assert a2_normalize(got) == got
 
 
 def test_twist_image_on_standard_pair():
