@@ -113,26 +113,12 @@ class FreeVec:
     def __add__(self, other):
         if not isinstance(other, FreeVec):
             return NotImplemented
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = data.get(key, 0) + coeff
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return FreeVec._raw(data)
+        return FreeVec((*self._terms.items(), *other._terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, FreeVec):
             return NotImplemented
-        data = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = data.get(key, 0) - coeff
-            if acc:
-                data[key] = acc
-            else:
-                del data[key]
-        return FreeVec._raw(data)
+        return self + -other
 
     def __neg__(self):
         return FreeVec._raw({k: -c for k, c in self._terms.items()})
@@ -157,8 +143,6 @@ class FreeVec:
         return FreeVec((fn(k), c) for k, c in self._terms.items())
 
     def __repr__(self):
-        if not self._terms:
-            return "FreeVec(0)"
         parts = ["%s*%r" % (c, k) for k, c in self.sorted_items()]
-        return "FreeVec(%s)" % " + ".join(parts)
+        return "%s(%s)" % (type(self).__name__, " + ".join(parts) or 0)
 

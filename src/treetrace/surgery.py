@@ -32,41 +32,19 @@ from .exact import FreeVec
 from .symplectic import a, b, seifert_form
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial, stored exponent -> nonzero coefficient."""
+class LaurentPoly(FreeVec):
+    """Integer Laurent polynomial: a ``FreeVec`` over integer exponents
+    whose coefficients are integers."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        data = {}
-        if coeffs is not None:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for exp, coeff in items:
-                # Integers only: a float, string or Fraction is a TypeError.
-                exp = index(exp)
-                coeff = index(coeff)
-                acc = data.get(exp, 0) + coeff
-                if acc:
-                    data[exp] = acc
-                else:
-                    data.pop(exp, None)
-        self._coeffs = data
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs or ()
+        # Integers only: a float, string or Fraction is a TypeError.
+        super().__init__([(index(exp), index(coeff)) for exp, coeff in items])
 
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
-
-    def terms(self):
-        return sorted(self._coeffs.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __repr__(self):
-        if not self._coeffs:
-            return "LaurentPoly(0)"
-        return "LaurentPoly(%s)" % (self.terms(),)
+    coefficient = FreeVec.coeff
+    terms = FreeVec.sorted_items
 
 
 def jones_h_derivative(p: LaurentPoly, i: int) -> int:

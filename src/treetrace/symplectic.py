@@ -241,7 +241,11 @@ def _chords(tensor: tuple, labels: dict) -> list:
                     chord[partner] = None
         chord[slot] = None
 
-    pair(0, 0)
+    try:
+        pair(0, 0)
+    except RecursionError:
+        raise ValueError("tensor of degree %d has too many slot pairs to "
+                         "reduce" % len(tensor)) from None
     return out
 
 

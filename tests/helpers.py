@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -551,3 +552,40 @@ def block_q_j(w_p, w_q, genus):
     ab = mul(a_q, b_p)
     return (16 * trace(mul(mul(twist, c_q), a_q)),
             2 * trace(ab) ** 2 + 2 * trace(mul(ab, ab)))
+
+
+def conway_from_seifert(v):
+    """Independent oracle: the Conway polynomial of a knot with Seifert
+    matrix ``v`` (a square list of integer rows), as a plain dict
+    z-exponent -> nonzero coefficient.  det(s V - s^-1 V^T) is expanded by
+    Leibniz's formula over Laurent polynomials in s, kept as dicts
+    exponent -> coefficient, and rewritten in z = s - s^-1 by taking off
+    c (s - s^-1)^d for its top term c s^d until nothing is left."""
+    def times(p, q):
+        out = {}
+        for i, c in p.items():
+            for j, d in q.items():
+                out[i + j] = out.get(i + j, 0) + c * d
+        return out
+
+    size = len(v)
+    det = {}
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in combinations(range(size), 2))
+        term = {0: (-1) ** inversions}
+        for row, col in enumerate(perm):
+            term = times(term, {1: v[row][col], -1: -v[col][row]})
+        for e, c in term.items():
+            det[e] = det.get(e, 0) + c
+    det = {e: c for e, c in det.items() if c}
+    conway = {}
+    while det:
+        top = max(det)
+        assert top >= 0, "det(s V - s^-1 V^T) is not a polynomial in z"
+        c = conway[top] = det[top]
+        for k in range(top + 1):
+            det[top - 2 * k] = (det.get(top - 2 * k, 0)
+                                - c * comb(top, k) * (-1) ** k)
+        det = {e: c for e, c in det.items() if c}
+    return conway

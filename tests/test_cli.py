@@ -260,6 +260,28 @@ def test_coinvariants_refuse_small_genus_for_the_zero_vector(
     assert err == "error: coinvariants need genus >= 2, got genus %s\n" % genus
 
 
+def chord_of_pairs(n):
+    """The chord a1*b1*...*an*bn: one matching, so it reduces to itself."""
+    return "*".join("a%d*b%d" % (i, i) for i in range(1, n + 1))
+
+
+def test_coinvariants_of_a_long_chord_print_it(capsys):
+    code, out, err = run_cli(capsys, "coinvariants", chord_of_pairs(500),
+                             "--genus", "501")
+    assert (code, out, err) == (0, chord_of_pairs(500) + "\n", "")
+
+
+def test_coinvariants_too_deep_to_reduce_is_a_usage_error(capsys):
+    # Pairing the slots recurses once per pair; past Python's recursion
+    # limit that is a one-line error, not a traceback.
+    code, out, err = run_cli(capsys, "coinvariants", chord_of_pairs(1100),
+                             "--genus", "1101")
+    assert out == ""
+    assert_one_line_usage_error(code, err)
+    assert err == ("error: tensor of degree 2200 has too many slot pairs "
+                   "to reduce\n")
+
+
 def test_python_dash_m_treetrace_runs_the_cli():
     proc = run_python("-m", "treetrace", "coinvariants", "a1*a1*b1*b1")
     assert (proc.returncode, proc.stderr) == (0, "")

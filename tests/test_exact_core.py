@@ -3,6 +3,7 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import treetrace
 from helpers import (
@@ -35,6 +36,30 @@ def test_freevec_algebra_randomized():
         assert u - u == FreeVec()
         assert c * (u + v) == c * u + c * v
         assert (-1) * u == -u
+
+
+# Three keys, so terms collide; ints and Fractions, integral ones among
+# them, so coefficients cancel and sum across the two types.
+_terms = st.lists(st.tuples(
+    st.sampled_from("xyz"),
+    st.sampled_from((-2, -1, 1, 2, Fraction(-1, 2), Fraction(1, 2),
+                     Fraction(3), Fraction(-3, 2)))), max_size=6)
+
+
+@given(_terms, _terms)
+def test_freevec_sums_match_a_plain_dict_oracle(left, right):
+    u, v = FreeVec(left), FreeVec(right)
+
+    def oracle(sign):
+        out = dict(u.items())
+        for key, c in v.items():
+            out[key] = out.get(key, 0) + sign * c
+        return sorted((k, c, type(c)) for k, c in out.items() if c)
+
+    # The coefficient types too: Fraction(1, 2) + Fraction(1, 2) stays a
+    # Fraction, and int + int an int.
+    assert sorted((k, c, type(c)) for k, c in (u + v).items()) == oracle(1)
+    assert sorted((k, c, type(c)) for k, c in (u - v).items()) == oracle(-1)
 
 
 def test_cached_computes_once_per_vector():

@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import block_q_j, jones_series_derivative, seifert_q_j
+from helpers import (block_q_j, conway_from_seifert, jones_series_derivative,
+                     seifert_q_j)
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
-from treetrace.forms import b_form, j_form, q_form
+from treetrace.forms import b_form, cocycle, cocycle_values, j_form, q_form
 from treetrace.surgery import (
     BUILTIN_KNOTS,
     FIGURE_EIGHT,
@@ -51,6 +52,12 @@ def test_laurent_poly_refuses_non_integers():
                    {2: "1"}, {Fraction(1, 2): 1}, {2: Fraction(3)}):
         with pytest.raises(TypeError):
             LaurentPoly(coeffs)
+
+
+@given(st.permutations([(-2, 1), (0, -1), (1, 3), (1, -3), (4, 2)]))
+def test_laurent_poly_equality_ignores_input_order(pairs):
+    assert LaurentPoly(pairs) == LaurentPoly({4: 2, -2: 1, 0: -1})
+    assert repr(TREFOIL.conway).startswith("LaurentPoly(")
 
 
 def test_knot_normalization_enforced():
@@ -380,6 +387,71 @@ def test_block_trace_closed_form_gives_q_and_j_of_any_square(case):
         == block_q_j(w_p, w_q, genus)
     assert (q_form(tau_q, tau_p), j_form(tau_q, tau_p)) \
         == block_q_j(w_q, w_p, genus)
+
+
+# The Seifert matrices of the trefoil and the figure-eight.
+TREFOIL_V = [[1, 1], [0, 1]]
+FIGURE_EIGHT_V = [[-1, 1], [0, 1]]
+# omega of the basis e_1..e_4 of a genus-2 bounding surface.
+STANDARD_OMEGA = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+
+
+def block_sum(v, w):
+    """The Seifert matrix of a connected sum: v and w on the diagonal."""
+    return ([row + [0] * len(w) for row in v]
+            + [[0] * len(v) + row for row in w])
+
+
+@st.composite
+def genus_two_seifert_matrices(draw):
+    """A 4x4 integral V with V - V^T the standard form: the diagonal and
+    the upper triangle drawn in -2..2, and V_ji = V_ij - omega_ij."""
+    v = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            v[i][j] = draw(st.integers(-2, 2))
+            v[j][i] = v[i][j] - STANDARD_OMEGA[i][j]
+    return v
+
+
+def seifert_square(v):
+    """(c2, c4, tau) of the knot with Seifert matrix V: c2 and c4 from
+    ``conway_from_seifert``, tau the image of the twist on the curve that
+    bounds its surface, tau2_square(e_1 ^ e_2 + e_3 ^ e_4) for the basis
+    e_i = a_i + sum_k V_ki b_k, whose Seifert form is checked to be V."""
+    size = range(len(v))
+    basis = [FreeVec({a(i + 1): 1, **{b(k + 1): v[k][i] for k in size}})
+             for i in size]
+    assert [[seifert_form(x, y) for y in basis] for x in basis] == v
+    conway = conway_from_seifert(v)
+    w = wedge_expand(*basis[:2]) + wedge_expand(*basis[2:])
+    return conway.get(2, 0), conway.get(4, 0), tau2_square(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus_two_seifert_matrices())
+@example(block_sum(TREFOIL_V, TREFOIL_V))           # c4 = 1
+@example(block_sum(TREFOIL_V, FIGURE_EIGHT_V))      # c4 = -1
+def test_tree_route_equals_surgery_route_with_c4_at_genus_two(v):
+    # The square of the twist is 1/2 surgery, so the cocycle on it is
+    # lambda2(1/2) - 2 lambda2(1/1) = 2 (v2 + 5/3 v2^2 - 60 c4), v3 gone.
+    c2, c4, tau = seifert_square(v)
+    v2 = -6 * c2
+    assert cocycle(c2, tau, c2, tau) \
+        == 2 * (v2 + Fraction(5, 3) * v2 ** 2 - 60 * c4)
+
+
+@pytest.mark.parametrize("v, conway, values", [
+    # The granny knot, trefoil # trefoil.
+    (block_sum(TREFOIL_V, TREFOIL_V), {0: 1, 2: 2, 4: 1}, (96, 40, 336)),
+    # Trefoil # figure-eight: c2 = 0, so only c4 is left.
+    (block_sum(TREFOIL_V, FIGURE_EIGHT_V), {0: 1, 4: -1}, (128, 8, 120)),
+])
+def test_connected_sums_of_the_built_in_knots(v, conway, values):
+    c2, _, tau = seifert_square(v)
+    assert conway_from_seifert(v) == conway
+    q, j, _, c = cocycle_values(c2, tau, c2, tau)
+    assert (q, j, c) == values
 
 
 def test_cross_route_cocycle_equality():
