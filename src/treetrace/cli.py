@@ -1,18 +1,23 @@
 """Command-line surface: replication report, cocycle values, surgery, traces.
 
 Exit codes: 0 on success (for ``report``: every check passed), 1 when a
-report check fails, 2 on usage, parse, or validation errors.  All numbers
-are printed as exact rationals ``p/q`` (or ``p``), never as decimals.
+report check fails, 2 on usage, parse, or validation errors, each printed
+as one line on stderr.  All numbers are printed as exact rationals ``p/q``
+(or ``p``), never as decimals.
+
+The command line is read against the table ``_COMMANDS`` by argparse's
+rules and with its messages, without importing argparse (whose import and
+first message lookup, which loads ``gettext`` and ``locale``, took longer
+than a whole ``report``); ``-h/--help`` prints help built from the table.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .exact import canonical
@@ -179,6 +184,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
+class _UsageError(Exception):
+    """A command line that ``_COMMANDS`` does not accept."""
+
+
 def _integer(text: str) -> int:
     """An integer option value: an optional sign, then digits."""
     try:
@@ -186,7 +195,17 @@ def _integer(text: str) -> int:
             return int(text)
     except ValueError:  # more digits than int() converts
         pass
-    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    raise _UsageError("invalid int value: %r" % text)
+
+
+def _choice(*choices):
+    """A converter that accepts exactly the strings ``choices``."""
+    def convert(text: str) -> str:
+        if text in choices:
+            return text
+        raise _UsageError("invalid choice: %r (choose from %s)"
+                          % (text, ", ".join(map(repr, choices))))
+    return convert
 
 
 def _rational(option: str, text: str):
@@ -306,69 +325,182 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-@functools.cache
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use; parsing leaves
-    no state in it, so every ``main`` call can reuse it."""
-    parser = argparse.ArgumentParser(
-        prog="treetrace",
-        description="Exact symplectic tree-algebra and surgery-invariant calculator.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line, read by argparse's rules.  Each command: handler, help,
+# positionals as (dest, converter, help) and options as (flag, converter,
+# default, help); an option's dest is its flag without dashes, "-" as "_".
+_GENUS = ("--genus", _integer, DEFAULT_GENUS,
+          "surface genus (default %d)" % DEFAULT_GENUS)
+_FORMAT = ("--format", _choice("text", "json"), "text", "text or json")
+_SPEC = "knot name or twist(x; y) spec"
+_LAMBDA = ("Casson value for a twist-spec %s argument (default: c2 of its "
+           "basis; a built-in knot accepts only its own)")
+_COMMANDS = {
+    "report": (_cmd_report, "run all replication checks; exit 0 iff all pass",
+               (), (_GENUS, _FORMAT)),
+    "cocycle": (_cmd_cocycle, "Q, J and full cocycle of two twists or knots",
+                (("x", str, _SPEC), ("y", str, _SPEC)),
+                (_GENUS, ("--lambda-x", str, None, _LAMBDA % "first"),
+                 ("--lambda-y", str, None, _LAMBDA % "second"), _FORMAT)),
+    "surgery": (_cmd_surgery,
+                "invariants of the sphere from 1/n surgery on a knot",
+                (("knot", str, "built-in knot name or JSON document path"),
+                 ("n", _integer, "surgery coefficient 1/n")),
+                (_FORMAT,)),
+    "coinvariants": (_cmd_coinvariants, "reduce a tensor to chord generators",
+                     (("tensor", str, "tensor expression like a1*b1*a2*b2"),),
+                     (_GENUS,)),
+    "trace": (_cmd_trace, "Lagrangian trace of a tree",
+              (("tree", str, "tree expression T(x1, x2; x3, x4)"),),
+              (("--side", _choice("A", "B"), "A", "A or B"), _GENUS)),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
-    p_report = sub.add_parser(
-        "report", help="run all replication checks; exit 0 iff all pass")
-    p_report.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
-    p_report.add_argument("--format", choices=("text", "json"), default="text")
-    p_report.set_defaults(func=_cmd_report)
 
-    p_cocycle = sub.add_parser(
-        "cocycle", help="Q, J and full cocycle of two twists or knots")
-    p_cocycle.add_argument("x", help="knot name or twist(x; y) spec")
-    p_cocycle.add_argument("y", help="knot name or twist(x; y) spec")
-    p_cocycle.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
-    p_cocycle.add_argument("--lambda-x",
-                           help="Casson value for a twist-spec first "
-                                "argument (default: c2 of its basis; a "
-                                "built-in knot accepts only its own)")
-    p_cocycle.add_argument("--lambda-y",
-                           help="Casson value for a twist-spec second "
-                                "argument (default: c2 of its basis; a "
-                                "built-in knot accepts only its own)")
-    p_cocycle.add_argument("--format", choices=("text", "json"), default="text")
-    p_cocycle.set_defaults(func=_cmd_cocycle)
+def _help(command, explicit):
+    """Print the help of ``command`` (None: of the program) and exit 0."""
+    if explicit is not None:
+        raise _UsageError("argument -h/--help: ignored explicit argument %r"
+                          % explicit)
+    if command is None:
+        usage = "[-h] command ..."
+        about = ("Exact symplectic tree-algebra and surgery-invariant "
+                 "calculator.")
+        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, about, positionals, options = _COMMANDS[command]
+        usage = " ".join((command, "[-h] [options]",
+                          *(dest for dest, _, _ in positionals)))
+        rows = [(dest, text) for dest, _, text in positionals] + [
+            (flag + " " + flag[2:].upper(), text)
+            for flag, _, _, text in options]
+    print("usage: treetrace %s\n\n%s\n" % (usage, about))
+    for row in rows + [("-h, --help", "show this help and exit")]:
+        print("  %-22s%s" % row)
+    raise SystemExit(0)
 
-    p_surgery = sub.add_parser(
-        "surgery", help="invariants of the sphere from 1/n surgery on a knot")
-    p_surgery.add_argument("knot", help="built-in knot name or JSON document path")
-    p_surgery.add_argument("n", type=_integer)
-    p_surgery.add_argument("--format", choices=("text", "json"), default="text")
-    p_surgery.set_defaults(func=_cmd_surgery)
 
-    p_coinv = sub.add_parser(
-        "coinvariants", help="reduce a tensor to chord generators")
-    p_coinv.add_argument("tensor", help="tensor expression like a1*b1*a2*b2")
-    p_coinv.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
-    p_coinv.set_defaults(func=_cmd_coinvariants)
+def _option(token: str, flags):
+    """argparse's reading of a token before "--": None for a positional,
+    else (flag, the value joined to it or None), flag None if unknown."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, explicit = token.partition("=")
+    if token in flags:
+        name, explicit = token, None
+    elif not (eq and name in flags):
+        if token[1] != "-":         # -h is the one short flag
+            name, explicit = token[:2], token[2:]
+            matches = [name] if name == "-h" else []
+        else:                       # a unique prefix of a long flag
+            matches = [flag for flag in flags if flag.startswith(name)]
+            explicit = explicit if eq else None
+        if len(matches) > 1:
+            raise _UsageError("ambiguous option: %s could match %s"
+                              % (token, ", ".join(matches)))
+        if not matches:
+            return None if _NEGATIVE_NUMBER(token) or " " in token else (
+                None, None)
+        name = matches[0]
+    if name == "-h" and explicit:   # argparse reads -hh as -h twice
+        explicit = explicit.lstrip("h") or None
+    return name, explicit
 
-    p_trace = sub.add_parser(
-        "trace", help="Lagrangian trace of a tree")
-    p_trace.add_argument("tree", help="tree expression T(x1, x2; x3, x4)")
-    p_trace.add_argument("--side", choices=("A", "B"), default="A")
-    p_trace.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
-    p_trace.set_defaults(func=_cmd_trace)
 
-    return parser
+def _parse_args(argv: list) -> SimpleNamespace:
+    """Parse a command line by argparse's rules, or raise ``_UsageError``
+    with its message; ``-h/--help`` prints help and raises SystemExit(0).
+
+    Options may come before or after positionals, the last of a repeated
+    option counts, and every token after the first "--" is a positional.
+    """
+    extras, k = [], 0
+    while k < len(argv) and argv[k] != "--":
+        kind = _option(argv[k], _HELP)
+        if kind is None:
+            break
+        if kind[0]:
+            _help(None, kind[1])
+        extras.append(argv[k])
+        k += 1
+    # The command is the first positional, or a "--" that has one after it.
+    if argv[k:] in ([], ["--"]):
+        raise _UsageError("the following arguments are required: command")
+    command, argv = argv[k], argv[k + 1:]
+    if command not in _COMMANDS:
+        raise _UsageError("argument command: invalid choice: %r (choose from "
+                          "%s)" % (command, ", ".join(map(repr, _COMMANDS))))
+    handler, _, positionals, options = _COMMANDS[command]
+    flags = dict.fromkeys(_HELP)
+    flags.update((option[0], option) for option in options)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    # Per token: None a positional, "-" the first "--", else _option's pair.
+    kinds = [_option(token, flags) for token in argv[:cut]] + ["-"] + [
+        None] * len(argv)
+    values = {dest: None for dest, _, _ in positionals}
+    values.update((flag[2:].replace("-", "_"), default)
+                  for flag, _, default, _ in options)
+    pending = list(positionals)
+    taken, lead = None, False   # the last token a positional took
+    i = 0
+    while i < len(argv):
+        token, kind = argv[i], kinds[i]
+        i += 1
+        if kind == "-":
+            # The first "--" goes with the positional that took the token
+            # before it, else with the next one (with none left to take a
+            # token, that is a missing-positional error).
+            lead = taken != i - 2 and len(pending) > 0
+            if not (lead or taken == i - 2):
+                extras.append(token)
+            continue
+        if kind is None:
+            if not pending:
+                extras.append(token)
+                continue
+            dest, convert, _ = pending.pop(0)
+            # A later "--" alone is no value: argparse drops it.
+            name, text = dest, None if token == "--" and not lead else token
+            taken, lead = i - 1, False
+        else:
+            name, text = kind
+            if name is None:
+                extras.append(token)
+                continue
+            if name in _HELP:
+                _help(command, text)
+            if text is None:
+                if i == len(argv) or kinds[i] is not None:
+                    raise _UsageError("argument %s: expected one argument"
+                                      % name)
+                text = argv[i]
+                i += 1
+            dest, convert = name[2:].replace("-", "_"), flags[name][1]
+            text = None if text == "--" else text
+        # A None text stays [name] until the end, as argparse's empty list,
+        # so that a repeated option can still replace it.
+        try:
+            values[dest] = [name] if text is None else convert(text)
+        except _UsageError as err:
+            raise _UsageError("argument %s: %s" % (name, err)) from None
+    if pending:
+        raise _UsageError("the following arguments are required: %s"
+                          % ", ".join(dest for dest, _, _ in pending))
+    if extras:
+        raise _UsageError("unrecognized arguments: %s" % " ".join(extras))
+    for value in values.values():
+        if type(value) is list:
+            raise _UsageError("argument %s: expected one argument" % value[0])
+    return SimpleNamespace(command=command, func=handler, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    # argparse reads "--option=--" as an empty list of values; refuse it as
-    # it refuses an option with no value.
-    for name, value in vars(args).items():
-        if isinstance(value, list):
-            parser.error("argument --%s: expected one argument"
-                         % name.replace("_", "-"))
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as err:
+        # One line, even where a token holds a line break.
+        print("error:", *str(err).splitlines(), file=sys.stderr)
+        raise SystemExit(2) from None
     try:
         return args.func(args)
     except ParseError as err:

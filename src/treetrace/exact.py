@@ -110,10 +110,12 @@ class FreeVec:
     def __iter__(self):
         return iter(sorted(self._terms))
 
+    # Arithmetic keeps the left operand's class, so a subclass's sums,
+    # negations and multiples are of that subclass.
     def __add__(self, other):
         if not isinstance(other, FreeVec):
             return NotImplemented
-        return FreeVec((*self._terms.items(), *other._terms.items()))
+        return type(self)((*self._terms.items(), *other._terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, FreeVec):
@@ -121,13 +123,13 @@ class FreeVec:
         return self + -other
 
     def __neg__(self):
-        return FreeVec._raw({k: -c for k, c in self._terms.items()})
+        return self._raw({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, value):
         value = scalar(value)
         if not value:
-            return FreeVec._raw({})
-        return FreeVec._raw({k: c * value for k, c in self._terms.items()})
+            return self._raw({})
+        return self._raw({k: c * value for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 

@@ -43,6 +43,11 @@ class LaurentPoly(FreeVec):
         # Integers only: a float, string or Fraction is a TypeError.
         super().__init__([(index(exp), index(coeff)) for exp, coeff in items])
 
+    def __mul__(self, value):
+        # Integer multiples only, as in the constructor.
+        return super().__mul__(index(value))
+
+    __rmul__ = __mul__
     coefficient = FreeVec.coeff
     terms = FreeVec.sorted_items
 

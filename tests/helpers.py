@@ -1,5 +1,7 @@
 """Shared random generators and small oracles for the test suite."""
 
+import argparse
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -7,9 +9,17 @@ from math import comb
 
 from hypothesis import strategies as st
 
+from treetrace.cli import (
+    _cmd_cocycle,
+    _cmd_coinvariants,
+    _cmd_report,
+    _cmd_surgery,
+    _cmd_trace,
+)
 from treetrace.exact import FreeVec
 from treetrace.forms import contract_cs, eta_s
 from treetrace.symplectic import (
+    DEFAULT_GENUS,
     FAMILY_A,
     FAMILY_B,
     BasisLabel,
@@ -589,3 +599,87 @@ def conway_from_seifert(v):
                                 - c * comb(top, k) * (-1) ** k)
         det = {e: c for e, c in det.items() if c}
     return conway
+
+
+# The argparse command line that treetrace.cli used to build, kept as the
+# oracle of its own parser: the same parser body, its integer converter,
+# and the refusal of an empty list that argparse makes of "--opt=--".
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer option value: an optional sign, then digits."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="treetrace",
+        description="Exact symplectic tree-algebra and surgery-invariant calculator.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_report = sub.add_parser(
+        "report", help="run all replication checks; exit 0 iff all pass")
+    p_report.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
+    p_report.add_argument("--format", choices=("text", "json"), default="text")
+    p_report.set_defaults(func=_cmd_report)
+
+    p_cocycle = sub.add_parser(
+        "cocycle", help="Q, J and full cocycle of two twists or knots")
+    p_cocycle.add_argument("x", help="knot name or twist(x; y) spec")
+    p_cocycle.add_argument("y", help="knot name or twist(x; y) spec")
+    p_cocycle.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
+    p_cocycle.add_argument("--lambda-x",
+                           help="Casson value for a twist-spec first "
+                                "argument (default: c2 of its basis; a "
+                                "built-in knot accepts only its own)")
+    p_cocycle.add_argument("--lambda-y",
+                           help="Casson value for a twist-spec second "
+                                "argument (default: c2 of its basis; a "
+                                "built-in knot accepts only its own)")
+    p_cocycle.add_argument("--format", choices=("text", "json"), default="text")
+    p_cocycle.set_defaults(func=_cmd_cocycle)
+
+    p_surgery = sub.add_parser(
+        "surgery", help="invariants of the sphere from 1/n surgery on a knot")
+    p_surgery.add_argument("knot", help="built-in knot name or JSON document path")
+    p_surgery.add_argument("n", type=_integer)
+    p_surgery.add_argument("--format", choices=("text", "json"), default="text")
+    p_surgery.set_defaults(func=_cmd_surgery)
+
+    p_coinv = sub.add_parser(
+        "coinvariants", help="reduce a tensor to chord generators")
+    p_coinv.add_argument("tensor", help="tensor expression like a1*b1*a2*b2")
+    p_coinv.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
+    p_coinv.set_defaults(func=_cmd_coinvariants)
+
+    p_trace = sub.add_parser(
+        "trace", help="Lagrangian trace of a tree")
+    p_trace.add_argument("tree", help="tree expression T(x1, x2; x3, x4)")
+    p_trace.add_argument("--side", choices=("A", "B"), default="A")
+    p_trace.add_argument("--genus", type=_integer, default=DEFAULT_GENUS)
+    p_trace.set_defaults(func=_cmd_trace)
+
+    return parser
+
+
+def argparse_commands(parser: argparse.ArgumentParser) -> dict:
+    """The oracle's parser of each command, by name."""
+    return parser._subparsers._group_actions[0].choices
+
+
+def argparse_parse(argv) -> argparse.Namespace:
+    """``argv`` parsed by the oracle.  argparse gives an empty list for a
+    lone "--" value, as in "--genus=--"; that is refused as a missing one."""
+    parser = argparse_parser()
+    args = parser.parse_args(argv)
+    for action in argparse_commands(parser)[args.command]._actions:
+        if getattr(args, action.dest, None) == []:
+            parser.error("argument %s: expected one argument"
+                         % argparse._get_action_name(action))
+    return args

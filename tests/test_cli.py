@@ -8,12 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import treetrace.cli
 from treetrace.cli import (
+    _UsageError,
+    _parse_args,
     _rational,
-    build_arg_parser,
     build_report,
     load_knot_document,
     main,
@@ -23,6 +24,8 @@ from treetrace.forms import cocycle_values
 from treetrace.surgery import bounding_casson
 from treetrace.symplectic import BasisLabel, omega
 from treetrace.trees import tau2_bscc_twist
+
+from helpers import argparse_commands, argparse_parse, argparse_parser
 
 SRC = str(Path(treetrace.cli.__file__).resolve().parent.parent)
 
@@ -203,8 +206,19 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_running_a_report_loads_no_argparse_gettext_or_locale():
+    # -X importtime lists every module the process imports, site included.
+    proc = run_python("-X", "importtime", "-m", "treetrace", "report")
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("overall: PASS\n")
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"treetrace.cli", "json", "fractions"} <= imported
+    assert not imported & {"argparse", "gettext", "locale"}
+
+
 def test_reused_parser_keeps_no_state_between_calls(capsys):
-    assert build_arg_parser() is build_arg_parser()
     x, y = "twist(a1; b1)", "twist(a3; b3)"
     code, out, _ = run_cli(capsys, "cocycle", x, y, "--lambda-x", "2",
                            "--lambda-y", "-5", "--format", "json")
@@ -382,7 +396,7 @@ def test_bad_lambda_is_a_usage_error(capsys):
     ["report", "--genus=--"],
 ))
 def test_option_given_a_bare_double_dash_is_a_usage_error(argv, capsys):
-    # argparse would hand the command an empty list as the option's value.
+    # argparse read a lone "--" value as an empty list of values.
     with pytest.raises(SystemExit) as stop:
         main(argv)
     assert stop.value.code == 2
@@ -583,8 +597,8 @@ def test_cli_exits_0_or_2_on_any_arguments(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as stop:  # argparse rejected the command line
-            assert stop.code == 2, argv
+        except SystemExit as stop:  # the parser rejected the command line
+            assert_one_line_usage_error(stop.code, err.getvalue())
             return
     assert code in (0, 2), argv
     if code == 2:
@@ -667,3 +681,143 @@ def test_cocycle_text_path_matches_fraction_vectors(first, second,
     assert (code, err.getvalue()) == (0, ""), argv
     assert json.loads(out.getvalue()) == {
         "Q": str(q), "J": str(j), "C": str(c)}, argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--"], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                "'report', 'cocycle', 'surgery', 'coinvariants', 'trace')"),
+    (["surgery", "trefoil"], "the following arguments are required: n"),
+    (["cocycle"], "the following arguments are required: x, y"),
+    (["coinvariants", "a1*b1", "a2"], "unrecognized arguments: a2"),
+    (["report", "--bogus", "--"], "unrecognized arguments: --bogus --"),
+    (["report", "--x\ny"], "unrecognized arguments: --x y"),
+    (["cocycle", "--lambda", "1", "trefoil", "trefoil"],
+     "ambiguous option: --lambda could match --lambda-x, --lambda-y"),
+    (["report", "--genus", "x"], "argument --genus: invalid int value: 'x'"),
+    (["surgery", "trefoil", "1/2"], "argument n: invalid int value: '1/2'"),
+    (["trace", "T(a1, b1; a2, b2)", "--side", "C"],
+     "argument --side: invalid choice: 'C' (choose from 'A', 'B')"),
+    (["report", "--format="], "argument --format: invalid choice: '' "
+                              "(choose from 'text', 'json')"),
+    (["report", "--genus", "--"], "argument --genus: expected one argument"),
+    (["cocycle", "a", "--", "--"], "argument y: expected one argument"),
+    (["cocycle", "a", "b", "--lambda-x", "-1/2"],
+     "argument --lambda-x: expected one argument"),
+    (["report", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+])
+def test_command_line_errors_are_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_help_names_every_command_and_option(capsys):
+    commands = argparse_commands(argparse_parser())
+    for flag in ("-h", "--help", "-hh", "--he"):
+        with pytest.raises(SystemExit) as stop:
+            main([flag])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: treetrace") and all(
+            name in out for name in commands)
+        for name, parser in commands.items():
+            with pytest.raises(SystemExit) as stop:
+                main([name, flag])
+            assert stop.value.code == 0
+            out, err = capsys.readouterr()
+            assert out.startswith("usage: treetrace %s" % name) and err == ""
+            for action in parser._actions:
+                names = action.option_strings or [action.dest]
+                assert all(word in out for word in names), (name, names)
+
+
+# Each command's options, with values it accepts, and its positional count.
+COMMAND_LINES = {
+    "report": ({"--genus": ("5", "8"), "--format": ("text", "json")}, 0),
+    "cocycle": ({"--genus": ("6", "+2"), "--lambda-x": ("3/4", "-1"),
+                 "--lambda-y": ("2", "-1 2"), "--format": ("json",)}, 2),
+    "surgery": ({"--format": ("text", "json")}, 2),
+    "coinvariants": ({"--genus": ("5", "-3")}, 1),
+    "trace": ({"--side": ("A", "B"), "--genus": ("7",)}, 1),
+}
+ODD_TOKENS = ("-h", "-hh", "-hx", "--he", "--help=x", "--bogus", "--bog=1",
+              "---", "-x", "-", "--", "-h=h", "-h=", "--gen 1", "--gen=1 2")
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of options (whole or a prefix, "--opt value" or
+    "--opt=value", repeated, or missing their value), one positional more,
+    fewer or as many as the command takes, values such as -1, -1/2 and
+    "1 2", "--", and odd or unknown options, in any order."""
+    value = st.one_of(
+        st.sampled_from(("trefoil", "a1*b1", "1", "-1", "-1/2", "-.5", "-1.",
+                         "1 2", "-1 2", "x", "--", "-", "", "-5 ", "--genus=3",
+                         "١", "-١", "T(a1, b1; a2, b2)")),
+        st.text("-=h 1ab", max_size=4))
+    command = draw(st.sampled_from((*COMMAND_LINES,) * 4 + ("bogus",)))
+    options, positionals = COMMAND_LINES.get(command, ({"--genus": ()}, 0))
+    count = draw(st.sampled_from((positionals,) * 3 + (
+        positionals + 1, max(positionals - 1, 0))))
+    def one_of(common, other):      # the common values seven times in eight
+        return draw(st.sampled_from(common) if draw(st.integers(0, 7))
+                    else other)
+
+    units = [[one_of(("trefoil", "1", "-1", "T(a1, b1; a2, b2)", "--"),
+                     value)] for _ in range(count)]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(sorted(options)))
+        text = one_of(options[flag] + ("--",) if options[flag] else ("5",),
+                      value)
+        flag = flag[:draw(st.integers(3, len(flag)))]
+        units.append(draw(st.sampled_from((
+            [flag, text], ["%s=%s" % (flag, text)], [flag]))))
+    for token, odds in (("--", 3), (ODD_TOKENS, 7)):
+        if not draw(st.integers(0, odds)):
+            units.append([token if token == "--" else draw(
+                st.sampled_from(token))])
+    argv = [command] + [token for unit in draw(st.permutations(units))
+                        for token in unit]
+    if not draw(st.integers(0, 19)):
+        argv[0] = draw(st.sampled_from(ODD_TOKENS))
+    elif not draw(st.integers(0, 19)):
+        argv.insert(0, draw(st.sampled_from(ODD_TOKENS)))
+    return argv
+
+
+def parse_outcome(parse, argv):
+    """("help",), (2, message) or ("ok", the parsed values)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return "ok", vars(parse(argv))
+        except SystemExit as stop:
+            if stop.code == 0:
+                return ("help",)
+            return stop.code, err.getvalue().splitlines()[-1].split(
+                "error: ", 1)[1]
+        except _UsageError as refused:
+            return 2, str(refused)
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["report", "--genus=--"])
+@example(["report", "--genus=--", "--gen=6"])
+@example(["cocycle", "--", "--", "--"])
+@example(["cocycle", "--", "--", "a"])
+@example(["cocycle", "a", "--", "b", "--"])
+@example(["surgery", "trefoil", "-1 2"])
+@example(["surgery", "-1", "-.5", "--format", "json"])
+@example(["--gen=1 2", "report"])
+@example(["--bogus", "--"])
+@example(["--", "report"])
+@example(["report", "-h="])
+@example(["report", "-h=h"])
+@example(["-hh", "bogus"])
+def test_parser_agrees_with_argparse(argv):
+    assert parse_outcome(_parse_args, argv) == parse_outcome(
+        argparse_parse, argv), argv

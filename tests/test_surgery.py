@@ -54,6 +54,23 @@ def test_laurent_poly_refuses_non_integers():
             LaurentPoly(coeffs)
 
 
+def test_laurent_poly_arithmetic_keeps_laurent_polys():
+    p, q = TREFOIL.conway, LaurentPoly({-1: 3, 0: 1, 2: -1})
+    for value, want in ((p + p, {0: 2, 2: 2}), (p - q, {-1: -3, 2: 2}),
+                        (-q, {-1: -3, 0: -1, 2: 1}), (2 * p, {0: 2, 2: 2}),
+                        (q * -3, {-1: -9, 0: -3, 2: 3}), (p * 0, {})):
+        assert type(value) is LaurentPoly
+        assert value.terms() == sorted(want.items())
+        assert all(type(c) is int for _, c in value.terms())
+    assert (p + p).coefficient(2) == 2
+    assert repr(-p) == "LaurentPoly(-1*0 + -1*2)"
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, "2"):
+        with pytest.raises(TypeError):
+            p * bad
+        with pytest.raises(TypeError):
+            bad * p
+
+
 @given(st.permutations([(-2, 1), (0, -1), (1, 3), (1, -3), (4, 2)]))
 def test_laurent_poly_equality_ignores_input_order(pairs):
     assert LaurentPoly(pairs) == LaurentPoly({4: 2, -2: 1, 0: -1})
