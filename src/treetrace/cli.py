@@ -5,10 +5,12 @@ report check fails, 2 on usage, parse, or validation errors, each printed
 as one line on stderr.  All numbers are printed as exact rationals ``p/q``
 (or ``p``), never as decimals.
 
-The command line is read against the table ``_COMMANDS`` by argparse's
-rules and with its messages, without importing argparse (whose import and
-first message lookup, which loads ``gettext`` and ``locale``, took longer
-than a whole ``report``); ``-h/--help`` prints help built from the table.
+The command line is read against the table ``_COMMANDS`` by the rules and
+with the messages of Python 3.11's argparse (later releases changed parts
+of their handling of ``--`` and of single-dash options), without importing
+argparse (whose import and first message lookup, which loads ``gettext``
+and ``locale``, took longer than a whole ``report``); ``-h/--help`` prints
+help built from the table.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import treetrace.cli
 from treetrace.cli import (
@@ -803,21 +803,47 @@ def parse_outcome(parse, argv):
             return 2, str(refused)
 
 
+COCYCLE_DEFAULTS = dict(command="cocycle", genus=5, lambda_x=None,
+                        lambda_y=None, format="text")
+USAGE = "argument command: invalid choice: %r (choose from 'report', " \
+    "'cocycle', 'surgery', 'coinvariants', 'trace')"
+
+
+# Python 3.11's argparse on "--", "-h=..." and tokens that look like
+# options, written out so that they hold on every Python.
+@pytest.mark.parametrize("argv, outcome", [
+    (["report", "--genus=--"], (2, "argument --genus: expected one argument")),
+    (["report", "--genus=--", "--gen=6"],
+     ("ok", dict(command="report", genus=6, format="text"))),
+    (["cocycle", "--", "--", "--"], (2, "argument y: expected one argument")),
+    (["cocycle", "--", "--", "a"],
+     ("ok", dict(COCYCLE_DEFAULTS, x="--", y="a"))),
+    (["cocycle", "a", "--", "b", "--"], (2, "unrecognized arguments: --")),
+    (["surgery", "trefoil", "-1 2"],
+     (2, "argument n: invalid int value: '-1 2'")),
+    (["surgery", "-1", "-.5", "--format", "json"],
+     (2, "argument n: invalid int value: '-.5'")),
+    (["--gen=1 2", "report"], (2, USAGE % "--gen=1 2")),
+    (["--bogus", "--"], (2, "the following arguments are required: command")),
+    (["--", "report"], (2, USAGE % "--")),
+    (["report", "-h="],
+     (2, "argument -h/--help: ignored explicit argument ''")),
+    (["report", "-h=h"], ("help",)),
+    (["-hh", "bogus"], ("help",)),
+])
+def test_parser_keeps_argparse_311_rules(argv, outcome):
+    got = parse_outcome(_parse_args, argv)
+    if got[0] == "ok":
+        got[1].pop("func")
+    assert got == outcome
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the parser follows Python 3.11's argparse; later releases "
+           "changed how they read '--' and single-dash options")
 @settings(max_examples=400, deadline=None)
 @given(command_lines())
-@example(["report", "--genus=--"])
-@example(["report", "--genus=--", "--gen=6"])
-@example(["cocycle", "--", "--", "--"])
-@example(["cocycle", "--", "--", "a"])
-@example(["cocycle", "a", "--", "b", "--"])
-@example(["surgery", "trefoil", "-1 2"])
-@example(["surgery", "-1", "-.5", "--format", "json"])
-@example(["--gen=1 2", "report"])
-@example(["--bogus", "--"])
-@example(["--", "report"])
-@example(["report", "-h="])
-@example(["report", "-h=h"])
-@example(["-hh", "bogus"])
 def test_parser_agrees_with_argparse(argv):
     assert parse_outcome(_parse_args, argv) == parse_outcome(
         argparse_parse, argv), argv

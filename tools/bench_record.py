@@ -2,29 +2,34 @@
 
 Usage:
 
-    python3 tools/bench_record.py PARENT CHANGE --pr 21 --pairs 10 \\
-        --seconds 20 --first-seed 101 --unseen-seed 9001
+    python3 tools/bench_record.py PARENT CHANGE --pr 21 --first-seed 101 \\
+        --unseen-seed 9001
 
 PARENT and CHANGE are checkouts (directories holding ``src/`` and
 ``perfbench/``).  For every workload of CHANGE's ``BENCHMARK.json`` it runs
-each checkout's own ``perfbench/run.py --trace 0`` in alternating pairs:
-pair k uses seed ``first_seed + k`` on both sides, and every second pair
-runs the change first.  Before every run it deletes each ``__pycache__``
-under that checkout's ``src/`` and sets ``PYTHONDONTWRITEBYTECODE=1``, so
-the package is compiled from source as the benchmark measures it.  With
-``--unseen-seed`` it adds one more pair of the first workload at that seed.
+each checkout's own ``perfbench/run.py --trace 0`` for ``SECONDS`` seconds
+in ``PAIRS`` alternating pairs: pair k uses seed ``first_seed + k`` on both
+sides, and every second pair runs the change first.  Before every run it
+deletes each ``__pycache__`` under that checkout's ``src/`` and sets
+``PYTHONDONTWRITEBYTECODE=1``, so the package is compiled from source as
+the benchmark measures it.  With ``--unseen-seed`` it adds one more pair of
+the first workload at that seed.
 
 The result, written after every workload to ``BENCH_<pr>.json`` in the
 current directory, has per workload and end-to-end metric each side's
 median and inclusive quartiles, the change's ratio to the parent, the
 pairs the change won (read better by the metric's own direction; a tie
 wins for neither) and every pair's values, plus the failed operations.
+Each side is named by its HEAD commit and the git tree of its ``src/``
+(``git rev-parse <commit>:src`` gives it back), plus a hash of
+``git diff HEAD -- src`` when ``src/`` has uncommitted changes.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -34,15 +39,17 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10          # alternating pairs per workload
+SECONDS = 20        # BENCHMARK.json's run_seconds
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One ``perfbench/run.py`` run in ``root``; its last output line."""
     for cache in (root / "src").rglob("__pycache__"):
         shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True, text=True)
     if proc.returncode != 0:
@@ -87,16 +94,25 @@ def summarise(runs: dict, metrics: list) -> dict:
     return out
 
 
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def commit(root: Path):
-    """``root``'s HEAD commit, marked when ``src/`` differs from it."""
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                          capture_output=True, text=True)
-    if head.returncode != 0:
+    """``root``'s HEAD commit and the tree of its ``src/``, with a hash of
+    the uncommitted ``src/`` changes if there are any."""
+    try:
+        head = git(root, "rev-parse", "HEAD").strip()
+    except (OSError, subprocess.CalledProcessError):
         return None
-    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"],
-                           cwd=root, capture_output=True, text=True).stdout
-    return head.stdout.strip() + (" + uncommitted src/ changes" if dirty
-                                  else "")
+    out = {"commit": head, "src_tree": git(root, "rev-parse",
+                                            "HEAD:src").strip()}
+    diff = git(root, "diff", "HEAD", "--", "src")
+    if diff or git(root, "status", "--porcelain", "--", "src"):
+        out["uncommitted_src_sha256"] = hashlib.sha256(
+            diff.encode()).hexdigest()
+    return out
 
 
 def main(argv=None):
@@ -104,18 +120,13 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pr", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--unseen-seed", type=int)
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (default: all, in "
-                             "BENCHMARK.json's order)")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seeds = [args.first_seed + k for k in range(args.pairs)]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seeds = [args.first_seed + k for k in range(PAIRS)]
     record = {
         "commit": commit(roots["change"]),
         "parent_commit": commit(roots["parent"]),
@@ -125,9 +136,9 @@ def main(argv=None):
                   "run with __pycache__ under src/ removed and "
                   "PYTHONDONTWRITEBYTECODE=1; median and inclusive quartiles "
                   "over each side's runs; change_wins counts pairs where the "
-                  "change read better" % (args.pairs, seeds[0], seeds[-1]),
+                  "change read better" % (PAIRS, seeds[0], seeds[-1]),
         "command": "python3 perfbench/run.py --workload W --seed S "
-                   "--seconds %d --trace 0" % args.seconds,
+                   "--seconds %d --trace 0" % SECONDS,
         "workloads": {},
     }
     path = Path("BENCH_%s.json" % args.pr)
@@ -135,21 +146,19 @@ def main(argv=None):
         runs = {side: [] for side in SIDES}
         for k, seed in enumerate(seeds):
             for side in (SIDES[::-1] if k % 2 else SIDES):
-                runs[side].append(run_once(roots[side], workload, seed,
-                                           args.seconds))
+                runs[side].append(run_once(roots[side], workload, seed))
                 print("%s seed %d %s: %s" % (workload, seed, side,
                                              runs[side][-1]["metrics"]),
                       file=sys.stderr, flush=True)
         record["workloads"][workload] = dict(
-            seeds=seeds, pairs=args.pairs,
+            seeds=seeds, pairs=PAIRS,
             **summarise(runs, bench["end_to_end"]))
         path.write_text(json.dumps(record, indent=1) + "\n")
     if args.unseen_seed is not None:
         record["unseen_seed"] = {"workload": workloads[0],
                                  "seed": args.unseen_seed}
         for side in SIDES:
-            result = run_once(roots[side], workloads[0], args.unseen_seed,
-                              args.seconds)
+            result = run_once(roots[side], workloads[0], args.unseen_seed)
             record["unseen_seed"][side] = dict(
                 {name: round(value, 6)
                  for name, value in result["metrics"].items()},
