@@ -9,6 +9,8 @@ surgery formulas (``surgery``), the text grammar (``grammar``), and the
 command line (``cli``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .exact import FreeVec
 from .symplectic import (
     BasisLabel,
@@ -26,7 +28,6 @@ from .symplectic import (
 )
 from .trees import (
     HTree,
-    a2_equal,
     a2_normalize,
     lambda4_embed,
     tau2_bscc_twist,
@@ -35,7 +36,6 @@ from .trees import (
     tree_expand,
 )
 from .forms import (
-    b_form,
     cocycle,
     cocycle_values,
     contract_cs,
@@ -75,60 +75,6 @@ from .grammar import (
     parse_twist,
 )
 
-__all__ = [
-    "FreeVec",
-    "BasisLabel",
-    "DEFAULT_GENUS",
-    "Elementary",
-    "SignFlip",
-    "Transposition",
-    "a",
-    "b",
-    "basis_labels",
-    "coinvariant_reduce",
-    "gl_generator_action",
-    "hvec",
-    "omega",
-    "HTree",
-    "a2_equal",
-    "a2_normalize",
-    "lambda4_embed",
-    "tau2_bscc_twist",
-    "tau2_square",
-    "tree",
-    "tree_expand",
-    "b_form",
-    "cocycle",
-    "cocycle_values",
-    "contract_cs",
-    "eta_s",
-    "j_form",
-    "nabla",
-    "project_bidegree",
-    "q_form",
-    "trace_a",
-    "trace_b",
-    "w0_member",
-    "BUILTIN_KNOTS",
-    "FIGURE_EIGHT",
-    "KnotRecord",
-    "LaurentPoly",
-    "POINCARE",
-    "SphereInvariants",
-    "TREFOIL",
-    "casson_surgery",
-    "connected_sum",
-    "d2_value",
-    "jones_h_derivative",
-    "lambda2_surgery",
-    "reverse_orientation",
-    "solve_alpha_r",
-    "vanishing_combo",
-    "ParseError",
-    "format_hvec",
-    "format_tensor",
-    "parse_hvec",
-    "parse_tensor",
-    "parse_tree",
-    "parse_twist",
-]
+# Every public name imported above; the submodules are not among them.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

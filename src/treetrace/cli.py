@@ -134,9 +134,9 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     report.add("cocycle_coefficients", "(3, 3/4)", coefficients)
     report.add("alpha_r", "(18, -3)", "(%s, %s)" % solve_alpha_r())
 
-    report.add("c4_trefoil", 0, BUILTIN_KNOTS["trefoil"].conway.coefficient(4))
+    report.add("c4_trefoil", 0, BUILTIN_KNOTS["trefoil"].conway.coeff(4))
     report.add("c4_figure_eight", 0,
-               BUILTIN_KNOTS["figure-eight"].conway.coefficient(4))
+               BUILTIN_KNOTS["figure-eight"].conway.coeff(4))
     report.add("v2_trefoil", -6,
                jones_h_derivative(BUILTIN_KNOTS["trefoil"].jones, 2))
     report.add("v2_figure_eight", 6,
@@ -222,6 +222,16 @@ def _rational(option: str, text: str):
                      % (option, text))
 
 
+# A word that the twist grammar refuses at its first character (it does not
+# begin "twist"), so meant as the name of a knot.
+_KNOT_NAME = re.compile(r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*")
+
+
+def _unknown_knot(text: str, other: str) -> ValueError:
+    return ValueError("unknown knot %r: neither a built-in knot (%s) nor %s"
+                      % (text, ", ".join(BUILTIN_KNOTS), other))
+
+
 def _twist_argument(text: str, genus: int, option=None, lam_text=None):
     """Resolve a knot name or twist(x; y) spec to its basis (x, y), and
     that to (Casson value, tree image).
@@ -231,6 +241,8 @@ def _twist_argument(text: str, genus: int, option=None, lam_text=None):
     """
     lam = None if lam_text is None else _rational(option, lam_text)
     knot = BUILTIN_KNOTS.get(text)
+    if knot is None and _KNOT_NAME.fullmatch(text):
+        raise _unknown_knot(text, "a twist(x; y) spec")
     x, y = parse_twist(text) if knot is None else knot.bscc_basis
     c2 = bounding_casson(x, y)
     if lam is None:
@@ -293,10 +305,12 @@ def load_knot_document(path: str) -> KnotRecord:
 
 
 def _cmd_surgery(args) -> int:
-    if args.knot in BUILTIN_KNOTS:
-        knot = BUILTIN_KNOTS[args.knot]
-    else:
-        knot = load_knot_document(args.knot)
+    knot = BUILTIN_KNOTS.get(args.knot)
+    if knot is None:
+        try:
+            knot = load_knot_document(args.knot)
+        except FileNotFoundError:
+            raise _unknown_knot(args.knot, "an existing knot document") from None
     sphere = SphereInvariants(casson_surgery(knot, args.n),
                               lambda2_surgery(knot, args.n))
     return _print_values({

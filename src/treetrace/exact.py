@@ -2,7 +2,7 @@
 
 Everything downstream is built on ``FreeVec``, a sparse linear combination
 of arbitrary ordered basis keys with exact rational coefficients (ints or
-Fractions); ``scalar`` is the one rule that makes a value exact, and
+Fractions); ``scalar`` is the one rule that admits a value as exact, and
 ``canonical`` the one that makes an integral one an ``int``.  There is no
 floating point anywhere.
 """
@@ -13,13 +13,12 @@ from fractions import Fraction
 
 
 def scalar(value):
-    """``value`` as an exact scalar: ints and Fractions as they are (exact
-    and cheap), a float refused, anything else through ``Fraction``."""
+    """``value`` as an exact scalar: an int or Fraction as it is; anything
+    else, a float above all, is a TypeError."""
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not exact")
-    return Fraction(value)
+    raise TypeError("%s coefficients are not exact ints or Fractions"
+                    % type(value).__name__)
 
 
 def canonical(value):
@@ -98,17 +97,11 @@ class FreeVec:
     def support(self):
         return sorted(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
-
-    def __iter__(self):
-        return iter(sorted(self._terms))
 
     # Arithmetic keeps the left operand's class, so a subclass's sums,
     # negations and multiples are of that subclass.
@@ -139,10 +132,6 @@ class FreeVec:
         return self._terms == other._terms
 
     __hash__ = None
-
-    def map_keys(self, fn) -> "FreeVec":
-        """Relabel every key through ``fn``, merging collisions."""
-        return FreeVec((fn(k), c) for k, c in self._terms.items())
 
     def __repr__(self):
         parts = ["%s*%r" % (c, k) for k, c in self.sorted_items()]

@@ -27,9 +27,9 @@ until one Fraction is made per value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
-the product of Casson values.  ``b_form`` and ``cocycle`` pair each piece
-once and divide by 4 once; ``cocycle_values`` gives Q, J, B and C of one
-pair of arguments from the same single pairing of each piece.
+the product of Casson values.  ``cocycle`` pairs each piece once and
+divides by 4 once; ``cocycle_values`` gives Q, J, B and C of one pair of
+arguments from the same single pairing of each piece.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def trace_b(v: FreeVec) -> FreeVec:
 
 def w0_member(v: FreeVec, side: str) -> bool:
     """Kernel-of-trace test inside bidegree (1,3) for side "A", (3,1) for "B"."""
-    if side == FAMILY_A.upper() or side == FAMILY_A:
+    if side == "A":
         s, image = 1, _C13
-    elif side == FAMILY_B.upper() or side == FAMILY_B:
+    elif side == "B":
         s, image = 3, _C31
     else:
         raise ValueError("side must be 'A' or 'B'")
@@ -218,21 +218,17 @@ def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
     return e, n, b, lam + b
 
 
-def b_form(x: FreeVec, y: FreeVec) -> Fraction:
-    """Tree part of the degree-two cocycle: 3*J + (3/4)*Q."""
-    return Fraction(_cocycle_totals(0, x, 0, y)[2], 4)
-
-
 def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fraction:
     """Full cocycle 36*lam_x*lam_y + 3*J + (3/4)*Q on (Casson value, tree
-    image) pairs.  Casson values must be exact: a float raises TypeError."""
+    image) pairs; ``cocycle(0, x, 0, y)`` is its tree part B.  Casson values
+    must be exact: a float raises TypeError."""
     return Fraction(_cocycle_totals(lam_x, x, lam_y, y)[3], 4)
 
 
 def cocycle_values(lam_x: Fraction, x: FreeVec, lam_y: Fraction,
                    y: FreeVec) -> tuple:
     """(Q, J, B, C) of two (Casson value, tree image) pairs at once, pairing
-    each piece once: the values of ``q_form``, ``j_form``, ``b_form`` and
-    ``cocycle`` on the same arguments."""
+    each piece once: the values of ``q_form``, ``j_form``, the tree part
+    3*J + (3/4)*Q of the cocycle and ``cocycle`` on the same arguments."""
     e, n, b, c = _cocycle_totals(lam_x, x, lam_y, y)
     return Fraction(e), Fraction(n, 2), Fraction(b, 4), Fraction(c, 4)

@@ -221,7 +221,7 @@ def _coeff_prefix(coeff, body: str) -> str:
 
 def _format(vec: FreeVec, key_text) -> str:
     # Sorted terms joined as "x - y + z", each key printed by ``key_text``.
-    if vec.is_zero():
+    if not vec:
         return "0"
     out = []
     for i, (key, coeff) in enumerate(vec.sorted_items()):

@@ -48,15 +48,13 @@ class LaurentPoly(FreeVec):
         return super().__mul__(index(value))
 
     __rmul__ = __mul__
-    coefficient = FreeVec.coeff
-    terms = FreeVec.sorted_items
 
 
 def jones_h_derivative(p: LaurentPoly, i: int) -> int:
     """i-th derivative of p(exp(-h)) at h = 0: sum of c_n (-n)^i."""
     if i < 0:
         raise ValueError("derivative order must be nonnegative")
-    return sum(c * (-n) ** i for n, c in p.terms())
+    return sum(c * (-n) ** i for n, c in p.sorted_items())
 
 
 class SphereInvariants(NamedTuple):
@@ -101,16 +99,16 @@ class KnotRecord(_KnotFields):
         if jones_h_derivative(self.jones, 0) != 1:
             raise ValueError(
                 "Jones polynomial of %r is not 1 at t = 1" % self.name)
-        if any(e < 0 or e % 2 for e, _ in self.conway.terms()):
+        if any(e < 0 or e % 2 for e, _ in self.conway.sorted_items()):
             raise ValueError("Conway polynomial of %r has a negative or odd "
                              "power of z" % self.name)
-        if self.conway.coefficient(0) != 1:
+        if self.conway.coeff(0) != 1:
             raise ValueError("Conway polynomial of %r has c0 != 1"
                              % self.name)
         if jones_h_derivative(self.jones, 1) != 0:
             raise ValueError("Jones polynomial of %r has V'(1) != 0"
                              % self.name)
-        c2 = self.conway.coefficient(2)
+        c2 = self.conway.coeff(2)
         if jones_h_derivative(self.jones, 2) != -6 * c2:
             raise ValueError("Jones polynomial of %r has v2 != -6*c2 = %d"
                              % (self.name, -6 * c2))
@@ -122,7 +120,7 @@ class KnotRecord(_KnotFields):
                 "bounding-curve basis of %r gives c2 = %d and no Conway term "
                 "above z^2, but its Conway polynomial is %s"
                 % (self.name, basis_c2,
-                   [list(term) for term in self.conway.terms()]))
+                   [list(term) for term in self.conway.sorted_items()]))
         return self
 
     @classmethod
@@ -161,7 +159,7 @@ def lambda2_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Second invariant of the sphere from 1/n surgery on the knot."""
     v2 = jones_h_derivative(knot.jones, 2)
     v3 = jones_h_derivative(knot.jones, 3)
-    c4 = knot.conway.coefficient(4)
+    c4 = knot.conway.coeff(4)
     quadratic = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
     return Fraction(n, 2) * v2 - Fraction(n, 3) * v3 + n * n * quadratic
 

@@ -90,7 +90,8 @@ def key_labels(key) -> tuple:
 
 def a2_normalize(v: FreeVec) -> FreeVec:
     """Canonical representative of ``v`` modulo the embedded Lambda^4 H, the
-    same at every genus that holds the indices of ``v``."""
+    same at every genus that holds the indices of ``v``; two vectors are
+    equal in the tree space iff their normal forms are equal."""
     data = {}
     for key, coeff in v.items():
         (w, x), (y, z) = key
@@ -100,11 +101,6 @@ def a2_normalize(v: FreeVec) -> FreeVec:
         else:
             data[key] = data.get(key, 0) + coeff
     return FreeVec._raw({k: c for k, c in data.items() if c})
-
-
-def a2_equal(x: FreeVec, y: FreeVec) -> bool:
-    """Equality in the tree space, i.e. modulo Lambda^4 H."""
-    return a2_normalize(x - y).is_zero()
 
 
 def tau2_square(w: FreeVec) -> FreeVec:

@@ -485,7 +485,7 @@ def jones_series_derivative(poly, i):
     series and read off i! times the i-th Taylor coefficient."""
     order = i + 1
     series = [Fraction(0)] * order
-    for n, c in poly.terms():
+    for n, c in poly.sorted_items():
         power = Fraction(1)
         factorial = 1
         for k in range(order):

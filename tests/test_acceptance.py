@@ -23,7 +23,6 @@ from helpers import (
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
 from treetrace.forms import (
-    b_form,
     cocycle,
     contract_cs,
     eta_s,
@@ -113,9 +112,9 @@ def test_criterion_2_form_values_on_twists():
         lam_l = bounding_casson(*FIGURE_EIGHT.bscc_basis)
         tau_l = tau2_bscc_twist(*FIGURE_EIGHT.bscc_basis, 5)
         assert (q_form(tau_k, tau_k), j_form(tau_k, tau_k),
-                b_form(tau_k, tau_k)) == (48, 12, 72)
+                cocycle(0, tau_k, 0, tau_k)) == (48, 12, 72)
         assert (q_form(tau_l, tau_l), j_form(tau_l, tau_l),
-                b_form(tau_l, tau_l)) == (80, 12, 96)
+                cocycle(0, tau_l, 0, tau_l)) == (80, 12, 96)
         assert lam_k == 1 and lam_l == -1
 
     run_criterion("2 (Q, J, B on the two twists)", checks)
@@ -126,7 +125,7 @@ def test_criterion_3_cross_route_equality():
         for knot, want in ((TREFOIL, 108), (FIGURE_EIGHT, 132)):
             lam = bounding_casson(*knot.bscc_basis)
             tau = tau2_bscc_twist(*knot.bscc_basis, 5)
-            form_side = 36 * lam * lam + b_form(tau, tau)
+            form_side = 36 * lam * lam + cocycle(0, tau, 0, tau)
             surgery_side = lambda2_surgery(knot, 2) - 2 * lambda2_surgery(knot, 1)
             assert form_side == surgery_side == want
             assert cocycle(lam, tau, lam, tau) == want
@@ -136,8 +135,8 @@ def test_criterion_3_cross_route_equality():
 
 def test_criterion_4_knot_side_scalars():
     def checks():
-        assert TREFOIL.conway.coefficient(4) == 0
-        assert FIGURE_EIGHT.conway.coefficient(4) == 0
+        assert TREFOIL.conway.coeff(4) == 0
+        assert FIGURE_EIGHT.conway.coeff(4) == 0
         assert jones_h_derivative(TREFOIL.jones, 2) == -6
         assert jones_h_derivative(FIGURE_EIGHT.jones, 2) == 6
         assert casson_surgery(TREFOIL, 1) == 1
@@ -213,13 +212,13 @@ def _suite_ihx_is_lambda4_membership():
         combination = (expand(w, x, y, z)
                        - expand(w, y, x, z)
                        + expand(w, z, x, y))
-        assert a2_normalize(combination).is_zero()
+        assert not a2_normalize(combination)
 
 
 def _suite_contraction_kills_lambda4():
     for genus in (2, 3, 4):
         for quad in combinations(basis_labels(genus), 4):
-            assert contract_cs(lambda4_embed(*quad)).is_zero()
+            assert not contract_cs(lambda4_embed(*quad))
 
 
 def _suite_nabla_kills_lambda4_both_sides():
@@ -295,7 +294,7 @@ def _suite_q_vanishes_on_trace_kernel():
     for vec in vectors:
         image = trace_a(vec)
         coeffs, residual = span.reduce(image)
-        if residual.is_zero():
+        if not residual:
             combo = vec
             for c, prev in zip(coeffs, vectors):
                 combo = combo - c * prev
@@ -330,7 +329,8 @@ def _suite_disjoint_support_vanishing():
         x = tree_expand(HTree(*(rand_hvec(rng, 2) for _ in range(4))))
         shift = {1: 3, 2: 4}
         y = tree_expand(HTree(*(
-            rand_hvec(rng, 2).map_keys(lambda l: type(l)(shift[l.index], l.family))
+            FreeVec((type(l)(shift[l.index], l.family), c)
+                    for l, c in rand_hvec(rng, 2).items())
             for _ in range(4))))
         assert q_form(x, y) == 0
         assert j_form(x, y) == 0
@@ -345,7 +345,7 @@ def _suite_genus_stability():
         assert tau5 == tau6
         assert q_form(tau5, tau5) == q_form(tau6, tau6)
         assert j_form(tau5, tau5) == j_form(tau6, tau6)
-        assert b_form(tau5, tau5) == b_form(tau6, tau6)
+        assert cocycle(0, tau5, 0, tau5) == cocycle(0, tau6, 0, tau6)
     rng = random.Random(8007)
     for _ in range(20):
         v = tree_expand(rand_tree(rng, 3))

@@ -1,6 +1,8 @@
+import glob
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -25,6 +27,7 @@ from treetrace.surgery import bounding_casson
 from treetrace.symplectic import BasisLabel, omega
 from treetrace.trees import tau2_bscc_twist
 
+from cli_outcomes import parse_outcome, parsed_outcome
 from helpers import argparse_commands, argparse_parse, argparse_parser
 
 SRC = str(Path(treetrace.cli.__file__).resolve().parent.parent)
@@ -336,9 +339,29 @@ def test_trace_and_cocycle_refuse_a_genus_below_one(capsys, argv, genus):
 
 
 def test_unknown_knot_name(capsys):
-    code, _, err = run_cli(capsys, "surgery", "granny", "1")
-    assert code == 2
-    assert err
+    # A misspelt knot is named with the built-in knots, for both commands.
+    message = ("error: unknown knot 'granny': neither a built-in knot "
+               "(trefoil, figure-eight) nor %s\n")
+    for argv, other in (
+            (("surgery", "granny", "1"), "an existing knot document"),
+            (("cocycle", "granny", "trefoil"), "a twist(x; y) spec"),
+            (("cocycle", "trefoil", "granny"), "a twist(x; y) spec")):
+        assert run_cli(capsys, *argv) == (2, "", message % other), argv
+
+
+def test_twist_basis_index_zero_is_a_parse_error(capsys):
+    assert run_cli(capsys, "cocycle", "twist(a0; b1)", "trefoil") == (
+        2, "", "parse error: basis index must be at least 1 (at offset 8)\n")
+
+
+def test_genus_too_long_for_int_is_a_usage_error(capsys):
+    # int() refuses more than 4 300 digits (sys.get_int_max_str_digits).
+    digits = "7" * 5000
+    with pytest.raises(SystemExit) as stop:
+        main(["report", "--genus", digits])
+    assert stop.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: argument --genus: invalid int value: %r\n" % digits)
 
 
 def test_cocycle_json_output(capsys):
@@ -788,21 +811,6 @@ def command_lines(draw):
     return argv
 
 
-def parse_outcome(parse, argv):
-    """("help",), (2, message) or ("ok", the parsed values)."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            return "ok", vars(parse(argv))
-        except SystemExit as stop:
-            if stop.code == 0:
-                return ("help",)
-            return stop.code, err.getvalue().splitlines()[-1].split(
-                "error: ", 1)[1]
-        except _UsageError as refused:
-            return 2, str(refused)
-
-
 COCYCLE_DEFAULTS = dict(command="cocycle", genus=5, lambda_x=None,
                         lambda_y=None, format="text")
 USAGE = "argument command: invalid choice: %r (choose from 'report', " \
@@ -811,7 +819,7 @@ USAGE = "argument command: invalid choice: %r (choose from 'report', " \
 
 # Python 3.11's argparse on "--", "-h=..." and tokens that look like
 # options, written out so that they hold on every Python.
-@pytest.mark.parametrize("argv, outcome", [
+ARGPARSE_311_CASES = [
     (["report", "--genus=--"], (2, "argument --genus: expected one argument")),
     (["report", "--genus=--", "--gen=6"],
      ("ok", dict(command="report", genus=6, format="text"))),
@@ -830,12 +838,12 @@ USAGE = "argument command: invalid choice: %r (choose from 'report', " \
      (2, "argument -h/--help: ignored explicit argument ''")),
     (["report", "-h=h"], ("help",)),
     (["-hh", "bogus"], ("help",)),
-])
+]
+
+
+@pytest.mark.parametrize("argv, outcome", ARGPARSE_311_CASES)
 def test_parser_keeps_argparse_311_rules(argv, outcome):
-    got = parse_outcome(_parse_args, argv)
-    if got[0] == "ok":
-        got[1].pop("func")
-    assert got == outcome
+    assert parsed_outcome(argv) == outcome
 
 
 @pytest.mark.skipif(
@@ -847,3 +855,53 @@ def test_parser_keeps_argparse_311_rules(argv, outcome):
 def test_parser_agrees_with_argparse(argv):
     assert parse_outcome(_parse_args, argv) == parse_outcome(
         argparse_parse, argv), argv
+
+
+def other_pythons() -> list:
+    """Every CPython >= 3.10 but this one that starts: python3.1N on PATH
+    and pyenv's 3.1x versions, each once, by its own sys.executable."""
+    here = os.path.realpath(sys.executable)
+    found = {}
+    on_path = [shutil.which("python3.%d" % minor) for minor in range(10, 20)]
+    pyenv = glob.glob(os.path.expanduser("~/.pyenv/versions/3.1*/bin/python"))
+    for exe in filter(None, on_path + pyenv):
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import platform, sys; print(sys.version_info "
+                 ">= (3, 10) and platform.python_implementation() == "
+                 "'CPython', sys.executable)"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        words = probe.stdout.split(" ", 1)
+        if probe.returncode == 0 and words[0] == "True":
+            real = os.path.realpath(words[1].strip())
+            if real != here:
+                found.setdefault(real, exe)
+    return sorted(found.values())
+
+
+def test_other_pythons_print_what_this_one_prints():
+    # pyproject.toml allows Python >= 3.10: the report, and the parser on
+    # the argparse 3.11 cases above, must not change with the interpreter.
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other CPython >= 3.10 starts here")
+    cases = json.dumps([argv for argv, _ in ARGPARSE_311_CASES])
+    script = str(Path(__file__).with_name("cli_outcomes.py"))
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+
+    def outputs(exe):
+        return [(proc.returncode, proc.stdout, proc.stderr) for proc in (
+            subprocess.run([exe, *args], input=stdin, env=env, timeout=300,
+                           capture_output=True, text=True, encoding="utf-8")
+            for args, stdin in (
+                (("-m", "treetrace", "report", "--genus", "8", "--format",
+                  "json"), None), ((script,), cases)))]
+
+    want = outputs(sys.executable)
+    assert want[0][0] == 0 and json.loads(want[0][1])["overall_pass"]
+    assert want[1][0] == 0 and json.loads(want[1][1]) == json.loads(
+        json.dumps([outcome for _, outcome in ARGPARSE_311_CASES]))
+    for exe in pythons:
+        assert outputs(exe) == want, exe

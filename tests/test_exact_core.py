@@ -1,5 +1,6 @@
 import random
 import types
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -99,7 +100,7 @@ def test_span_reduce_full_membership():
     e2 = FreeVec.single(2)
     coeffs, residual = span_reduce([e1, e2], 3 * e1 - 2 * e2)
     assert coeffs == [3, -2]
-    assert residual.is_zero()
+    assert not residual
 
 
 def test_span_reduce_ihx_difference_is_in_lambda4_span():
@@ -111,7 +112,7 @@ def test_span_reduce_ihx_difference_is_in_lambda4_span():
     for genus in (4, 5):
         basis = list(lambda4_basis(genus))
         coeffs, residual = span_reduce(basis, difference)
-        assert residual.is_zero()
+        assert not residual
         rebuilt = FreeVec()
         for c, vec in zip(coeffs, basis):
             rebuilt = rebuilt + c * vec
@@ -146,6 +147,12 @@ def test_float_coefficients_are_rejected():
         FreeVec({"x": 0.5})
     with pytest.raises(TypeError):
         FreeVec.single("x") * 0.5
+    # Nor is any other type converted: a string or a Decimal is refused.
+    for value in ("1/2", "2", Decimal("0.5")):
+        with pytest.raises(TypeError, match="not exact ints or Fractions"):
+            FreeVec({"x": value})
+        with pytest.raises(TypeError):
+            FreeVec.single("x") * value
 
 
 def test_package_exports_only_public_names():

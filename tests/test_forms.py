@@ -23,7 +23,6 @@ from helpers import (
 )
 from treetrace.exact import FreeVec
 from treetrace.forms import (
-    b_form,
     cocycle,
     cocycle_values,
     contract_cs,
@@ -98,7 +97,7 @@ def test_projections_of_figure_eight_twist_match_displayed_trees():
 
 def test_projection_of_pure_a_part_to_b_bidegree_is_zero():
     v = expand(a(1), a(2), a(3), a(4))
-    assert project_bidegree(v, 0, 4).is_zero()
+    assert not project_bidegree(v, 0, 4)
 
 
 def test_projections_decompose_identity():
@@ -117,7 +116,7 @@ def test_projections_decompose_identity():
 
 
 def test_trace_a_values():
-    assert trace_a(expand(a(2), b(2), b(3), b(4))).is_zero()
+    assert not trace_a(expand(a(2), b(2), b(3), b(4)))
     assert trace_a(expand(b(2), b(3), b(4), a(2))) == s2h(b(3), b(4))
     assert trace_a(expand(a(1), b(1), b(1), b(2))) == -s2h(b(1), b(2))
 
@@ -127,7 +126,7 @@ def test_trace_b_values():
     # Direct evaluation of the mirrored formula: omega(b1, a1) = -1 makes
     # this come out positive; the contraction cross-check below agrees.
     assert trace_b(expand(b(1), a(1), a(1), a(2))) == s2h(a(1), a(2))
-    assert trace_b(expand(b(2), a(2), a(3), a(4))).is_zero()
+    assert not trace_b(expand(b(2), a(2), a(3), a(4)))
 
 
 def test_trace_b_agrees_with_negated_contraction():
@@ -233,6 +232,14 @@ def test_w0_rejects_wrong_bidegree():
         w0_member(expand(a(1), b(1), b(2), b(3)), "B")
 
 
+def test_w0_side_is_a_or_b():
+    # Only the documented sides: a lower-case family letter is refused too.
+    v = expand(a(2), b(2), b(3), b(4))
+    for side in ("x", "a", "b", ""):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            w0_member(v, side)
+
+
 # ---------------------------------------------------------------------------
 # contraction and pairings
 # ---------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def test_w0_rejects_wrong_bidegree():
 def test_contraction_kills_embedded_four_forms():
     for genus in (2, 3, 4):
         for quad in combinations(basis_labels(genus), 4):
-            assert contract_cs(lambda4_embed(*quad)).is_zero()
+            assert not contract_cs(lambda4_embed(*quad))
 
 
 def test_contraction_of_twist_projections():
@@ -474,8 +481,8 @@ def test_generator_pairs_split_the_two_forms():
 
 
 def test_b_form_values():
-    assert b_form(tau_trefoil(), tau_trefoil()) == 72
-    assert b_form(tau_eight(), tau_eight()) == 96
+    assert cocycle(0, tau_trefoil(), 0, tau_trefoil()) == 72
+    assert cocycle(0, tau_eight(), 0, tau_eight()) == 96
 
 
 def test_b_form_vanishes_on_disjoint_supports():
@@ -483,7 +490,7 @@ def test_b_form_vanishes_on_disjoint_supports():
     y = tau2_bscc_twist(a(3), b(3), 5)
     assert q_form(x, y) == 0
     assert j_form(x, y) == 0
-    assert b_form(x, y) == 0
+    assert cocycle(0, x, 0, y) == 0
 
 
 def test_cocycle_values():
@@ -550,7 +557,7 @@ def test_q_form_vanishes_on_trace_kernel_left_arguments():
     for vec in vectors:
         image = trace_a(vec)
         coeffs, residual = span.reduce(image)
-        if residual.is_zero():
+        if not residual:
             combo = vec
             for c, prev in zip(coeffs, vectors):
                 combo = combo - c * prev
@@ -573,7 +580,7 @@ def test_j_form_vanishes_without_pure_b_part():
     for _ in range(100):
         v = tree_expand(rand_tree(rng, 4))
         x = v - project_bidegree(v, 0, 4)
-        assert project_bidegree(x, 0, 4).is_zero()
+        assert not project_bidegree(x, 0, 4)
         y = tree_expand(rand_tree(rng, 4))
         assert j_form(x, y) == 0
 
@@ -586,13 +593,13 @@ def test_forms_match_filter_projection_oracle(case_x, case_y):
     q, j = q_form(x, y), j_form(x, y)
     assert q == upsilon(P(x, 1, 3), P(y, 3, 1))
     assert j == nabla(P(x, 0, 4), P(y, 4, 0))
-    assert b_form(x, y) == 3 * j + Fraction(3, 4) * q
+    assert cocycle(0, x, 0, y) == 3 * j + Fraction(3, 4) * q
     assert cocycle(Fraction(2, 3), x, -3, y) == -72 + 3 * j + Fraction(3, 4) * q
     assert cocycle_values(Fraction(2, 3), x, -3, y) == (
-        q, j, b_form(x, y), cocycle(Fraction(2, 3), x, -3, y))
+        q, j, cocycle(0, x, 0, y), cocycle(Fraction(2, 3), x, -3, y))
     for s in range(5):
         assert project_bidegree(x, s, 4 - s) == P(x, s, 4 - s)
-    values = [q, j, b_form(x, y), cocycle(1, x, 2, y)]
+    values = [q, j, cocycle(0, x, 0, y), cocycle(1, x, 2, y)]
     values += cocycle_values(1, x, 2, y)
     # Vectors derived from x start without x's split; x keeps its own.
     for other in (x + y, -x, 2 * x):

@@ -9,7 +9,7 @@ from helpers import (block_q_j, conway_from_seifert, jones_series_derivative,
                      seifert_q_j)
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
-from treetrace.forms import b_form, cocycle, cocycle_values, j_form, q_form
+from treetrace.forms import cocycle, cocycle_values, j_form, q_form
 from treetrace.surgery import (
     BUILTIN_KNOTS,
     FIGURE_EIGHT,
@@ -41,8 +41,8 @@ def sphere(lam, lam2):
 
 def test_laurent_poly_drops_zero_coefficients():
     p = LaurentPoly({3: 0, 1: 2, -1: 1})
-    assert p.terms() == [(-1, 1), (1, 2)]
-    assert p.coefficient(3) == 0
+    assert p.sorted_items() == [(-1, 1), (1, 2)]
+    assert p.coeff(3) == 0
     assert jones_h_derivative(p, 0) == 3
 
 
@@ -60,9 +60,9 @@ def test_laurent_poly_arithmetic_keeps_laurent_polys():
                         (-q, {-1: -3, 0: -1, 2: 1}), (2 * p, {0: 2, 2: 2}),
                         (q * -3, {-1: -9, 0: -3, 2: 3}), (p * 0, {})):
         assert type(value) is LaurentPoly
-        assert value.terms() == sorted(want.items())
-        assert all(type(c) is int for _, c in value.terms())
-    assert (p + p).coefficient(2) == 2
+        assert value.sorted_items() == sorted(want.items())
+        assert all(type(c) is int for _, c in value.sorted_items())
+    assert (p + p).coeff(2) == 2
     assert repr(-p) == "LaurentPoly(-1*0 + -1*2)"
     for bad in (Fraction(1, 2), Fraction(2), 0.5, "2"):
         with pytest.raises(TypeError):
@@ -104,10 +104,10 @@ def test_builtin_jones_polynomials_are_normalized():
 
 
 def test_conway_coefficients():
-    assert TREFOIL.conway.coefficient(4) == 0
-    assert FIGURE_EIGHT.conway.coefficient(4) == 0
-    assert LaurentPoly({4: 1, 2: 1, 0: 1}).coefficient(4) == 1
-    assert TREFOIL.conway.coefficient(2) == 1
+    assert TREFOIL.conway.coeff(4) == 0
+    assert FIGURE_EIGHT.conway.coeff(4) == 0
+    assert LaurentPoly({4: 1, 2: 1, 0: 1}).coeff(4) == 1
+    assert TREFOIL.conway.coeff(2) == 1
 
 
 def test_jones_h_derivatives():
@@ -117,6 +117,11 @@ def test_jones_h_derivatives():
     assert jones_h_derivative(FIGURE_EIGHT.jones, 3) == 0
     assert jones_h_derivative(TREFOIL.jones, 0) == 1
     assert jones_h_derivative(TREFOIL.jones, 1) == 0
+
+
+def test_jones_h_derivative_order_is_nonnegative():
+    with pytest.raises(ValueError, match="derivative order"):
+        jones_h_derivative(TREFOIL.jones, -1)
 
 
 def test_jones_h_derivative_matches_series_oracle():
@@ -160,7 +165,7 @@ def test_lambda2_surgery_is_the_displayed_quadratic():
     for knot in BUILTIN_KNOTS.values():
         v2 = jones_h_derivative(knot.jones, 2)
         v3 = jones_h_derivative(knot.jones, 3)
-        c4 = knot.conway.coefficient(4)
+        c4 = knot.conway.coeff(4)
         linear = Fraction(v2, 2) - Fraction(v3, 3)
         quad = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
         for n in range(-3, 4):
@@ -311,7 +316,8 @@ def test_tree_route_equals_surgery_route_on_bounding_twists(basis):
                       bscc_basis=(x, y))
     lam = casson_surgery(knot, 1)
     assert lam == c2
-    assert b_form(tau, tau) == surgery_cocycle_value(knot) - 36 * lam ** 2 \
+    assert cocycle(0, tau, 0, tau) \
+        == surgery_cocycle_value(knot) - 36 * lam ** 2 \
         == 84 * c2 ** 2 - 12 * c2
 
 
