@@ -279,12 +279,21 @@ def _polynomial(doc: dict, key: str) -> LaurentPoly:
 def load_knot_document(path: str) -> KnotRecord:
     """Read a knot document: JSON with name, conway/jones pair lists, and an
     optional pair of basis strings for a bounding curve.  A document of the
-    wrong shape, or whose polynomials do not fit a knot, is a ValueError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
+    wrong shape, or whose polynomials do not fit a knot, is a ValueError;
+    so is one that cannot be read, unless it does not exist
+    (FileNotFoundError)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-        except RecursionError:
-            raise ValueError("knot document is nested too deeply") from None
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        raise ValueError("cannot read knot document %r: %s"
+                         % (path, err.strerror)) from None
+    except UnicodeDecodeError:
+        raise ValueError("knot document %r is not UTF-8 text" % path) from None
+    except RecursionError:
+        raise ValueError("knot document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("knot document must be a JSON object")
     if not isinstance(doc.get("name"), str):

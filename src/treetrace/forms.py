@@ -12,18 +12,23 @@ the subspaces W0 inside bidegrees (1,3) and (3,1).
 Two rational-valued pairings act on these pieces: the perfect pairing
 ``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
 tree inner product ``nabla``.  omega(u, v) is nonzero only when v is the
-omega-partner u' of u (same index, other family), and omega(u, u') is +1
-for u in A, -1 for u in B.  So neither pairing evaluates omega: each term
-of x looks up in y's term dict the layouts of its partners that can pair
-with it and adds their coefficients with a sign, whatever the key layout.
-For the slot labels of two terms let M_kl = omega(x_k, y_l), with 2x2
-minors m_ij on rows 0, 1 and n_kl on rows 2, 3: the S^2(Lambda^2 H) pairing
-is D = m_01 n_23 + m_23 n_01, the Lambda^4 H pairing of the four-slot
-wedges is the determinant of M, and 2 nabla is 3 D less that determinant.
-The wedge of lambda4(q) is 3 q, and D pairs lambda4(q) with y as q with
-the wedge of y, so nabla vanishes on the embedded Lambda^4 H from either
-side.  The totals stay ints (Fractions only for Fraction coefficients)
-until one Fraction is made per value.
+omega-partner u' of u (same index, other family), and omega(u, u') =
+eps(u) is +1 for u in A, -1 for u in B.  So a pairing is a dot product of
+two images of its arguments, each built once per piece and kept with it:
+the partner image x* (every label replaced by its partner, times the
+product of eps over the labels, wedges and legs sorted), the canonical
+form x° (wedges and legs sorted, a square key doubled), and the four-slot
+wedges W(x) and W*(x) = W(x*) of a tree, the labels sorted with the sign
+of the permutation.  Then eta_s(x, y) = <x*, y°>.  For the slot labels of
+two tree terms let M_kl = omega(x_k, y_l), with 2x2 minors m_ij on rows
+0, 1 and n_kl on rows 2, 3: the S^2(Lambda^2 H) pairing is D = m_01 n_23
++ m_23 n_01 = <x*, y°>, the Lambda^4 H pairing of the four-slot wedges is
+det M = <W*(x), W(y)>, and 2 nabla = 3 D - det M.  The wedge of lambda4(q)
+is 3 q, and D pairs lambda4(q) with y as q with the wedge of y, so nabla
+vanishes on the embedded Lambda^4 H from either side.  A Gram block of m
+vectors costs m image builds and m^2 dot products.  The totals stay ints
+(Fractions only for Fraction coefficients) until one Fraction is made per
+value.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
@@ -37,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import FreeVec, scalar
-from .symplectic import FAMILY_A, FAMILY_B, BasisLabel, label_omega
+from .symplectic import _PARTNERS, FAMILY_A, FAMILY_B
 from .trees import key_labels
 
 def key_bidegree(key) -> tuple:
@@ -117,82 +122,184 @@ def contract_cs(v: FreeVec) -> FreeVec:
     (a^b)(c^d) goes to w(a,d) bc - w(a,c) bd - w(b,d) ac + w(b,c) ad with w
     = |omega| the symmetric A-B pairing; the embedded Lambda^4 H is killed.
     """
+    partners = _PARTNERS
     data = {}
-    for key, coeff in v.items():
-        la, lb, lc, ld = key_labels(key)
-        for u, w, keep1, keep2, sign in (
-                (la, ld, lb, lc, 1),
-                (la, lc, lb, ld, -1),
-                (lb, ld, la, lc, -1),
-                (lb, lc, la, ld, 1)):
-            if label_omega(u, w):
+    for ((la, lb), (lc, ld)), coeff in v._terms.items():
+        pa, pb = partners[la][0], partners[lb][0]
+        # |omega|(u, w) is 1 when w is u's partner and 0 otherwise.
+        for p, w, keep1, keep2, sign in (
+                (pa, ld, lb, lc, 1),
+                (pa, lc, lb, ld, -1),
+                (pb, ld, la, lc, -1),
+                (pb, lc, la, ld, 1)):
+            if p == w:
                 pair = (keep1, keep2) if keep1 <= keep2 else (keep2, keep1)
                 data[pair] = data.get(pair, 0) + coeff * sign
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
-def _partner(u: BasisLabel) -> BasisLabel:
-    # The one basis label omega pairs with u: same index, other family.
-    return BasisLabel(u.index, FAMILY_B if u.family == FAMILY_A else FAMILY_A)
+# The images the pairings read, each a dict built in one pass over a piece
+# and kept with it (``FreeVec.cached``).  A key of an image holds the codes
+# of its labels (``symplectic._PARTNERS``), so it hashes and compares as
+# ints; an image may hold zero entries where terms cancel, which the dot
+# product does not mind.
 
 
-def _eta_total(x: FreeVec, y: FreeVec):
-    # eta_s(x, y) as an int (a Fraction when a coefficient is one).  A term
-    # (u, v) of x pairs to omega(u, u') omega(v, v') = +-1 with each of the
-    # keys (u', v') and (v', u') of y (one key, counted twice, when u = v).
-    ydata = y._terms
-    if not x._terms or not ydata:
-        return 0
-    get = ydata.get
+def _pair_star(v: FreeVec) -> dict:
+    # S^2(H) partner image: (u, w) -> omega(u, u') omega(w, w') (u', w'),
+    # the pair sorted.
+    partners = _PARTNERS
+    data = {}
+    for (u, w), c in v._terms.items():
+        u, w = partners[u][1] ^ 1, partners[w][1] ^ 1
+        if (u ^ w) & 1:
+            c = -c
+        key = (u, w) if u <= w else (w, u)
+        data[key] = data.get(key, 0) + c
+    return data
+
+
+def _pair_canon(v: FreeVec) -> dict:
+    # S^2(H) canonical form, the pair sorted and a square (u, u) doubled.
+    partners = _PARTNERS
+    data = {}
+    for (u, w), c in v._terms.items():
+        u, w = partners[u][1], partners[w][1]
+        if u < w:
+            key = u, w
+        elif w < u:
+            key = w, u
+        else:
+            key, c = (u, w), 2 * c
+        data[key] = data.get(key, 0) + c
+    return data
+
+
+def _star(v: FreeVec) -> dict:
+    # S^2(Lambda^2 H) partner image: every label replaced by its partner,
+    # times the product of omega(u, u') over the four slots, wedges and legs
+    # sorted; a wedge of two equal labels is zero.
+    partners = _PARTNERS
+    data = {}
+    for ((w, x), (y, z)), c in v._terms.items():
+        w, x = partners[w][1] ^ 1, partners[x][1] ^ 1
+        y, z = partners[y][1] ^ 1, partners[z][1] ^ 1
+        if (w ^ x ^ y ^ z) & 1:
+            c = -c
+        if x < w:
+            w, x, c = x, w, -c
+        elif x == w:
+            continue
+        if z < y:
+            y, z, c = z, y, -c
+        elif z == y:
+            continue
+        key = (w, x, y, z) if w < y or w == y and x <= z else (y, z, w, x)
+        data[key] = data.get(key, 0) + c
+    return data
+
+
+def _canon(v: FreeVec) -> dict:
+    # S^2(Lambda^2 H) canonical form: wedges and legs sorted, a square
+    # (k, k) doubled, a wedge of two equal labels zero.
+    partners = _PARTNERS
+    data = {}
+    for ((w, x), (y, z)), c in v._terms.items():
+        w, x = partners[w][1], partners[x][1]
+        y, z = partners[y][1], partners[z][1]
+        if x < w:
+            w, x, c = x, w, -c
+        elif x == w:
+            continue
+        if z < y:
+            y, z, c = z, y, -c
+        elif z == y:
+            continue
+        if w < y or w == y and x < z:
+            key = w, x, y, z
+        elif w == y and x == z:
+            key, c = (w, x, y, z), 2 * c
+        else:
+            key = y, z, w, x
+        data[key] = data.get(key, 0) + c
+    return data
+
+
+def _wedge_terms(terms) -> dict:
+    # Four-slot wedges of (codes, coefficient) pairs, the codes sorted by a
+    # five-comparison network with the sign of the permutation; a repeated
+    # label is zero.
+    data = {}
+    for (p, q, r, t), c in terms:
+        if q < p:
+            p, q, c = q, p, -c
+        if t < r:
+            r, t, c = t, r, -c
+        if r < p:
+            p, r, c = r, p, -c
+        if t < q:
+            q, t, c = t, q, -c
+        if r < q:
+            q, r, c = r, q, -c
+        if p == q or q == r or r == t:
+            continue
+        key = p, q, r, t
+        data[key] = data.get(key, 0) + c
+    return data
+
+
+def _wedge(v: FreeVec) -> dict:
+    partners = _PARTNERS
+    return _wedge_terms(
+        ((partners[w][1], partners[x][1], partners[y][1], partners[z][1]), c)
+        for ((w, x), (y, z)), c in v._terms.items())
+
+
+def _wedge_star(v: FreeVec) -> dict:
+    return _wedge_terms(v.cached(_star).items())
+
+
+def _dot(x: dict, y: dict):
+    # Sparse dot product of two images over the smaller one's keys.
+    if len(y) < len(x):
+        x, y = y, x
+    get = y.get
     total = 0
-    for (u, v), cx in x._terms.items():
-        pu, pv = _partner(u), _partner(v)
-        cy = get((pu, pv), 0) + get((pv, pu), 0)
-        if cy:
-            total += cx * cy if u.family == v.family else -cx * cy
+    for key, c in x.items():
+        d = get(key)
+        if d:
+            total += c * d
     return total
 
 
-def _nabla_total(x: FreeVec, y: FreeVec):
-    # Twice nabla: 2 (m01 n23 + m23 n01) + m02 n13 + m13 n02 - m03 n12
-    # - m12 n03 per term pair.  M is (-1)^(number of B-labels of x) times
-    # the 0/1 matrix placing x's partners in y's slots, so m_ij n_kl is
-    # that sign times the signed sum, over the four orders (p, q) of x's
-    # first leg and (r, t) of its second, of [y_i y_j y_k y_l = p q r t]:
-    # the coefficient in y of the key with those labels in those slots.
-    ydata = y._terms
-    if not x._terms or not ydata:
+def _eta_dot(x: FreeVec, y: FreeVec):
+    # eta_s(x, y) as an int (a Fraction when a coefficient is one).
+    if not x._terms or not y._terms:
         return 0
-    get = ydata.get
-    total = 0
-    for kx, cx in x._terms.items():
-        (x0, x1), (x2, x3) = kx
-        p0, p1, p2, p3 = _partner(x0), _partner(x1), _partner(x2), _partner(x3)
-        acc = 0
-        for p, q, r, t, sign in ((p0, p1, p2, p3, 1), (p1, p0, p2, p3, -1),
-                                 (p0, p1, p3, p2, -1), (p1, p0, p3, p2, 1)):
-            pq, rt = (p, q), (r, t)
-            pr, rp, qt, tq = (p, r), (r, p), (q, t), (t, q)
-            acc += sign * (2 * (get((pq, rt), 0) + get((rt, pq), 0))
-                           + get((pr, qt), 0) + get((rp, tq), 0)
-                           - get((pr, tq), 0) - get((rp, qt), 0))
-        if acc:
-            total += -cx * acc if key_bidegree(kx)[1] % 2 else cx * acc
-    return total
+    return _dot(x.cached(_pair_star), y.cached(_pair_canon))
+
+
+def _twice_nabla(x: FreeVec, y: FreeVec):
+    # 2 nabla(x, y) = 3 D - det M (module doc), an int unless a coefficient
+    # is a Fraction.
+    if not x._terms or not y._terms:
+        return 0
+    return (3 * _dot(x.cached(_star), y.cached(_canon))
+            - _dot(x.cached(_wedge_star), y.cached(_wedge)))
 
 
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c).
 
     Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab."""
-    return Fraction(_eta_total(x, y))
+    return Fraction(_eta_dot(x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product: 3 times the S^2(Lambda^2 H) pairing less the
     Lambda^4 H pairing of the four-slot wedges, halved, so zero on
     lambda4(q) (module doc)."""
-    return Fraction(_nabla_total(x, y), 2)
+    return Fraction(_twice_nabla(x, y), 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
@@ -212,8 +319,8 @@ def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
     # C = 36*lam_x*lam_y + B, with Casson values made exact by ``scalar``.
     lam = 144 * scalar(lam_x) * scalar(lam_y)
     sx, sy = x.cached(_split), y.cached(_split)
-    e = _eta_total(sx[_C13], sy[_C31])
-    n = _nabla_total(sx[0], sy[4])
+    e = _eta_dot(sx[_C13], sy[_C31])
+    n = _twice_nabla(sx[0], sy[4])
     b = 6 * n + 3 * e
     return e, n, b, lam + b
 

@@ -5,7 +5,9 @@ a_i span the Lagrangian A, the b_i span B.  One pairing lives on the basis
 labels: the antisymmetric intersection form ``label_omega`` with
 omega(a_i, b_j) = delta_ij and both Lagrangians isotropic.  On H the
 Seifert form ``seifert_form``, L(u, v) = sum_k u_{a_k} v_{b_k}, gives
-the intersection form as ``omega`` = L - L^T.
+the intersection form as ``omega`` = L - L^T.  omega pairs a label only
+with its partner (same index, other family); the pairings look partners up
+in one private table, filled on the first sight of each label.
 
 GL_g(Z) acts on A by a matrix G and on B by its inverse transpose; the
 action on tensor powers is factor-wise.  ``coinvariant_reduce`` rewrites a
@@ -67,6 +69,25 @@ def hvec(label_or_vec) -> FreeVec:
     return FreeVec.single(label_or_vec)
 
 
+class _PartnerTable(dict):
+    # label -> (its omega-partner, its code); an entry is made on the first
+    # lookup of its label, so there are two per index in use.
+    def __missing__(self, u):
+        if u.family == FAMILY_A:
+            entry = self[u] = (BasisLabel(u.index, FAMILY_B), 2 * u.index)
+        else:
+            entry = self[u] = (BasisLabel(u.index, FAMILY_A), 2 * u.index + 1)
+        return entry
+
+
+# The one table of omega-partners.  omega(u, v) is nonzero only for v the
+# partner u' of u (same index, other family), where it is +1 for u = a_i
+# and -1 for u = b_i.  The code of a_i is 2i and that of b_i is 2i + 1: an
+# int in the key order of the labels, whose parity is the family and whose
+# partner's code is ``code ^ 1``.
+_PARTNERS = _PartnerTable()
+
+
 def label_omega(u: BasisLabel, v: BasisLabel) -> int:
     """Intersection pairing on basis labels: omega(a_i, b_i) = 1, antisymmetric."""
     if u.index != v.index or u.family == v.family:
@@ -76,8 +97,9 @@ def label_omega(u: BasisLabel, v: BasisLabel) -> int:
 
 def seifert_form(u: FreeVec, v: FreeVec):
     """Seifert form L(u, v) = sum_k u_{a_k} v_{b_k} on H, exact."""
-    return sum(c * v.coeff(b(k.index))
-               for k, c in u.items() if k.family == FAMILY_A)
+    partners, get = _PARTNERS, v._terms.get
+    return sum(c * get(partners[k][0], 0)
+               for k, c in u._terms.items() if k.family == FAMILY_A)
 
 
 def omega(u: FreeVec, v: FreeVec):

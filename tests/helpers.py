@@ -17,7 +17,7 @@ from treetrace.cli import (
     _cmd_trace,
 )
 from treetrace.exact import FreeVec
-from treetrace.forms import contract_cs, eta_s
+from treetrace.forms import contract_cs, eta_s, key_bidegree
 from treetrace.symplectic import (
     DEFAULT_GENUS,
     FAMILY_A,
@@ -225,6 +225,62 @@ def nabla_all_pairs(x: FreeVec, y: FreeVec) -> Fraction:
     return sum((cx * cy * nabla_pair(key_labels(kx), key_labels(ky))
                 for kx, cx in x.items() for ky, cy in y.items()),
                Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Pairing by partner layouts: the term-by-term loops behind eta_s and nabla
+# before they became dot products of cached images, kept as their oracles
+# ---------------------------------------------------------------------------
+
+
+def _partner(u: BasisLabel) -> BasisLabel:
+    # The one basis label omega pairs with u: same index, other family.
+    return BasisLabel(u.index, FAMILY_B if u.family == FAMILY_A else FAMILY_A)
+
+
+def _eta_total(x: FreeVec, y: FreeVec):
+    # eta_s(x, y) as an int (a Fraction when a coefficient is one).  A term
+    # (u, v) of x pairs to omega(u, u') omega(v, v') = +-1 with each of the
+    # keys (u', v') and (v', u') of y (one key, counted twice, when u = v).
+    ydata = y._terms
+    if not x._terms or not ydata:
+        return 0
+    get = ydata.get
+    total = 0
+    for (u, v), cx in x._terms.items():
+        pu, pv = _partner(u), _partner(v)
+        cy = get((pu, pv), 0) + get((pv, pu), 0)
+        if cy:
+            total += cx * cy if u.family == v.family else -cx * cy
+    return total
+
+
+def _nabla_total(x: FreeVec, y: FreeVec):
+    # Twice nabla: 2 (m01 n23 + m23 n01) + m02 n13 + m13 n02 - m03 n12
+    # - m12 n03 per term pair.  M is (-1)^(number of B-labels of x) times
+    # the 0/1 matrix placing x's partners in y's slots, so m_ij n_kl is
+    # that sign times the signed sum, over the four orders (p, q) of x's
+    # first leg and (r, t) of its second, of [y_i y_j y_k y_l = p q r t]:
+    # the coefficient in y of the key with those labels in those slots.
+    ydata = y._terms
+    if not x._terms or not ydata:
+        return 0
+    get = ydata.get
+    total = 0
+    for kx, cx in x._terms.items():
+        (x0, x1), (x2, x3) = kx
+        p0, p1, p2, p3 = _partner(x0), _partner(x1), _partner(x2), _partner(x3)
+        acc = 0
+        for p, q, r, t, sign in ((p0, p1, p2, p3, 1), (p1, p0, p2, p3, -1),
+                                 (p0, p1, p3, p2, -1), (p1, p0, p3, p2, 1)):
+            pq, rt = (p, q), (r, t)
+            pr, rp, qt, tq = (p, r), (r, p), (q, t), (t, q)
+            acc += sign * (2 * (get((pq, rt), 0) + get((rt, pq), 0))
+                           + get((pr, qt), 0) + get((rp, tq), 0)
+                           - get((pr, tq), 0) - get((rp, qt), 0))
+        if acc:
+            total += -cx * acc if key_bidegree(kx)[1] % 2 else cx * acc
+    return total
 
 
 # ---------------------------------------------------------------------------

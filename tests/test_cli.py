@@ -548,6 +548,25 @@ def test_deeply_nested_knot_document_is_a_usage_error(tmp_path, capsys):
     assert out == ""
 
 
+def test_knot_document_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    # The message names the document, without the OSError's "[Errno N]".
+    with pytest.raises(ValueError):
+        load_knot_document(str(tmp_path))
+    assert run_cli(capsys, "surgery", str(tmp_path), "1") == (
+        2, "", "error: cannot read knot document %r: Is a directory\n"
+        % str(tmp_path))
+
+
+def test_knot_document_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(dict(TREFOIL_DOC, name="tr\u00e9foil"),
+                                ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(ValueError):
+        load_knot_document(str(path))
+    assert run_cli(capsys, "surgery", str(path), "1") == (
+        2, "", "error: knot document %r is not UTF-8 text\n" % str(path))
+
+
 def test_non_ascii_digit_is_a_parse_error(capsys):
     code, out, err = run_cli(capsys, "coinvariants", "a²*b1")
     assert_one_line_usage_error(code, err)

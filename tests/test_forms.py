@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     FRONT,
     SpanBasis,
+    _eta_total,
+    _nabla_total,
     all_generators,
     eta_all_pairs,
     expand,
@@ -23,6 +25,7 @@ from helpers import (
 )
 from treetrace.exact import FreeVec
 from treetrace.forms import (
+    _split,
     cocycle,
     cocycle_values,
     contract_cs,
@@ -611,3 +614,109 @@ def test_forms_match_filter_projection_oracle(case_x, case_y):
     assert q_form(x + y, y) == q + q_form(y, y)
     values += [upsilon(x, y), nabla(x, y), eta_s(contract_cs(x), contract_cs(y))]
     assert all(type(value) is Fraction for value in values)
+
+
+# ---------------------------------------------------------------------------
+# pairings as dot products of cached images, against the partner-layout loops
+# ---------------------------------------------------------------------------
+
+COEFFS = (-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def layout_vectors(draw, slots):
+    """(x, y) over raw keys of ``slots`` = 4 labels (tree keys) or 2 labels
+    (S^2(H) keys) at genus 1..3, either possibly empty: keys laid out as
+    drawn (unsorted wedges, swapped legs, repeated labels), Fraction
+    coefficients among the ints, and y holding some of x's keys with every
+    label replaced by its omega-partner, in any order, so that pairs hit."""
+    genus = draw(st.integers(1, 3))
+    label = st.sampled_from(basis_labels(genus))
+    coeff = st.sampled_from(COEFFS)
+    xs = draw(st.lists(st.tuples(*[label] * slots), max_size=6))
+    ys = draw(st.lists(st.tuples(*[label] * slots), max_size=4))
+    for labels in xs:
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(slots)))
+            ys.append(tuple(BasisLabel(labels[k].index, "b" if labels[k].family
+                                       == "a" else "a") for k in perm))
+
+    def vector(keys):
+        return FreeVec((labels if slots == 2 else (labels[:2], labels[2:]),
+                        draw(coeff)) for labels in keys)
+
+    return vector(xs), vector(ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_vectors(2))
+def test_eta_s_equals_the_partner_layout_loop(pair):
+    x, y = pair
+    for u, v in (pair, pair[::-1]):
+        assert eta_s(u, v) == Fraction(_eta_total(u, v))
+    assert eta_s(x, y) == eta_s(y, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_vectors(4))
+def test_nabla_equals_the_partner_layout_loop(pair):
+    for u, v in (pair, pair[::-1]):
+        assert nabla(u, v) == Fraction(_nabla_total(u, v), 2)
+
+
+def assert_forms_equal_the_loops(x, y, lam_x, lam_y):
+    """q_form, j_form and cocycle_values of (x, y) against the loops on the
+    same pieces."""
+    q = Fraction(_eta_total(contract_cs(project_bidegree(x, 1, 3)),
+                            contract_cs(project_bidegree(y, 3, 1))))
+    j = Fraction(_nabla_total(project_bidegree(x, 0, 4),
+                              project_bidegree(y, 4, 0)), 2)
+    assert (q_form(x, y), j_form(x, y)) == (q, j)
+    tree_part = 3 * j + Fraction(3, 4) * q
+    assert cocycle_values(lam_x, x, lam_y, y) == (
+        q, j, tree_part, 36 * lam_x * lam_y + tree_part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_vectors(4), st.sampled_from(COEFFS), st.sampled_from(COEFFS))
+def test_tree_forms_equal_the_partner_layout_loops(pair, lam_x, lam_y):
+    for u, v in (pair, pair[::-1]):
+        assert_forms_equal_the_loops(u, v, lam_x, lam_y)
+
+
+def test_images_stay_with_the_paired_vector_only():
+    x = project_bidegree(tau_trefoil(), 0, 4)
+    y = project_bidegree(tau_trefoil(), 4, 0)
+    plain = FreeVec(x.items())
+    assert not hasattr(x, "_memo")
+    value = nabla(x, y)
+    assert len(x._memo) == 2 and len(y._memo) == 2
+    assert nabla(x, y) == value == nabla(plain, y)
+    # Equality and repr read the terms only.
+    assert x == plain and repr(x) == repr(plain)
+    # A vector made by arithmetic starts without the images.
+    for derived in (x + FreeVec(), x - y, -x, 2 * x, x * Fraction(1, 3)):
+        assert not hasattr(derived, "_memo")
+    assert nabla(-x, y) == -value and nabla(2 * x, y) == 2 * value
+
+
+def test_dense_gram_block_equals_the_loops():
+    # Four genus-4 twist images whose bases use every a_i and b_i, so each
+    # bidegree piece is large; every ordered pair, each vector split once.
+    rng = random.Random(23)
+    labels = basis_labels(4)
+
+    def dense():
+        return FreeVec({u: rng.choice((-2, -1, 1, 2)) for u in labels})
+
+    taus = [tau2_bscc_twist(dense(), dense(), 4) for _ in range(4)]
+    assert all(len(project_bidegree(t, s, 4 - s)) >= 10
+               for t in taus for s in range(5))
+    for i, x in enumerate(taus):
+        for j, y in enumerate(taus):
+            assert_forms_equal_the_loops(x, y, i - 1, Fraction(j, 2))
+    # The split is kept with each vector, and each piece keeps the two
+    # images of its side: x* and W*(x) on (0,4), x° and W(x) on (4,0).
+    assert all(len(t._memo) == 1 for t in taus)
+    assert all(len(t.cached(_split)[s]._memo) == 2
+               for t in taus for s in (0, 4))

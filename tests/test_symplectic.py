@@ -14,6 +14,8 @@ from helpers import (
 )
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
+    _PARTNERS,
+    FAMILY_A,
     BasisLabel,
     Elementary,
     SignFlip,
@@ -25,7 +27,9 @@ from treetrace.symplectic import (
     generator_label_image,
     gl_generator_action,
     hvec,
+    label_omega,
     omega,
+    seifert_form,
 )
 
 
@@ -39,6 +43,33 @@ def test_omega_on_basis():
     assert omega(hvec(b(1)), hvec(a(1))) == -1
     assert omega(hvec(a(1)), hvec(a(1))) == 0
     assert omega(hvec(a(1)), hvec(b(2))) == 0
+
+
+def test_partner_table_pairs_each_label_with_its_partner():
+    labels = basis_labels(7)
+    for u in labels:
+        partner, code = _PARTNERS[u]
+        assert _PARTNERS[partner][0] == u
+        assert label_omega(u, partner) == (1 if u.family == FAMILY_A else -1)
+        assert _PARTNERS[partner][1] == code ^ 1
+        # omega pairs u with its partner and nothing else.
+        assert [v for v in labels if label_omega(u, v)] == [partner]
+    # Codes follow the key order of the labels.
+    assert [_PARTNERS[u][1] for u in labels] == list(range(2, 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_seifert_form_is_the_sum_over_indices(data):
+    genus = data.draw(st.integers(1, 5))
+    coeff = st.sampled_from((-3, -1, 2, Fraction(1, 2), Fraction(-5, 3)))
+    vector = st.dictionaries(st.sampled_from(basis_labels(genus)),
+                             coeff).map(FreeVec)
+    u, v = data.draw(vector), data.draw(vector)
+    want = sum(u.coeff(a(k)) * v.coeff(b(k)) for k in range(1, genus + 1))
+    assert seifert_form(u, v) == want
+    assert omega(u, v) == want - sum(v.coeff(a(k)) * u.coeff(b(k))
+                                     for k in range(1, genus + 1))
 
 
 def test_hvec_takes_only_labels_and_vectors():
