@@ -226,15 +226,11 @@ def _canon(v: FreeVec) -> dict:
 
 
 def _wedge_terms(terms) -> dict:
-    # Four-slot wedges of (codes, coefficient) pairs, the codes sorted by a
-    # five-comparison network with the sign of the permutation; a repeated
-    # label is zero.
+    # Four-slot wedges of the (codes, coefficient) pairs of an image, whose
+    # two wedges come sorted: three comparisons merge them, with the sign
+    # of the permutation; a repeated label is zero.
     data = {}
     for (p, q, r, t), c in terms:
-        if q < p:
-            p, q, c = q, p, -c
-        if t < r:
-            r, t, c = t, r, -c
         if r < p:
             p, r, c = r, p, -c
         if t < q:
@@ -249,10 +245,8 @@ def _wedge_terms(terms) -> dict:
 
 
 def _wedge(v: FreeVec) -> dict:
-    partners = _PARTNERS
-    return _wedge_terms(
-        ((partners[w][1], partners[x][1], partners[y][1], partners[z][1]), c)
-        for ((w, x), (y, z)), c in v._terms.items())
+    # A doubled square has a repeated label, so W(x°) = W(x).
+    return _wedge_terms(v.cached(_canon).items())
 
 
 def _wedge_star(v: FreeVec) -> dict:
