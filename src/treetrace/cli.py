@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .exact import canonical
-from .forms import cocycle_values, trace_a, trace_b
+from .forms import _cocycle_sum, cocycle_values, trace_a, trace_b
 from .grammar import (
     ParseError,
     format_tensor,
@@ -45,6 +45,7 @@ from .surgery import (
     lambda2_surgery,
     solve_alpha_r,
     surgery_cocycle_value,
+    twist_forms,
     vanishing_combo,
 )
 from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
@@ -232,9 +233,9 @@ def _unknown_knot(text: str, other: str) -> ValueError:
                       % (text, ", ".join(BUILTIN_KNOTS), other))
 
 
-def _twist_argument(text: str, genus: int, option=None, lam_text=None):
-    """Resolve a knot name or twist(x; y) spec to its basis (x, y), and
-    that to (Casson value, tree image).
+def _twist_basis(text: str, genus: int, option=None, lam_text=None):
+    """Resolve a knot name or twist(x; y) spec to (Casson value, basis
+    (x, y)), its indices at most ``genus``.
 
     The Casson value is the c2 of the basis, unless ``option`` gives one; a
     built-in knot's c2 is its own, so there ``option`` may only repeat it.
@@ -250,18 +251,30 @@ def _twist_argument(text: str, genus: int, option=None, lam_text=None):
     elif knot is not None and lam != c2:
         raise ValueError("%s %s contradicts the Casson value %s of the "
                          "built-in knot %r" % (option, lam, c2, text))
-    return lam, tau2_bscc_twist(x, y, genus)
+    # ``tau2_bscc_twist``'s message; the grammar makes no other bad label.
+    top = max(max_index(x), max_index(y))
+    if top > genus:
+        raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
+    return lam, (x, y)
+
+
+def _twist_argument(text: str, genus: int):
+    """(Casson value, tree image) of a knot name or twist(x; y) spec."""
+    lam, basis = _twist_basis(text, genus)
+    return lam, tau2_bscc_twist(*basis, genus)
 
 
 def _cmd_cocycle(args) -> int:
+    # Q and J from Seifert-form values (``twist_forms``): no tree image.
     if args.genus < 1:
         raise ValueError("cocycle needs genus >= 1, got genus %d" % args.genus)
-    lam_x, tau_x = _twist_argument(args.x, args.genus,
-                                   "--lambda-x", args.lambda_x)
-    lam_y, tau_y = _twist_argument(args.y, args.genus,
-                                   "--lambda-y", args.lambda_y)
-    q, j, _, c = cocycle_values(lam_x, tau_x, lam_y, tau_y)
-    return _print_values({"Q": q, "J": j, "C": c}, args.format)
+    lam_x, basis_x = _twist_basis(args.x, args.genus,
+                                  "--lambda-x", args.lambda_x)
+    lam_y, basis_y = _twist_basis(args.y, args.genus,
+                                  "--lambda-y", args.lambda_y)
+    q, j = twist_forms(basis_x, basis_y)
+    c = _cocycle_sum(lam_x, lam_y, q, 2 * j)[1]
+    return _print_values({"Q": q, "J": j, "C": Fraction(c, 4)}, args.format)
 
 
 def _polynomial(doc: dict, key: str) -> LaurentPoly:

@@ -60,9 +60,14 @@ _C13, _C31 = 5, 6
 def _split(v: FreeVec) -> tuple:
     # One pass over the terms, bucketed by their number of A-labels: the
     # bidegree (s, 4 - s) piece at index s, then the two contractions.
+    # The count is ``key_bidegree``'s, written inline.
+    family_a = FAMILY_A
     buckets = ({}, {}, {}, {}, {})
-    for key, coeff in v.items():
-        buckets[key_bidegree(key)[0]][key] = coeff
+    for key, coeff in v._terms.items():
+        (w, x), (y, z) = key
+        s = ((w.family == family_a) + (x.family == family_a)
+             + (y.family == family_a) + (z.family == family_a))
+        buckets[s][key] = coeff
     pieces = tuple(FreeVec._raw(data) for data in buckets)
     return pieces + (contract_cs(pieces[1]), contract_cs(pieces[3]))
 
@@ -306,17 +311,22 @@ def j_form(x: FreeVec, y: FreeVec) -> Fraction:
     return nabla(x.cached(_split)[0], y.cached(_split)[4])
 
 
+def _cocycle_sum(lam_x, lam_y, e, n) -> tuple:
+    # 4*B and 4*C from E = Q, N = 2*J and two Casson values, made exact by
+    # ``scalar``: B = 3*J + (3/4)*Q = (6*N + 3*E) / 4 and C = 36*lam_x*lam_y
+    # + B; ints unless a value is a Fraction.
+    lam = 144 * scalar(lam_x) * scalar(lam_y)
+    b = 6 * n + 3 * e
+    return b, lam + b
+
+
 def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
     # Q, 2*J, 4*B and 4*C of two (Casson value, tree image) pairs, each piece
-    # paired once; ints unless a coefficient or a Casson value is a Fraction.
-    # B = 3*J + (3/4)*Q = (6*N + 3*E) / 4 with N = 2*J and E = Q, and
-    # C = 36*lam_x*lam_y + B, with Casson values made exact by ``scalar``.
-    lam = 144 * scalar(lam_x) * scalar(lam_y)
+    # paired once.
     sx, sy = x.cached(_split), y.cached(_split)
     e = _eta_dot(sx[_C13], sy[_C31])
     n = _twice_nabla(sx[0], sy[4])
-    b = 6 * n + 3 * e
-    return e, n, b, lam + b
+    return (e, n) + _cocycle_sum(lam_x, lam_y, e, n)
 
 
 def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fraction:

@@ -20,6 +20,19 @@ gives the knot's Seifert matrix V = [L(e_i, e_j)] of the Seifert form L
 ``bounding_casson(x, y)``; ``surgery_cocycle_value`` gives the surgery
 side of the cocycle on the twist, which the report matches with the
 tree-side value.
+
+The tree forms of two such twists need no tree image either.  For bases
+p = (x_p, y_p) and q = (x_q, y_q) with Seifert matrices V_p and V_q, let
+N = [L(q_k, p_i)] (row k, column i) and adj the 2x2 adjugate [[d, -b],
+[-c, a]] of [[a, b], [c, d]].  Then ``twist_forms`` gives
+
+    Q(tau_p, tau_q) = 16 tr(adj(V_p + V_p^T) N^T adj(V_q) N),
+    J(tau_p, tau_q) = 12 det(N)^2,
+
+from 12 Seifert-form values, at a cost that does not grow with the genus:
+every block of the g x g block-trace form of Q and J has rank 2 and
+collapses to these 2x2 products.  Disjoint supports give N = 0, so Q = J
+= 0 and the cocycle is 36 lambda_p lambda_q.
 """
 
 from __future__ import annotations
@@ -64,20 +77,54 @@ class SphereInvariants(NamedTuple):
     lam2: Fraction
 
 
+def _seifert_matrix(x: FreeVec, y: FreeVec) -> tuple:
+    # The entries V_00, V_01, V_10, V_11 of the Seifert matrix V = [L(e_i,
+    # e_j)] of a genus-1 bounding-curve basis (x, y), which must be integral
+    # with omega(x, y) = V_01 - V_10 equal to 1 or -1.
+    if any(c.denominator != 1 for u in (x, y) for c in u._terms.values()):
+        raise ValueError("bounding-curve basis needs integer coefficients")
+    v00, v01 = seifert_form(x, x), seifert_form(x, y)
+    v10, v11 = seifert_form(y, x), seifert_form(y, y)
+    w = v01 - v10
+    if abs(w) != 1:
+        raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
+                         "got %s" % w)
+    return v00, v01, v10, v11
+
+
 def bounding_casson(x: FreeVec, y: FreeVec) -> int:
     """Conway c2, and so the 1/1-surgery Casson value, of the knot cut off
     by a genus-1 bounding curve with integral basis (x, y): the determinant
     of its Seifert matrix V = [L(e_i, e_j)], whose omega(x, y) = V_01 -
     V_10 must be 1 or -1."""
-    if any(c.denominator != 1 for u in (x, y) for _, c in u.items()):
-        raise ValueError("bounding-curve basis needs integer coefficients")
-    (v00, v01), (v10, v11) = [[seifert_form(u, v) for v in (x, y)]
-                              for u in (x, y)]
-    w = v01 - v10
-    if abs(w) != 1:
-        raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
-                         "got %s" % w)
+    v00, v01, v10, v11 = _seifert_matrix(x, y)
     return int(v00 * v11 - v01 * v10)
+
+
+def twist_forms(p: tuple, q: tuple) -> tuple:
+    """(Q, J) of the twist images tau_p and tau_q of two genus-1
+    bounding-curve bases p = (x_p, y_p) and q = (x_q, y_q), as ints, from
+    12 Seifert-form values and at the cost of no tree image (module doc).
+
+    Each basis is checked as by ``bounding_casson``; Q(tau_p, tau_q) =
+    ``q_form(tau_p, tau_q)`` and J = ``j_form(tau_p, tau_q)``.
+    """
+    (xp, yp), (xq, yq) = p, q
+    v00, v01, v10, v11 = _seifert_matrix(xp, yp)
+    u00, u01, u10, u11 = _seifert_matrix(xq, yq)
+    # The columns (n00, n10) and (n01, n11) of N = [L(q_k, p_i)].
+    n00, n01 = seifert_form(xq, xp), seifert_form(xq, yp)
+    n10, n11 = seifert_form(yq, xp), seifert_form(yq, yp)
+    # M = N^T adj(V_q) N: its diagonal and the sum m01 of its off-diagonal
+    # entries, which is all that the symmetric adj(V_p + V_p^T) reads.
+    t = u01 + u10
+    m00 = u11 * n00 * n00 - t * n00 * n10 + u00 * n10 * n10
+    m11 = u11 * n01 * n01 - t * n01 * n11 + u00 * n11 * n11
+    m01 = (2 * u11 * n00 * n01 - t * (n00 * n11 + n10 * n01)
+           + 2 * u00 * n10 * n11)
+    det = n00 * n11 - n01 * n10
+    return (int(16 * (2 * v11 * m00 + 2 * v00 * m11 - (v01 + v10) * m01)),
+            int(12 * det * det))
 
 
 class _KnotFields(NamedTuple):

@@ -2,6 +2,7 @@ import glob
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -23,12 +24,14 @@ from treetrace.cli import (
 )
 from treetrace.exact import FreeVec
 from treetrace.forms import cocycle_values
-from treetrace.surgery import bounding_casson
+from treetrace.grammar import format_hvec, parse_twist
+from treetrace.surgery import BUILTIN_KNOTS, bounding_casson
 from treetrace.symplectic import BasisLabel, omega
 from treetrace.trees import tau2_bscc_twist
 
 from cli_outcomes import parse_outcome, parsed_outcome
-from helpers import argparse_commands, argparse_parse, argparse_parser
+from helpers import (argparse_commands, argparse_parse, argparse_parser,
+                     seifert_q_j)
 
 SRC = str(Path(treetrace.cli.__file__).resolve().parent.parent)
 
@@ -924,3 +927,98 @@ def test_other_pythons_print_what_this_one_prints():
         json.dumps([outcome for _, outcome in ARGPARSE_311_CASES]))
     for exe in pythons:
         assert outputs(exe) == want, exe
+
+
+def refuse_tree_images(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cocycle built a tree image")
+    monkeypatch.setattr(treetrace.cli, "tau2_bscc_twist", refuse)
+    monkeypatch.setattr(treetrace.trees, "tau2_square", refuse)
+
+
+def test_cocycle_builds_no_tree_image(capsys, monkeypatch):
+    cases = [("trefoil", "trefoil", None, None),
+             ("trefoil", "figure-eight", "1", None),
+             ("figure-eight", "twist(a1 + 2*b3; b1 - a2)", None, "3/4"),
+             ("twist(a1; b1)", "twist(a3; b3)", "2", "-5"),
+             ("twist(a1 + b1; a2 - b1 + b2)", "twist(b2 + a1 - 2*b3; a2 + b3)",
+              "0.5", None)]
+    want = []
+    for case in cases:
+        values = []
+        for text, lam in zip(case[:2], case[2:]):
+            knot = BUILTIN_KNOTS.get(text)
+            basis = knot.bscc_basis if knot else parse_twist(text)
+            values.append(bounding_casson(*basis) if lam is None
+                          else Fraction(lam))
+            values.append(tau2_bscc_twist(*basis, 5))
+        want.append(cocycle_values(*values))
+    refuse_tree_images(monkeypatch)
+    for (x, y, lam_x, lam_y), (q, j, _, c) in zip(cases, want):
+        argv = ["cocycle", x, y]
+        for option, lam in (("--lambda-x", lam_x), ("--lambda-y", lam_y)):
+            if lam is not None:
+                argv += [option, lam]
+        assert run_cli(capsys, *argv) == (
+            0, "Q = %s\nJ = %s\nC = %s\n" % (q, j, c), ""), argv
+
+
+def test_cocycle_of_dense_twists_at_genus_300(capsys, monkeypatch):
+    # Every a_i and b_i coefficient of each basis nonzero but b_1's of its
+    # second vector, which sets omega(x, y) = 1; the tree images would
+    # hold about 10^9 terms.
+    genus, rng = 300, random.Random(300)
+    bases = []
+    for _ in range(2):
+        x, y = ({BasisLabel(i, f): rng.choice((-2, -1, 1, 2))
+                 for i in range(1, genus + 1) for f in "ab"}
+                for _ in range(2))
+        x[BasisLabel(1, "a")] = 1
+        x, y = FreeVec(x), FreeVec(y)
+        y += (1 - omega(x, y)) * FreeVec.single(BasisLabel(1, "b"))
+        bases.append((x, y))
+    refuse_tree_images(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "cocycle", *("twist(%s; %s)" % tuple(map(format_hvec, basis))
+                             for basis in bases),
+        "--genus", str(genus), "--format", "json")
+    assert (code, err) == (0, "")
+    q, j = seifert_q_j(*bases)
+    lam_x, lam_y = (bounding_casson(*basis) for basis in bases)
+    c = 36 * lam_x * lam_y + 3 * j + Fraction(3, 4) * q
+    assert q and j
+    assert json.loads(out) == {"Q": str(q), "J": str(j), "C": str(c)}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["twist(a1; b1)", "twist(a7; b7)"],
+     "twist uses index 7 beyond genus 5"),
+    (["trefoil", "trefoil", "--genus", "1"],
+     "twist uses index 2 beyond genus 1"),
+    (["twist(a9; b9)", "twist(a1; a2)"], "twist uses index 9 beyond genus 5"),
+    (["twist(a1; a2)", "twist(a9; b9)"],
+     "bounding-curve basis needs omega(x, y) = 1 or -1, got 0"),
+    (["twist(a1; a2)", "trefoil", "--lambda-y", "three"],
+     "bounding-curve basis needs omega(x, y) = 1 or -1, got 0"),
+    (["trefoil", "twist(2*a1; b1)"],
+     "bounding-curve basis needs omega(x, y) = 1 or -1, got 2"),
+    (["twist(a1 + 1/2*b1 + a2; b1 + a3 + b3)", "trefoil"],
+     "bounding-curve basis needs integer coefficients"),
+    (["trefoil", "twist(a1 + 1/2*b1 + a2; b1 + a3 + b3)", "--genus", "2"],
+     "bounding-curve basis needs integer coefficients"),
+    (["trefoil", "trefoil", "--lambda-x", "5"],
+     "--lambda-x 5 contradicts the Casson value 1 of the built-in knot "
+     "'trefoil'"),
+    (["trefoil", "figure-eight", "--lambda-y=0.5"],
+     "--lambda-y 1/2 contradicts the Casson value -1 of the built-in knot "
+     "'figure-eight'"),
+    (["figure-eight", "twist(a6; b6)", "--lambda-x", "3"],
+     "--lambda-x 3 contradicts the Casson value -1 of the built-in knot "
+     "'figure-eight'"),
+])
+def test_cocycle_refusals_keep_their_messages(capsys, argv, message):
+    # The first refusal wins: the first argument's checks run before any
+    # check of the second, in the order option value, basis, Casson value,
+    # genus.
+    assert run_cli(capsys, "cocycle", *argv) == (2, "", "error: %s\n"
+                                                 % message)

@@ -69,7 +69,7 @@ TRACED_NAMES = {
         "bounding_casson", "casson_surgery", "connected_sum", "d2_value",
         "index", "jones_h_derivative", "lambda2_surgery",
         "reverse_orientation", "seifert_form", "solve_alpha_r",
-        "surgery_cocycle_value", "vanishing_combo"],
+        "surgery_cocycle_value", "twist_forms", "vanishing_combo"],
     "grammar": [
         "BasisLabel", "Fraction", "FreeVec", "HTree", "ParseError",
         "annotations", "canonical", "format_hvec", "format_s2l2",
@@ -85,7 +85,7 @@ TRACED_NAMES = {
         "load_knot_document", "main", "max_index", "parse_hvec",
         "parse_tensor", "parse_tree", "parse_twist", "re", "solve_alpha_r",
         "surgery_cocycle_value", "sys", "tau2_bscc_twist", "trace_a",
-        "trace_b", "tree_expand", "vanishing_combo"],
+        "trace_b", "tree_expand", "twist_forms", "vanishing_combo"],
 }
 
 

@@ -28,6 +28,7 @@ from treetrace.surgery import (
     seifert_form,
     solve_alpha_r,
     surgery_cocycle_value,
+    twist_forms,
     vanishing_combo,
 )
 from treetrace.symplectic import a, b, omega
@@ -492,3 +493,71 @@ def test_invariants_of_computed_spheres_are_integers():
         for n in range(-3, 4):
             assert casson_surgery(knot, n).denominator == 1
             assert lambda2_surgery(knot, n).denominator == 1
+
+
+@st.composite
+def genus_one_bases(draw, genus):
+    """An integral genus-1 bounding-curve basis (x, y) with omega(x, y) = 1
+    or -1 on indices 1..genus: (a_i, b_i) moved by transvections u -> u +
+    omega(u, v) v, then swapped for omega = -1."""
+    labels = [f(i) for i in range(1, genus + 1) for f in (a, b)]
+    i = draw(st.integers(1, genus))
+    x, y = FreeVec.single(a(i)), FreeVec.single(b(i))
+    for _ in range(draw(st.integers(0, 4))):
+        v = FreeVec(zip(labels, draw(st.lists(st.integers(-2, 2),
+                                              min_size=len(labels),
+                                              max_size=len(labels)))))
+        x, y = x + int(omega(x, v)) * v, y + int(omega(y, v)) * v
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@st.composite
+def genus_one_pairs(draw):
+    genus = draw(st.integers(1, 6))
+    return genus, draw(genus_one_bases(genus)), draw(genus_one_bases(genus))
+
+
+@settings(max_examples=100, deadline=None)
+@given(genus_one_pairs())
+def test_twist_forms_equal_the_tree_route_in_both_orders(pairs):
+    genus, p, q = pairs
+    tau = {0: tau2_bscc_twist(*p, genus), 1: tau2_bscc_twist(*q, genus)}
+    for (i, first), (j, second) in (((0, p), (1, q)), ((1, q), (0, p))):
+        got = twist_forms(first, second)
+        assert [type(value) for value in got] == [int, int]
+        assert got == (q_form(tau[i], tau[j]), j_form(tau[i], tau[j])) \
+            == seifert_q_j(first, second)
+
+
+@pytest.mark.parametrize("p, q, values", [
+    (TREFOIL.bscc_basis, TREFOIL.bscc_basis, (48, 12)),
+    (FIGURE_EIGHT.bscc_basis, FIGURE_EIGHT.bscc_basis, (80, 12)),
+    (TREFOIL.bscc_basis, FIGURE_EIGHT.bscc_basis, (16, 12)),
+    (FIGURE_EIGHT.bscc_basis, TREFOIL.bscc_basis, (-16, 12)),
+    # Disjoint supports: N = 0.
+    ((FreeVec.single(a(1)), FreeVec.single(b(1))),
+     (FreeVec.single(a(3)), FreeVec.single(b(3))), (0, 0)),
+    (TREFOIL.bscc_basis,
+     (FreeVec({a(3): 1, b(4): 2}), FreeVec({b(3): 1, a(4): 1})), (0, 0)),
+])
+def test_twist_forms_of_fixed_bases(p, q, values):
+    assert twist_forms(p, q) == values
+
+
+@pytest.mark.parametrize("basis, message", [
+    ((FreeVec({a(1): 1, b(1): Fraction(1, 2), a(2): 1}),
+      FreeVec({b(1): 2, a(3): 1, b(3): 1})),
+     "bounding-curve basis needs integer coefficients"),
+    ((FreeVec.single(a(1)), FreeVec.single(a(2))),
+     "bounding-curve basis needs omega(x, y) = 1 or -1, got 0"),
+    ((FreeVec.single(a(1)), FreeVec({b(1): 2})),
+     "bounding-curve basis needs omega(x, y) = 1 or -1, got 2"),
+])
+def test_twist_forms_check_each_basis_as_bounding_casson(basis, message):
+    with pytest.raises(ValueError) as refused:
+        bounding_casson(*basis)
+    assert str(refused.value) == message
+    for pair in ((basis, TREFOIL.bscc_basis), (TREFOIL.bscc_basis, basis)):
+        with pytest.raises(ValueError) as refused:
+            twist_forms(*pair)
+        assert str(refused.value) == message
