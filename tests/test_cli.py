@@ -964,9 +964,9 @@ def test_cocycle_builds_no_tree_image(capsys, monkeypatch):
 
 
 def test_cocycle_of_dense_twists_at_genus_300(capsys, monkeypatch):
-    # Every a_i and b_i coefficient of each basis nonzero but b_1's of its
-    # second vector, which sets omega(x, y) = 1; the tree images would
-    # hold about 10^9 terms.
+    # Every a_i and b_i coefficient in +-1, +-2, but b_1 of the second
+    # vector, which is set so that omega(x, y) = 1; the tree images would
+    # hold about 10^10 terms.
     genus, rng = 300, random.Random(300)
     bases = []
     for _ in range(2):
