@@ -38,14 +38,14 @@ from .surgery import (
     LaurentPoly,
     POINCARE,
     SphereInvariants,
-    bounding_casson,
+    _seifert_matrix,
+    _twist_forms,
     casson_surgery,
     d2_value,
     jones_h_derivative,
     lambda2_surgery,
     solve_alpha_r,
     surgery_cocycle_value,
-    twist_forms,
     vanishing_combo,
 )
 from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
@@ -215,6 +215,8 @@ def _rational(option: str, text: str):
     """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``;
     an int when it is integral (``4/2``, ``2.0``), else a Fraction."""
     try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
         if _RATIONAL.fullmatch(text):
             return canonical(Fraction(text))
     except (ValueError, ZeroDivisionError):
@@ -235,7 +237,7 @@ def _unknown_knot(text: str, other: str) -> ValueError:
 
 def _twist_basis(text: str, genus: int, option=None, lam_text=None):
     """Resolve a knot name or twist(x; y) spec to (Casson value, basis
-    (x, y)), its indices at most ``genus``.
+    (x, y), its checked Seifert matrix), its indices at most ``genus``.
 
     The Casson value is the c2 of the basis, unless ``option`` gives one; a
     built-in knot's c2 is its own, so there ``option`` may only repeat it.
@@ -245,7 +247,7 @@ def _twist_basis(text: str, genus: int, option=None, lam_text=None):
     if knot is None and _KNOT_NAME.fullmatch(text):
         raise _unknown_knot(text, "a twist(x; y) spec")
     x, y = parse_twist(text) if knot is None else knot.bscc_basis
-    c2 = bounding_casson(x, y)
+    c2, v = _seifert_matrix(x, y)
     if lam is None:
         lam = c2
     elif knot is not None and lam != c2:
@@ -255,24 +257,25 @@ def _twist_basis(text: str, genus: int, option=None, lam_text=None):
     top = max(max_index(x), max_index(y))
     if top > genus:
         raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
-    return lam, (x, y)
+    return lam, (x, y), v
 
 
 def _twist_argument(text: str, genus: int):
     """(Casson value, tree image) of a knot name or twist(x; y) spec."""
-    lam, basis = _twist_basis(text, genus)
+    lam, basis, _ = _twist_basis(text, genus)
     return lam, tau2_bscc_twist(*basis, genus)
 
 
 def _cmd_cocycle(args) -> int:
-    # Q and J from Seifert-form values (``twist_forms``): no tree image.
+    # Q and J by ``surgery.twist_forms``'s closed form, from the Seifert
+    # matrices that ``_twist_basis`` read and checked: no tree image.
     if args.genus < 1:
         raise ValueError("cocycle needs genus >= 1, got genus %d" % args.genus)
-    lam_x, basis_x = _twist_basis(args.x, args.genus,
-                                  "--lambda-x", args.lambda_x)
-    lam_y, basis_y = _twist_basis(args.y, args.genus,
-                                  "--lambda-y", args.lambda_y)
-    q, j = twist_forms(basis_x, basis_y)
+    lam_x, basis_x, v_x = _twist_basis(args.x, args.genus,
+                                       "--lambda-x", args.lambda_x)
+    lam_y, basis_y, v_y = _twist_basis(args.y, args.genus,
+                                       "--lambda-y", args.lambda_y)
+    q, j = _twist_forms(basis_x, v_x, basis_y, v_y)
     c = _cocycle_sum(lam_x, lam_y, q, 2 * j)[1]
     return _print_values({"Q": q, "J": j, "C": Fraction(c, 4)}, args.format)
 

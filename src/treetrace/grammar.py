@@ -12,6 +12,13 @@ A parsed vector's coefficients are summed per key, then made ``int`` when
 integral (``2/2*a1``, ``2*1/2*a1*b1``, ``1/2*a1 + 1/2*a1``) and left a
 ``Fraction`` otherwise (``exact.canonical``).
 
+A vector is scanned a term at a time: one compiled pattern matches a whole
+HVec term (its sign, an optional ``p[/q]*`` coefficient and its label) in
+one call, and a second one a tensor factor the same way.  Every part of
+both patterns is optional, so a match never fails; a part the grammar
+needs that came out missing or empty is the parse error, at the offset
+where that part starts.  A term with no sign before it ends the vector.
+
 Digits are ASCII ``0``-``9`` only, and whitespace is ASCII only, so
 everything before a parse failure is ASCII.  Parse failures raise
 ``ParseError`` carrying the byte offset of the first offending character.
@@ -21,6 +28,7 @@ the same vector.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .exact import FreeVec, canonical
@@ -36,179 +44,158 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _is_digit(ch: str) -> bool:
-    # ASCII only: str.isdigit() also accepts '²' and other scripts' digits.
-    return "0" <= ch <= "9"
-
-
-# ASCII whitespace only, so every character before a ParseError's offset is
-# ASCII and the offset counts bytes as well as characters.
+# ASCII classes only: in a str pattern \d and \s also match other scripts'
+# digits and spaces.  So a scan stops at the first non-ASCII character,
+# everything before a ParseError's offset is ASCII, and the offset counts
+# bytes as well as characters.
 _SPACE = " \t\n\r\f\v"
+# One HVec term and one tensor factor (module doc); a denominator group is
+# '' after a '/' with no digits, None without the '/'.
+_TERM = re.compile(
+    r"[ \t\n\r\f\v]*([+-]?)[ \t\n\r\f\v]*"           # 1 sign
+    r"(?:([0-9]+)[ \t\n\r\f\v]*"                     # 2 p
+    r"(?:/[ \t\n\r\f\v]*([0-9]*)[ \t\n\r\f\v]*)?"    # 3 q
+    r"(\*?)[ \t\n\r\f\v]*)?"                         # 4 '*'
+    r"([ab]?)([0-9]*)")                              # 5 letter, 6 index
+_FACTOR = re.compile(
+    r"[ \t\n\r\f\v]*([+-]?)[ \t\n\r\f\v]*"           # 1 sign
+    r"(?:([0-9]+)[ \t\n\r\f\v]*"                     # 2 p
+    r"(?:/[ \t\n\r\f\v]*([0-9]*))?"                  # 3 q
+    r"|([ab]?)([0-9]*))"                             # 4 letter, 5 index
+    r"[ \t\n\r\f\v]*(\*?)")                          # 6 '*'
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in _SPACE:
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise ParseError("expected %r" % token, self.pos)
-        self.pos += len(token)
-
-    def try_take(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def integer(self) -> int:
-        self.skip_ws()
-        return self.digits()
-
-    def digits(self) -> int:
-        # An integer starting right here, with no whitespace before it.
-        start = self.pos
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # more digits than int() converts
-            raise ParseError("integer too long", start) from None
-
-    def end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError("unexpected trailing input", self.pos)
+def _integer(m, group: int) -> int:
+    # The digits of a scanned group, which must not be empty.
+    digits = m.group(group)
+    if not digits:
+        raise ParseError("expected an integer", m.start(group))
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError("integer too long", m.start(group)) from None
 
 
-def _label(cur: _Cursor) -> BasisLabel:
-    ch = cur.peek()
-    if ch not in ("a", "b"):
-        raise ParseError("expected a basis label like a1 or b2", cur.pos)
-    cur.pos += 1
-    index = cur.digits()
+def _coefficient(m, group: int):
+    # p, or p/q when group + 1 (q) matched.
+    num = _integer(m, group)
+    if m.group(group + 1) is None:
+        return num
+    den = _integer(m, group + 1)
+    if not den:
+        raise ParseError("zero denominator", m.start(group + 1))
+    return Fraction(num, den)
+
+
+def _label(m, group: int) -> BasisLabel:
+    # The letter in ``group`` and the index in group + 1.
+    letter = m.group(group)
+    if not letter:
+        raise ParseError("expected a basis label like a1 or b2",
+                         m.start(group))
+    index = _integer(m, group + 1)
     if index < 1:
-        raise ParseError("basis index must be at least 1", cur.pos)
-    return BasisLabel(index, ch)
+        raise ParseError("basis index must be at least 1", m.end(group + 1))
+    return BasisLabel(index, letter)
 
 
-def _coefficient(cur: _Cursor):
-    num = cur.integer()
-    if cur.try_take("/"):
-        cur.skip_ws()
-        start = cur.pos
-        den = cur.integer()
-        if not den:
-            raise ParseError("zero denominator", start)
-        return Fraction(num, den)
-    return num
-
-
-def _signed_terms(cur: _Cursor, term_parser):
-    # Yields (sign, term) across a +/- separated list.
-    sign = -1 if cur.try_take("-") else 1
-    if sign == 1:
-        cur.try_take("+")
-    yield sign, term_parser(cur)
-    while True:
-        if cur.try_take("+"):
-            yield 1, term_parser(cur)
-        elif cur.try_take("-"):
-            yield -1, term_parser(cur)
-        else:
-            return
-
-
-def _hvec_term(cur: _Cursor):
-    if _is_digit(cur.peek()):
-        coeff = _coefficient(cur)
-        if cur.try_take("*"):
-            return coeff, _label(cur)
-        if coeff == 0:
-            return coeff, None          # a bare 0: the zero vector
-        raise ParseError("expected '*'", cur.pos)
-    return 1, _label(cur)
-
-
-def _signed_sum(cur: _Cursor, term_parser) -> FreeVec:
-    # The +/- separated terms summed per key, each sum made canonical.
-    terms = []
-    for sign, (coeff, key) in _signed_terms(cur, term_parser):
-        if key is not None:
-            terms.append((key, sign * coeff))
+def _vector(terms: list) -> FreeVec:
+    # The (key, coefficient) terms summed per key, each sum made canonical.
     return FreeVec._raw({k: canonical(c) for k, c in FreeVec(terms).items()})
+
+
+def _hvec(text: str, pos: int):
+    # The HVec at ``pos``, and the offset of what follows it and its spaces.
+    terms = []
+    m = _TERM.match(text, pos)
+    while True:
+        sign, num, _, star, _, _ = m.groups()
+        end = m.end()
+        coeff = 1 if num is None else _coefficient(m, 2)
+        if num is None or star:
+            terms.append((_label(m, 5), -coeff if sign == "-" else coeff))
+        elif coeff:
+            raise ParseError("expected '*'", m.start(4))
+        else:
+            end = m.start(4)            # a bare 0: the zero vector
+        m = _TERM.match(text, end)
+        if not m.group(1):              # no sign: no further term
+            return _vector(terms), m.start(1)
+
+
+def _tensor(text: str, pos: int):
+    # As ``_hvec``, for a tensor: each term a '*' product of factors.
+    terms = []
+    m = _FACTOR.match(text, pos)
+    while True:
+        negative, coeff, slots = m.group(1) == "-", 1, []
+        while True:
+            if m.group(2) is None:
+                slots.append(_label(m, 4))
+            else:
+                coeff *= _coefficient(m, 2)
+            if not m.group(6):
+                break
+            m = _FACTOR.match(text, m.end())
+            if m.group(1):
+                raise ParseError("expected a basis label like a1 or b2",
+                                 m.start(1))
+        if slots:
+            terms.append((tuple(slots), -coeff if negative else coeff))
+        elif coeff:
+            raise ParseError("tensor term has no basis labels", m.end())
+        m = _FACTOR.match(text, m.end())
+        if not m.group(1):
+            return _vector(terms), m.start(1)
+
+
+def _take(text: str, pos: int, token: str) -> int:
+    # The offset after ``token``, which must come next but for spaces.
+    start = len(text) - len(text[pos:].lstrip(_SPACE))
+    if not text.startswith(token, start):
+        raise ParseError("expected %r" % token, start)
+    return start + len(token)
+
+
+def _end(text: str, scanned: tuple):
+    # The value of a (value, offset) scan of ``text``, which only spaces
+    # may follow.
+    value, pos = scanned
+    rest = text[pos:].lstrip(_SPACE)
+    if rest:
+        raise ParseError("unexpected trailing input", len(text) - len(rest))
+    return value
 
 
 def parse_hvec(text: str) -> FreeVec:
     """Parse a vector of H like ``"a2 - b1 + b2"`` or ``"3*a1 - 1/2*b4"``."""
-    cur = _Cursor(text)
-    vec = _signed_sum(cur, _hvec_term)
-    cur.end()
-    return vec
+    return _end(text, _hvec(text, 0))
 
 
 def _call(text: str, head: str, separators) -> list:
-    # ``head(v0 s0 v1 s1 ... vn)`` with HVec arguments between separators.
-    cur = _Cursor(text)
-    cur.take(head)
-    cur.take("(")
-    args = [_signed_sum(cur, _hvec_term)]
+    # ``head(v0 s0 v1 s1 ... vn)`` with HVec arguments, the last separator
+    # ')'.
+    args, pos = [], _take(text, _take(text, 0, head), "(")
     for sep in separators:
-        cur.take(sep)
-        args.append(_signed_sum(cur, _hvec_term))
-    cur.take(")")
-    cur.end()
-    return args
+        vec, pos = _hvec(text, pos)
+        args.append(vec)
+        pos = _take(text, pos, sep)
+    return _end(text, (args, pos))
 
 
 def parse_tree(text: str) -> HTree:
     """Parse ``T(x1, x2; x3, x4)`` with HVec entries."""
-    return HTree(*_call(text, "T", (",", ";", ",")))
+    return HTree(*_call(text, "T", ",;,)"))
 
 
 def parse_twist(text: str):
     """Parse ``twist(x; y)``: the subsurface basis of a genus-1 bounding curve."""
-    return tuple(_call(text, "twist", (";",)))
-
-
-def _tensor_term(cur: _Cursor):
-    coeff = 1
-    slots = []
-    seen_number = False
-    while True:
-        if _is_digit(cur.peek()):
-            coeff *= _coefficient(cur)
-            seen_number = True
-        else:
-            slots.append(_label(cur))
-        if not cur.try_take("*"):
-            break
-    if not slots:
-        if seen_number and coeff == 0:
-            return coeff, None          # a bare 0: the zero tensor
-        raise ParseError("tensor term has no basis labels", cur.pos)
-    return coeff, tuple(slots)
+    return tuple(_call(text, "twist", ";)"))
 
 
 def parse_tensor(text: str) -> FreeVec:
     """Parse a tensor combination like ``"a1*b1*a2*b2"`` or ``"2*a1*a1*b1*b1"``."""
-    cur = _Cursor(text)
-    vec = _signed_sum(cur, _tensor_term)
-    cur.end()
-    return vec
+    return _end(text, _tensor(text, 0))
 
 
 def _coeff_prefix(coeff, body: str) -> str:

@@ -32,7 +32,10 @@ N = [L(q_k, p_i)] (row k, column i) and adj the 2x2 adjugate [[d, -b],
 from 12 Seifert-form values, at a cost that does not grow with the genus:
 every block of the g x g block-trace form of Q and J has rank 2 and
 collapses to these 2x2 products.  Disjoint supports give N = 0, so Q = J
-= 0 and the cocycle is 36 lambda_p lambda_q.
+= 0 and the cocycle is 36 lambda_p lambda_q.  The ``cocycle`` command
+computes these 12 values and no more: it reads and checks each basis's
+Seifert matrix once, for its Casson value, and the closed form takes the
+two matrices from there.
 """
 
 from __future__ import annotations
@@ -78,18 +81,22 @@ class SphereInvariants(NamedTuple):
 
 
 def _seifert_matrix(x: FreeVec, y: FreeVec) -> tuple:
-    # The entries V_00, V_01, V_10, V_11 of the Seifert matrix V = [L(e_i,
-    # e_j)] of a genus-1 bounding-curve basis (x, y), which must be integral
-    # with omega(x, y) = V_01 - V_10 equal to 1 or -1.
-    if any(c.denominator != 1 for u in (x, y) for c in u._terms.values()):
-        raise ValueError("bounding-curve basis needs integer coefficients")
+    # (det V, V) for the Seifert matrix V = [L(e_i, e_j)] of a genus-1
+    # bounding-curve basis (x, y), given by its entries (V_00, V_01, V_10,
+    # V_11); the basis must be integral with omega(x, y) = V_01 - V_10
+    # equal to 1 or -1.
+    for u in (x, y):
+        for c in u._terms.values():
+            if c.denominator != 1:
+                raise ValueError(
+                    "bounding-curve basis needs integer coefficients")
     v00, v01 = seifert_form(x, x), seifert_form(x, y)
     v10, v11 = seifert_form(y, x), seifert_form(y, y)
     w = v01 - v10
     if abs(w) != 1:
         raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
                          "got %s" % w)
-    return v00, v01, v10, v11
+    return int(v00 * v11 - v01 * v10), (v00, v01, v10, v11)
 
 
 def bounding_casson(x: FreeVec, y: FreeVec) -> int:
@@ -97,8 +104,7 @@ def bounding_casson(x: FreeVec, y: FreeVec) -> int:
     by a genus-1 bounding curve with integral basis (x, y): the determinant
     of its Seifert matrix V = [L(e_i, e_j)], whose omega(x, y) = V_01 -
     V_10 must be 1 or -1."""
-    v00, v01, v10, v11 = _seifert_matrix(x, y)
-    return int(v00 * v11 - v01 * v10)
+    return _seifert_matrix(x, y)[0]
 
 
 def twist_forms(p: tuple, q: tuple) -> tuple:
@@ -109,9 +115,15 @@ def twist_forms(p: tuple, q: tuple) -> tuple:
     Each basis is checked as by ``bounding_casson``; Q(tau_p, tau_q) =
     ``q_form(tau_p, tau_q)`` and J = ``j_form(tau_p, tau_q)``.
     """
+    return _twist_forms(p, _seifert_matrix(*p)[1], q, _seifert_matrix(*q)[1])
+
+
+def _twist_forms(p: tuple, v_p: tuple, q: tuple, v_q: tuple) -> tuple:
+    # ``twist_forms`` of bases p and q whose Seifert matrices V_p and V_q
+    # ``_seifert_matrix`` has read and checked: 4 more Seifert-form values.
     (xp, yp), (xq, yq) = p, q
-    v00, v01, v10, v11 = _seifert_matrix(xp, yp)
-    u00, u01, u10, u11 = _seifert_matrix(xq, yq)
+    v00, v01, v10, v11 = v_p
+    u00, u01, u10, u11 = v_q
     # The columns (n00, n10) and (n01, n11) of N = [L(q_k, p_i)].
     n00, n01 = seifert_form(xq, xp), seifert_form(xq, yp)
     n10, n11 = seifert_form(yq, xp), seifert_form(yq, yp)

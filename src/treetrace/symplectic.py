@@ -98,8 +98,11 @@ def label_omega(u: BasisLabel, v: BasisLabel) -> int:
 def seifert_form(u: FreeVec, v: FreeVec):
     """Seifert form L(u, v) = sum_k u_{a_k} v_{b_k} on H, exact."""
     partners, get = _PARTNERS, v._terms.get
-    return sum(c * get(partners[k][0], 0)
-               for k, c in u._terms.items() if k.family == FAMILY_A)
+    total = 0
+    for k, c in u._terms.items():
+        if k.family == FAMILY_A:
+            total += c * get(partners[k][0], 0)
+    return total
 
 
 def omega(u: FreeVec, v: FreeVec):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treetrace.cli
+import treetrace.surgery
 from treetrace.cli import (
     _UsageError,
     _parse_args,
@@ -26,7 +27,7 @@ from treetrace.exact import FreeVec
 from treetrace.forms import cocycle_values
 from treetrace.grammar import format_hvec, parse_twist
 from treetrace.surgery import BUILTIN_KNOTS, bounding_casson
-from treetrace.symplectic import BasisLabel, omega
+from treetrace.symplectic import BasisLabel, omega, seifert_form
 from treetrace.trees import tau2_bscc_twist
 
 from cli_outcomes import parse_outcome, parsed_outcome
@@ -1022,3 +1023,50 @@ def test_cocycle_refusals_keep_their_messages(capsys, argv, message):
     # genus.
     assert run_cli(capsys, "cocycle", *argv) == (2, "", "error: %s\n"
                                                  % message)
+
+
+# One argument with two faults shows the first of _twist_basis's checks:
+# the lambda option, the knot name, the parse, the basis, a built-in
+# knot's Casson value, the genus.
+LAMBDA_REFUSAL = "--lambda-x expects an exact rational like 3/4, got 'x'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["granny", "trefoil", "--lambda-x", "x"], "error: " + LAMBDA_REFUSAL),
+    (["twist(a1; b 1)", "trefoil", "--lambda-x", "x"],
+     "error: " + LAMBDA_REFUSAL),
+    (["twist(a1; a2)", "trefoil", "--lambda-x", "x"],
+     "error: " + LAMBDA_REFUSAL),
+    (["trefoil", "trefoil", "--lambda-x", "x", "--genus", "1"],
+     "error: " + LAMBDA_REFUSAL),
+    (["twist(a1; b 1)", "granny"],
+     "parse error: expected an integer (at offset 11)"),
+    (["twist(a9; 1/2*b9)", "trefoil"],
+     "error: bounding-curve basis needs integer coefficients"),
+    (["twist(a9; a8)", "trefoil"],
+     "error: bounding-curve basis needs omega(x, y) = 1 or -1, got 0"),
+    (["trefoil", "trefoil", "--lambda-x", "5", "--genus", "1"],
+     "error: --lambda-x 5 contradicts the Casson value 1 of the built-in "
+     "knot 'trefoil'"),
+])
+def test_cocycle_checks_each_argument_in_order(capsys, argv, message):
+    assert run_cli(capsys, "cocycle", *argv) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("x, y", [
+    ("twist(a1 + b1; a2 - b1 + b2)", "twist(b2 + a1 - 2*b3; a2 + b3)"),
+    ("trefoil", "twist(a1; b1)"),
+    ("trefoil", "figure-eight"),
+])
+def test_cocycle_reads_twelve_seifert_values(capsys, monkeypatch, x, y):
+    # 4 for each basis's Seifert matrix, read and checked once, and 4 for
+    # N = [L(q_k, p_i)]: the 12 of the surgery module's closed form.
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return seifert_form(u, v)
+
+    monkeypatch.setattr(treetrace.surgery, "seifert_form", counted)
+    assert run_cli(capsys, "cocycle", x, y, "--lambda-x", "1")[0] == 0
+    assert len(calls) == 12

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_basic_tensor, rand_hvec, rand_label, rand_scalar
+from helpers import (cursor_parse_hvec, cursor_parse_tensor, cursor_parse_tree,
+                     cursor_parse_twist, rand_basic_tensor, rand_hvec,
+                     rand_label, rand_scalar)
 from treetrace.exact import FreeVec
 from treetrace.forms import _C13, _C31, _split
 from treetrace.grammar import (
@@ -98,6 +100,51 @@ def test_parsers_raise_only_parse_errors(text):
             parse(text)
         except ParseError as err:
             assert len(text[:err.offset].encode()) == err.offset
+
+
+# The grammar's tokens and near misses of them: heads, separators, labels
+# with index 0 or leading zeros, zero denominators, integers past int()'s
+# 4 300 digits, and ASCII and non-ASCII spaces and digits; plus whole
+# vectors, trees and twists, so that some draws parse.
+TOKENS = ("a1 + b2", " - 1/2*b3", "2*a1*b1", "twist(a1; b1)",
+          "T(a1, b1; a2, b2)", "T(", "twist(", "T", "twist", "twis", "(",
+          ")", ",", ";", "*", "/", "+", "-", "a", "b", "a1", "b2", "a10",
+          "b007", "a0", "b00", "0", "1", "2", "12", "007", "1/2", "3/0",
+          "0/5", "/0", "x", "$", "1" * 4301, "9" * 4400, "a" + "1" * 4301,
+          " ", "  ", "\t", "\n", "\v", "\u2003", "\u3000", "\xa0",
+          "\u00b2", "\u0661")
+PARSERS = ((parse_hvec, cursor_parse_hvec), (parse_tensor, cursor_parse_tensor),
+           (parse_tree, cursor_parse_tree), (parse_twist, cursor_parse_twist))
+
+
+def parse_outcome(parse, text):
+    """The vectors ``parse`` reads, each as sorted (key, coefficient, type)
+    triples, or its ParseError's message and offset."""
+    try:
+        value = parse(text)
+    except ParseError as err:
+        return str(err), err.offset
+    return [sorted((key, c, type(c)) for key, c in vec.items())
+            for vec in (value if isinstance(value, tuple) else (value,))]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=14).map("".join)
+       | st.text(alphabet="ab0123456789*/+-;,() Ttwis\t\u2003\u00b2"))
+def test_parsers_agree_with_the_cursor_oracle(text):
+    for parse, oracle in PARSERS:
+        assert parse_outcome(parse, text) == parse_outcome(oracle, text)
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "0", "-0", "0 0", "0a1", "0 + a1", "0*", "2a1", "2 / 3 a1",
+    "+-a1", "- - a1", "a1 b1", "a1*b1", "a1*-b1", "a1 +", "1/", "1/ 0*a1",
+    "3/00*a1", "a 1", "a01", "b0", "1*2*a1", "2*1/2*a1*b1", "T (a1, b1; a2, b2)",
+    " twist ( a1 ; b1 ) ", "twistx(a1; b1)", "T(a1, b1; a2, b2) $",
+    "twist(a1; b1", "twist(0; 0)", "3*4", "0*0", "a1 + 1/2*a1 - 3/2*a1"])
+def test_parsers_agree_with_the_cursor_oracle_on_edge_cases(text):
+    for parse, oracle in PARSERS:
+        assert parse_outcome(parse, text) == parse_outcome(oracle, text)
 
 
 def test_parse_tree_and_twist():

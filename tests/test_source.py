@@ -74,18 +74,18 @@ TRACED_NAMES = {
         "BasisLabel", "Fraction", "FreeVec", "HTree", "ParseError",
         "annotations", "canonical", "format_hvec", "format_s2l2",
         "format_tensor", "format_tree", "parse_hvec", "parse_tensor",
-        "parse_tree", "parse_twist"],
+        "parse_tree", "parse_twist", "re"],
     "cli": [
         "BUILTIN_KNOTS", "CheckResult", "DEFAULT_GENUS", "Fraction",
         "KnotRecord", "LaurentPoly", "NamedTuple", "POINCARE", "ParseError",
         "ReplicationReport", "SimpleNamespace", "SphereInvariants",
-        "annotations", "bounding_casson", "build_report", "canonical",
+        "annotations", "build_report", "canonical",
         "casson_surgery", "cocycle_values", "coinvariant_reduce", "d2_value",
         "format_tensor", "jones_h_derivative", "json", "lambda2_surgery",
         "load_knot_document", "main", "max_index", "parse_hvec",
         "parse_tensor", "parse_tree", "parse_twist", "re", "solve_alpha_r",
         "surgery_cocycle_value", "sys", "tau2_bscc_twist", "trace_a",
-        "trace_b", "tree_expand", "twist_forms", "vanishing_combo"],
+        "trace_b", "tree_expand", "vanishing_combo"],
 }
 
 
