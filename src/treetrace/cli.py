@@ -19,6 +19,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -106,7 +107,8 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     for name, knot in BUILTIN_KNOTS.items():
         want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
-        lam, tau = _twist_argument(name, genus)
+        lam, basis, _ = _twist_basis(name, genus)
+        tau = tau2_bscc_twist(*basis, genus)
         q, j, b, c = cocycle_values(lam, tau, lam, tau)
         surgery = surgery_cocycle_value(knot)
         # The surgery side less the Casson part c - b of the cocycle.
@@ -135,26 +137,32 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     report.add("cocycle_coefficients", "(3, 3/4)", coefficients)
     report.add("alpha_r", "(18, -3)", "(%s, %s)" % solve_alpha_r())
 
-    report.add("c4_trefoil", 0, BUILTIN_KNOTS["trefoil"].conway.coeff(4))
-    report.add("c4_figure_eight", 0,
-               BUILTIN_KNOTS["figure-eight"].conway.coeff(4))
-    report.add("v2_trefoil", -6,
-               jones_h_derivative(BUILTIN_KNOTS["trefoil"].jones, 2))
-    report.add("v2_figure_eight", 6,
-               jones_h_derivative(BUILTIN_KNOTS["figure-eight"].jones, 2))
-    report.add("casson_trefoil_surgery", 1,
-               casson_surgery(BUILTIN_KNOTS["trefoil"], 1))
-    report.add("casson_figure_eight_surgery", -1,
-               casson_surgery(BUILTIN_KNOTS["figure-eight"], 1))
+    trefoil, eight = BUILTIN_KNOTS["trefoil"], BUILTIN_KNOTS["figure-eight"]
+    report.add("c4_trefoil", 0, trefoil.conway.coeff(4))
+    report.add("c4_figure_eight", 0, eight.conway.coeff(4))
+    report.add("v2_trefoil", -6, jones_h_derivative(trefoil.jones, 2))
+    report.add("v2_figure_eight", 6, jones_h_derivative(eight.jones, 2))
+    report.add("casson_trefoil_surgery", 1, casson_surgery(trefoil, 1))
+    report.add("casson_figure_eight_surgery", -1, casson_surgery(eight, 1))
     report.add("lambda2_trefoil_surgery", POINCARE.lam2,
-               lambda2_surgery(BUILTIN_KNOTS["trefoil"], 1))
+               lambda2_surgery(trefoil, 1))
     report.add("poincare_obstruction", 24, vanishing_combo(POINCARE))
     return report
 
 
+# ``json.dumps(..., indent=2)``'s text, without its pure-Python encoder.
+_CHECK_JSON = ('    {\n      "name": %s,\n      "expected": %s,\n'
+               '      "computed": %s,\n      "pass": %s\n    }')
+
+
 def _emit_report(report: ReplicationReport, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        rows = ",\n".join(_CHECK_JSON % (
+            _quote(c.name), _quote(c.expected), _quote(c.computed),
+            "true" if c.passed else "false") for c in report.checks)
+        print('{\n  "genus": %d,\n  "overall_pass": %s,\n  "checks": %s\n}'
+              % (report.genus, "true" if report.overall_pass else "false",
+                 "[\n%s\n  ]" % rows if rows else "[]"))
     else:
         for check in report.checks:
             if check.passed:
@@ -173,7 +181,9 @@ def _cmd_report(args) -> int:
 def _print_values(values: dict, fmt: str) -> int:
     """Print named exact values as ``key = value`` lines or a JSON object."""
     if fmt == "json":
-        print(json.dumps({k: str(v) for k, v in values.items()}, indent=2))
+        print("{\n%s\n}" % ",\n".join(
+            "  %s: %s" % (_quote(k), _quote(str(v)))
+            for k, v in values.items()) if values else "{}")
     else:
         for key, value in values.items():
             print("%s = %s" % (key, value))
@@ -258,12 +268,6 @@ def _twist_basis(text: str, genus: int, option=None, lam_text=None):
     if top > genus:
         raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
     return lam, (x, y), v
-
-
-def _twist_argument(text: str, genus: int):
-    """(Casson value, tree image) of a knot name or twist(x; y) spec."""
-    lam, basis, _ = _twist_basis(text, genus)
-    return lam, tau2_bscc_twist(*basis, genus)
 
 
 def _cmd_cocycle(args) -> int:
@@ -395,6 +399,12 @@ _COMMANDS = {
               (("--side", _choice("A", "B"), "A", "A or B"), _GENUS)),
 }
 _HELP = ("-h", "--help")
+# Per command: its flags (with -h/--help), and its dests with defaults.
+_TABLES = {command: (
+    dict.fromkeys(_HELP) | {option[0]: option for option in options},
+    dict.fromkeys(dest for dest, _, _ in positionals) | {
+        f[2:].replace("-", "_"): default for f, _, default, _ in options})
+    for command, (_, _, positionals, options) in _COMMANDS.items()}
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
 
 
@@ -471,16 +481,13 @@ def _parse_args(argv: list) -> SimpleNamespace:
     if command not in _COMMANDS:
         raise _UsageError("argument command: invalid choice: %r (choose from "
                           "%s)" % (command, ", ".join(map(repr, _COMMANDS))))
-    handler, _, positionals, options = _COMMANDS[command]
-    flags = dict.fromkeys(_HELP)
-    flags.update((option[0], option) for option in options)
+    handler, _, positionals, _ = _COMMANDS[command]
+    flags, defaults = _TABLES[command]
     cut = argv.index("--") if "--" in argv else len(argv)
     # Per token: None a positional, "-" the first "--", else _option's pair.
     kinds = [_option(token, flags) for token in argv[:cut]] + ["-"] + [
         None] * len(argv)
-    values = {dest: None for dest, _, _ in positionals}
-    values.update((flag[2:].replace("-", "_"), default)
-                  for flag, _, default, _ in options)
+    values = dict(defaults)
     pending = list(positionals)
     taken, lead = None, False   # the last token a positional took
     i = 0

@@ -3,7 +3,7 @@
 A knot enters as its Conway and Jones polynomials (exact integer Laurent
 polynomials); 1/n surgery on it produces a homology sphere whose Casson
 invariant is -n/6 times the second h-derivative of the Jones polynomial at
-t = exp(-h), and whose second invariant is
+t = exp(-h), and whose second invariant, computed as one integer over 6, is
 
     n/2 v2 - n/3 v3 + n^2 (v2 + 5/3 v2^2 - 60 c4),
 
@@ -211,16 +211,19 @@ POINCARE = SphereInvariants(Fraction(1), Fraction(39))
 
 def casson_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Casson invariant of the sphere from 1/n surgery: -n/6 times v2."""
-    return Fraction(-n, 6) * jones_h_derivative(knot.jones, 2)
+    return Fraction(-n * jones_h_derivative(knot.jones, 2), 6)
+
+
+def _six_lambda2(knot: KnotRecord, n: int) -> int:
+    v2 = jones_h_derivative(knot.jones, 2)
+    v3 = jones_h_derivative(knot.jones, 3)
+    return (3 * n * v2 - 2 * n * v3
+            + n * n * (6 * v2 + 10 * v2 * v2 - 360 * knot.conway.coeff(4)))
 
 
 def lambda2_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Second invariant of the sphere from 1/n surgery on the knot."""
-    v2 = jones_h_derivative(knot.jones, 2)
-    v3 = jones_h_derivative(knot.jones, 3)
-    c4 = knot.conway.coeff(4)
-    quadratic = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
-    return Fraction(n, 2) * v2 - Fraction(n, 3) * v3 + n * n * quadratic
+    return Fraction(_six_lambda2(knot, n), 6)
 
 
 def connected_sum(m1: SphereInvariants, m2: SphereInvariants) -> SphereInvariants:
@@ -264,4 +267,4 @@ def surgery_cocycle_value(knot: KnotRecord) -> Fraction:
     The square of the twist is 1/2 surgery, so the cocycle evaluates to
     lambda2(1/2 surgery) - 2*lambda2(1/1 surgery).
     """
-    return lambda2_surgery(knot, 2) - 2 * lambda2_surgery(knot, 1)
+    return Fraction(_six_lambda2(knot, 2) - 2 * _six_lambda2(knot, 1), 6)

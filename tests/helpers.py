@@ -19,6 +19,7 @@ from treetrace.cli import (
 from treetrace.exact import FreeVec, canonical
 from treetrace.forms import contract_cs, eta_s, key_bidegree
 from treetrace.grammar import ParseError
+from treetrace.surgery import KnotRecord, LaurentPoly
 from treetrace.symplectic import (
     DEFAULT_GENUS,
     FAMILY_A,
@@ -554,6 +555,36 @@ def jones_series_derivative(poly, i):
     for k in range(1, i + 1):
         factorial *= k
     return series[i] * factorial
+
+
+def surgery_fractions(knot, n):
+    """Oracle for (lambda, lambda2) of 1/n surgery on ``knot``: the
+    displayed Fraction formulas -n/6 v2 and n/2 v2 - n/3 v3 + n^2 (v2 +
+    5/3 v2^2 - 60 c4), with v2 and v3 from the power-series oracle."""
+    v2 = jones_series_derivative(knot.jones, 2)
+    v3 = jones_series_derivative(knot.jones, 3)
+    c4 = knot.conway.coeff(4)
+    quadratic = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
+    return (Fraction(-n, 6) * v2,
+            Fraction(n, 2) * v2 - Fraction(n, 3) * v3 + n * n * quadratic)
+
+
+def torus_knot(k):
+    """The torus knot T(2, 2k+1) from its closed forms: Jones polynomial
+    V = t^k (1 - t^3 - t^(2k+2) + t^(2k+3)) / (1 - t^2), divided out
+    exactly, and Conway polynomial sum_j C(k+j, 2j) z^(2j)."""
+    numerator = {0: 1, 3: -1, 2 * k + 2: -1, 2 * k + 3: 1}
+    # The quotient's coefficient of t^i is numerator_i + quotient_(i-2); its
+    # would-be terms at t^(2k+2) and t^(2k+3) are the remainder.
+    quotient = []
+    for i in range(2 * k + 4):
+        quotient.append(numerator.get(i, 0)
+                        + (quotient[i - 2] if i >= 2 else 0))
+    assert quotient[-2:] == [0, 0], "1 - t^2 does not divide the numerator"
+    return KnotRecord(
+        name="T(2,%d)" % (2 * k + 1),
+        conway=LaurentPoly({2 * j: comb(k + j, 2 * j) for j in range(k + 1)}),
+        jones=LaurentPoly({k + i: c for i, c in enumerate(quotient) if c}))
 
 
 def seifert_q_j(p, q):

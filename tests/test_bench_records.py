@@ -30,6 +30,11 @@ def test_record_is_consistent(path):
             assert 0 <= m["change_wins"] <= workload["pairs"], where
             if "pairs" in m:
                 assert len(m["pairs"]) == workload["pairs"], where
+            orders = m.get("by_order", {}).values()
+            if orders:
+                assert sum(o["pairs"] for o in orders) == workload["pairs"]
+                assert sum(o["change_wins"] for o in orders) == \
+                    m["change_wins"], where
     unseen = record.get("unseen_seed")
     if unseen is not None:
         for side in SIDES:

@@ -11,13 +11,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import treetrace.cli
 import treetrace.surgery
 from treetrace.cli import (
+    ReplicationReport,
     _UsageError,
+    _emit_report,
     _parse_args,
+    _print_values,
     _rational,
     build_report,
     load_knot_document,
@@ -383,6 +386,53 @@ def test_surgery_json_output(capsys):
     doc = json.loads(out)
     assert doc == {"lambda": "1", "lambda2": "39", "d2": "21",
                    "vanishing_combo": "24"}
+
+
+def printed(writer, *args):
+    """(return value, stdout text) of ``writer(*args)``."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = writer(*args)
+    return code, buf.getvalue()
+
+
+# Quotes, backslashes, line breaks, other control characters and non-ASCII
+# text, all of which JSON strings escape.
+AWKWARD = ('"', "\\", "\n", "\r\t", "\x00\x1f\x7f", "caf\u00e9",
+           "\u03bb\u2082", "\U0001d54a", "\u2028")
+awkward_text = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=8))
+
+
+def report_of(genus, rows):
+    report = ReplicationReport(genus)
+    for name, expected, computed, passes in rows:
+        report.add(name, expected, expected if passes else computed)
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 9), st.lists(st.tuples(
+    awkward_text, awkward_text, awkward_text, st.booleans()), max_size=4))
+@example(5, [])
+@example(8, [("q_trefoil", "48", "47", False)])
+@example(6, [('na"me\\', "\n\x01caf\u00e9", "\u03bb", False),
+             ("ok", "1/2", "", True)])
+def test_report_json_is_what_json_dumps_writes(genus, rows):
+    report = report_of(genus, rows)
+    assert printed(_emit_report, report, "json") == (
+        0 if report.overall_pass else 1,
+        json.dumps(report.to_dict(), indent=2) + "\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(awkward_text, st.one_of(
+    st.integers(), st.integers(max_value=-1), st.fractions()), max_size=5))
+@example({"Q": 48, "J": -12, "C": Fraction(-27, 4)})
+@example({})
+def test_value_json_is_what_json_dumps_writes(values):
+    assert printed(_print_values, values, "json") == (
+        0, json.dumps({k: str(v) for k, v in values.items()}, indent=2)
+        + "\n")
 
 
 def test_trace_without_required_label_is_a_usage_error(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (block_q_j, conway_from_seifert, jones_series_derivative,
-                     seifert_q_j)
+                     seifert_q_j, surgery_fractions, torus_knot)
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
 from treetrace.forms import cocycle, cocycle_values, j_form, q_form
@@ -162,15 +162,34 @@ def test_lambda2_surgery_values():
     assert lambda2_surgery(TREFOIL, 0) == 0
 
 
+# The torus knots T(2, 2k+1), k = 1-10, from their closed forms: real knots
+# with c4 != 0 from k = 2 on, which the built-in knots do not have.
+TORUS_KNOTS = [torus_knot(k) for k in range(1, 11)]
+
+
 def test_lambda2_surgery_is_the_displayed_quadratic():
-    for knot in BUILTIN_KNOTS.values():
-        v2 = jones_h_derivative(knot.jones, 2)
-        v3 = jones_h_derivative(knot.jones, 3)
-        c4 = knot.conway.coeff(4)
-        linear = Fraction(v2, 2) - Fraction(v3, 3)
-        quad = v2 + Fraction(5, 3) * v2 * v2 - 60 * c4
-        for n in range(-3, 4):
-            assert lambda2_surgery(knot, n) == linear * n + quad * n * n
+    # The integer evaluation against the displayed Fraction formulas, also
+    # on the torus knots, so the -60 c4 term meets real knots.
+    for knot in [*BUILTIN_KNOTS.values(), *TORUS_KNOTS]:
+        for n in range(-5, 6):
+            lam, lam2 = casson_surgery(knot, n), lambda2_surgery(knot, n)
+            assert (lam, lam2) == surgery_fractions(knot, n), (knot.name, n)
+            assert type(lam) is type(lam2) is Fraction
+        assert surgery_cocycle_value(knot) == (
+            surgery_fractions(knot, 2)[1] - 2 * surgery_fractions(knot, 1)[1])
+        assert type(surgery_cocycle_value(knot)) is Fraction
+
+
+def test_torus_knots_from_their_closed_forms():
+    assert [knot.conway.coeff(4) for knot in TORUS_KNOTS[1:5]] == [
+        1, 5, 15, 35]
+    assert [jones_h_derivative(knot.jones, 3)
+            for knot in TORUS_KNOTS[:3]] == [36, 180, 504]
+    trefoil = TORUS_KNOTS[0]
+    assert (trefoil.conway, trefoil.jones) == (TREFOIL.conway, TREFOIL.jones)
+    assert lambda2_surgery(trefoil, 1) == 39
+    assert (casson_surgery(TORUS_KNOTS[1], 1),
+            lambda2_surgery(TORUS_KNOTS[1], 1)) == (3, 393)
 
 
 def test_connected_sum_of_poincare_spheres():

@@ -20,6 +20,9 @@ current directory, has per workload and end-to-end metric each side's
 median and inclusive quartiles, the change's ratio to the parent, the
 pairs the change won (read better by the metric's own direction; a tie
 wins for neither) and every pair's values, plus the failed operations.
+``by_order`` repeats the medians and wins over the pairs that ran the
+parent first and over those that ran the change first, since a cold run
+can read differently by its place in the pair.
 Each side is named by its HEAD commit and the git tree of its ``src/``
 (``git rev-parse <commit>:src`` gives it back), plus a hash of
 ``git diff HEAD -- src`` when ``src/`` has uncommitted changes.
@@ -81,6 +84,10 @@ def summarise(runs: dict, metrics: list) -> dict:
                                       else -1)
         pairs = [[p["metrics"][name], c["metrics"][name]]
                  for p, c in zip(runs["parent"], runs["change"])]
+
+        def wins(pairs):
+            return sum(sign * (c - p) < 0 for p, c in pairs)
+
         parent = spread([p for p, _ in pairs])
         change = spread([c for _, c in pairs])
         out["metrics"][name] = {
@@ -88,8 +95,18 @@ def summarise(runs: dict, metrics: list) -> dict:
             "parent": parent, "change": change,
             "change_vs_parent": round(
                 change["median"] / parent["median"] - 1, 4),
-            "change_wins": sum(sign * (c - p) < 0 for p, c in pairs),
+            "change_wins": wins(pairs),
             "pairs": [[round(p, 6), round(c, 6)] for p, c in pairs],
+            # Pair k ran the parent first when k is even (``main``).
+            "by_order": {order: {
+                "pairs": len(part),
+                "parent_median": round(statistics.median(
+                    p for p, _ in part), 6),
+                "change_median": round(statistics.median(
+                    c for _, c in part), 6),
+                "change_wins": wins(part)}
+                for order, part in (("parent_first", pairs[0::2]),
+                                    ("change_first", pairs[1::2]))},
         }
     return out
 
