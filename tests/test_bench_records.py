@@ -32,7 +32,8 @@ def test_record_is_consistent(path):
                 assert len(m["pairs"]) == workload["pairs"], where
             orders = m.get("by_order", {}).values()
             if orders:
-                assert sum(o["pairs"] for o in orders) == workload["pairs"]
+                assert sum(o["pairs"] for o in orders) == \
+                    workload["pairs"], where
                 assert sum(o["change_wins"] for o in orders) == \
                     m["change_wins"], where
     unseen = record.get("unseen_seed")
