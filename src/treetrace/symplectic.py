@@ -17,11 +17,19 @@ tensor with p_i slots a_i and p_i slots b_i for every index i is the sum of
 the prod p_i! chords of its matchings (a bijection from the a_i slots to
 the b_i slots for each i), each with coefficient 1; an unbalanced basic
 tensor is 0.
+
+The chords of a small basic tensor (degree/2 <= 5) are kept in a bounded
+process-wide memo keyed on the exact tensor: at most 32 tensors of at most
+5! = 120 chords each.  It hits when a GL orbit check reduces t and then
+g.t: a ``SignFlip`` image is +-t itself, and the one balanced term of an
+``Elementary`` image that adds an unused index is t again.  A
+``Transposition`` image renames indices, so it is a different tensor and
+misses.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache as _lru_cache
 from itertools import product
 from typing import NamedTuple, Union
 
@@ -231,7 +239,7 @@ def _chord_labels(n: int) -> dict:
     return {FAMILY_A: (a_labels, b_labels), FAMILY_B: (b_labels, a_labels)}
 
 
-def _chords(tensor: tuple, labels: dict) -> list:
+def _chords(tensor: tuple) -> list:
     """The chords of a balanced basic tensor, one per matching.
 
     Slots are paired from left to right: the first unpaired slot opens pair
@@ -240,6 +248,7 @@ def _chords(tensor: tuple, labels: dict) -> list:
     pair is forced.  So each leaf is one matching, already numbered by
     first slot.
     """
+    labels = _chord_labels(len(tensor) // 2)
     chord = [None] * len(tensor)
     last = len(tensor) // 2 - 1
     slots = {}
@@ -274,6 +283,18 @@ def _chords(tensor: tuple, labels: dict) -> list:
     return out
 
 
+# Largest n = degree/2 whose tensors' chords are memoized: at most 5! = 120
+# chords an entry, so at most 32 * 120 chords in the memo.
+_MEMO_PAIRS = 5
+
+
+@_lru_cache(maxsize=32)
+def _tensor_chords(tensor: tuple) -> tuple:
+    # The chords of a recently reduced small tensor, kept so that reducing
+    # it again (as a GL orbit check does) pairs no slot.
+    return tuple(_chords(tensor))
+
+
 def coinvariant_reduce(t, genus: int) -> FreeVec:
     """Class of a degree-2n tensor in the GL-coinvariants, over chord tensors.
 
@@ -284,6 +305,13 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
     a_k and b_k.  So the output is supported on balanced chord tensors in
     which every index pair appears once, renamed ascending by first
     occurrence, and distinct matchings give distinct chords.
+
+    The chords of a balanced tensor of degree at most 10 come from a memo
+    of the last 32 such tensors, keyed on the exact tensor, so reducing t
+    and then its ``SignFlip`` or ``Elementary`` image (whose balanced term
+    is t again) enumerates t's matchings once; a ``Transposition`` image
+    is another tensor and misses.  The degree, genus and balance checks
+    run on every call and every term before the memo is read.
     """
     if genus < 2:
         raise ValueError("coinvariants need genus >= 2, got genus %d" % genus)
@@ -302,7 +330,7 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
         raise ValueError(
             "degree %d needs 1 <= degree/2 < genus, got genus %d"
             % (degree, genus))
-    labels = _chord_labels(n)
+    chords = _tensor_chords if n <= _MEMO_PAIRS else _chords
     for tensor, coeff in items:
         balance = {}  # index -> count of a_index minus count of b_index
         for index, family in tensor:
@@ -314,9 +342,9 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
             continue
         if not out:
             # Distinct matchings give distinct chords.
-            out = dict.fromkeys(_chords(tensor, labels), coeff)
+            out = dict.fromkeys(chords(tensor), coeff)
             continue
-        for key in _chords(tensor, labels):
+        for key in chords(tensor):
             acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc

@@ -689,6 +689,20 @@ def conway_from_seifert(v):
     return conway
 
 
+def report_dict(report) -> dict:
+    """The document a ``report --format json`` run writes, as the dict
+    ``json.dumps(..., indent=2)`` would be given."""
+    return {
+        "genus": report.genus,
+        "overall_pass": report.overall_pass,
+        "checks": [
+            {"name": c.name, "expected": c.expected,
+             "computed": c.computed, "pass": c.passed}
+            for c in report.checks
+        ],
+    }
+
+
 # The argparse command line that treetrace.cli used to build, kept as the
 # oracle of its own parser: the same parser body, its integer converter,
 # and the refusal of an empty list that argparse makes of "--opt=--".

@@ -12,9 +12,11 @@ from helpers import (
     rand_hvec,
     split_coinvariant_reduce,
 )
+from treetrace import symplectic
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
     _PARTNERS,
+    _tensor_chords,
     FAMILY_A,
     BasisLabel,
     Elementary,
@@ -385,3 +387,114 @@ def test_transposition_decomposes_into_elementaries_and_a_flip():
         for gen in sequence:
             moved = gl_generator_action(gen, moved)
         assert moved == gl_generator_action(Transposition(i, j), tensor)
+
+
+# ---------------------------------------------------------------------------
+# The memo of small tensors' chords
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def orbit_cases(draw):
+    """A tensor combination and its images under one to three generators."""
+    genus, v = draw(tensor_combinations())
+    gens = draw(st.lists(st.sampled_from(all_generators(genus)),
+                         min_size=1, max_size=3))
+    return genus, [v] + [gl_generator_action(gen, v) for gen in gens]
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_cases(), st.randoms())
+def test_chord_memo_is_transparent(case, rng):
+    genus, vectors = case
+    wants = [split_coinvariant_reduce(v) for v in vectors]
+    for v, want in zip(vectors, wants):
+        _tensor_chords.cache_clear()
+        assert coinvariant_reduce(v, genus) == want
+    # Warm: every vector twice, in a shuffled order.
+    order = list(range(len(vectors))) * 2
+    rng.shuffle(order)
+    for k in order:
+        assert coinvariant_reduce(vectors[k], genus) == wants[k]
+    assert _tensor_chords.cache_info().currsize <= 32
+
+
+def test_orbit_check_enumerates_the_tensors_chords_once(monkeypatch):
+    calls = []
+    chords = symplectic._chords
+
+    def counted(tensor):
+        calls.append(tensor)
+        return chords(tensor)
+
+    monkeypatch.setattr(symplectic, "_chords", counted)
+    _tensor_chords.cache_clear()
+    genus = 6
+    t = (a(2), b(2), a(2), a(3), b(2), b(3), a(2), b(2), a(3), b(3))
+    reduced = coinvariant_reduce(t, genus)
+    assert len(reduced) == 12
+    # A sign flip gives +t; an elementary matrix that brings in the unused
+    # index 6 leaves t as the one balanced term of its image.
+    for gen in (SignFlip(2), SignFlip(5), Elementary(6, 2, 1),
+                Elementary(3, 6, -1)):
+        assert coinvariant_reduce(gl_generator_action(gen, t), genus) \
+            == reduced
+    assert calls == [t]
+    info = _tensor_chords.cache_info()
+    assert (info.hits, info.misses) == (4, 1)
+    # A transposition renames an index: another tensor, so it misses.
+    moved = gl_generator_action(Transposition(2, 4), t)
+    assert coinvariant_reduce(moved, genus) == reduced
+    (image, _), = moved.items()
+    assert calls == [t, image]
+
+
+def _balanced(rng, shape):
+    indices = rng.sample(range(1, 7), len(shape))
+    return _shuffled(rng, [lbl for i, p in zip(indices, shape)
+                           for lbl in [a(i)] * p + [b(i)] * p])
+
+
+def test_chord_memo_holds_at_most_32_tensors():
+    rng = random.Random(2010)
+    _tensor_chords.cache_clear()
+    seen = set()
+    while len(seen) < 48:
+        n = rng.randint(1, 5)
+        shape = []
+        while sum(shape) < n:
+            shape.append(rng.randint(1, n - sum(shape)))
+        tensor = _balanced(rng, shape)
+        seen.add(tensor)
+        coinvariant_reduce(tensor, 6)
+        assert _tensor_chords.cache_info().currsize <= 32
+    assert _tensor_chords.cache_info().currsize == 32
+    # The largest entry: five slot pairs on one index, 5! chords.
+    assert len(_tensor_chords(_balanced(rng, [5]))) == 120
+
+
+def test_degree_twelve_is_reduced_without_the_memo():
+    rng = random.Random(2011)
+    _tensor_chords.cache_clear()
+    tensor = _balanced(rng, [6])
+    reduced = coinvariant_reduce(tensor, 7)
+    assert len(reduced) == 720
+    assert reduced == split_coinvariant_reduce(FreeVec.single(tensor))
+    info = _tensor_chords.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_too_deep_tensor_is_refused_on_every_call():
+    deep = tuple(lbl for i in range(1, 1101) for lbl in (a(i), b(i)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too many slot pairs"):
+            coinvariant_reduce(deep, 1101)
+
+
+def test_memoized_tensor_is_still_checked_against_the_genus():
+    _tensor_chords.cache_clear()
+    t = (a(3), b(3))
+    assert coinvariant_reduce(t, 4) == FreeVec.single((a(1), b(1)))
+    assert _tensor_chords.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="outside genus 2"):
+        coinvariant_reduce(t, 2)
