@@ -260,7 +260,10 @@ def _chords(tensor: tuple) -> list:
 
     def pair(slot, k):
         slot = chord.index(None, slot)
-        own, other = labels[tensor[slot].family]
+        # The family is read by position, as the balance count reads it, so
+        # a plain (index, family) pair reduces as its equal label does,
+        # memoized or not.
+        own, other = labels[tensor[slot][1]]
         chord[slot] = own[k]
         if k == last:
             partner = chord.index(None, slot)

@@ -498,3 +498,14 @@ def test_memoized_tensor_is_still_checked_against_the_genus():
     assert _tensor_chords.cache_info().currsize == 1
     with pytest.raises(ValueError, match="outside genus 2"):
         coinvariant_reduce(t, 2)
+
+
+def test_plain_index_family_pairs_reduce_alike_cold_and_warm():
+    pairs = ((2, "a"), (2, "b"), (2, "a"), (2, "b"))
+    labels = (a(2), b(2), a(2), b(2))
+    want = FreeVec({(a(1), b(1), a(2), b(2)): 1, (a(1), b(2), a(2), b(1)): 1})
+    for first, second in ((pairs, labels), (labels, pairs)):
+        _tensor_chords.cache_clear()
+        assert coinvariant_reduce(first, 4) == want
+        assert coinvariant_reduce(second, 4) == want
+        assert _tensor_chords.cache_info().hits == 1
