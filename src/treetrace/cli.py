@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .exact import canonical
+from .exact import _fraction, canonical
 from .forms import _cocycle_sum, cocycle_values, trace_a, trace_b
 from .grammar import (
     ParseError,
@@ -281,7 +281,7 @@ def _cmd_cocycle(args) -> int:
                                        "--lambda-y", args.lambda_y)
     q, j = _twist_forms(basis_x, v_x, basis_y, v_y)
     c = _cocycle_sum(lam_x, lam_y, q, 2 * j)[1]
-    return _print_values({"Q": q, "J": j, "C": Fraction(c, 4)}, args.format)
+    return _print_values({"Q": q, "J": j, "C": _fraction(c, 4)}, args.format)
 
 
 def _polynomial(doc: dict, key: str) -> LaurentPoly:

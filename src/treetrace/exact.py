@@ -5,11 +5,24 @@ of arbitrary ordered basis keys with exact rational coefficients (ints or
 Fractions); ``scalar`` is the one rule that admits a value as exact, and
 ``canonical`` the one that makes an integral one an ``int``.  There is no
 floating point anywhere.
+
+Every ``Fraction`` the package builds from exact numbers comes from
+``_fraction``, ``Fraction`` behind a bounded memo (256 entries, least
+recently used dropped first).  Results repeat: a Gram block of twists with
+disjoint supports gives Q = J = 0 and the same C again and again, and
+CPython builds a ``Fraction`` in pure Python.  Sharing one instance is
+sound because a ``Fraction`` never changes, so types, values and printed
+text are those of a fresh one; a zero denominator still raises
+``ZeroDivisionError`` and stores nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache as _lru_cache
+
+
+_fraction = _lru_cache(maxsize=256)(Fraction)
 
 
 def scalar(value):

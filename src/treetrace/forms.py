@@ -28,7 +28,7 @@ is 3 q, and D pairs lambda4(q) with y as q with the wedge of y, so nabla
 vanishes on the embedded Lambda^4 H from either side.  A Gram block of m
 vectors costs m image builds and m^2 dot products.  The totals stay ints
 (Fractions only for Fraction coefficients) until one Fraction is made per
-value.
+value, by the memo ``exact._fraction``.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import FreeVec, scalar
+from .exact import FreeVec, _fraction, scalar
 from .symplectic import _PARTNERS, FAMILY_A, FAMILY_B
 from .trees import key_labels
 
@@ -291,14 +291,14 @@ def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c).
 
     Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab."""
-    return Fraction(_eta_dot(x, y))
+    return _fraction(_eta_dot(x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product: 3 times the S^2(Lambda^2 H) pairing less the
     Lambda^4 H pairing of the four-slot wedges, halved, so zero on
     lambda4(q) (module doc)."""
-    return Fraction(_twice_nabla(x, y), 2)
+    return _fraction(_twice_nabla(x, y), 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
@@ -333,7 +333,7 @@ def cocycle(lam_x: Fraction, x: FreeVec, lam_y: Fraction, y: FreeVec) -> Fractio
     """Full cocycle 36*lam_x*lam_y + 3*J + (3/4)*Q on (Casson value, tree
     image) pairs; ``cocycle(0, x, 0, y)`` is its tree part B.  Casson values
     must be exact: a float raises TypeError."""
-    return Fraction(_cocycle_totals(lam_x, x, lam_y, y)[3], 4)
+    return _fraction(_cocycle_totals(lam_x, x, lam_y, y)[3], 4)
 
 
 def cocycle_values(lam_x: Fraction, x: FreeVec, lam_y: Fraction,
@@ -342,4 +342,4 @@ def cocycle_values(lam_x: Fraction, x: FreeVec, lam_y: Fraction,
     each piece once: the values of ``q_form``, ``j_form``, the tree part
     3*J + (3/4)*Q of the cocycle and ``cocycle`` on the same arguments."""
     e, n, b, c = _cocycle_totals(lam_x, x, lam_y, y)
-    return Fraction(e), Fraction(n, 2), Fraction(b, 4), Fraction(c, 4)
+    return _fraction(e), _fraction(n, 2), _fraction(b, 4), _fraction(c, 4)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .exact import FreeVec, canonical
+from .exact import FreeVec, _fraction, canonical
 from .symplectic import BasisLabel
 from .trees import HTree
 
@@ -76,7 +76,7 @@ def _integer(m, group: int) -> int:
         raise ParseError("integer too long", m.start(group)) from None
 
 
-def _coefficient(m, group: int):
+def _coefficient(m, group: int) -> int | Fraction:
     # p, or p/q when group + 1 (q) matched.
     num = _integer(m, group)
     if m.group(group + 1) is None:
@@ -84,7 +84,7 @@ def _coefficient(m, group: int):
     den = _integer(m, group + 1)
     if not den:
         raise ParseError("zero denominator", m.start(group + 1))
-    return Fraction(num, den)
+    return _fraction(num, den)
 
 
 def _label(m, group: int) -> BasisLabel:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import index
 from typing import NamedTuple, Optional
 
-from .exact import FreeVec
+from .exact import FreeVec, _fraction
 from .symplectic import a, b, seifert_form
 
 
@@ -206,12 +206,12 @@ FIGURE_EIGHT = KnotRecord(
 
 BUILTIN_KNOTS = {k.name: k for k in (TREFOIL, FIGURE_EIGHT)}
 
-POINCARE = SphereInvariants(Fraction(1), Fraction(39))
+POINCARE = SphereInvariants(_fraction(1), _fraction(39))
 
 
 def casson_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Casson invariant of the sphere from 1/n surgery: -n/6 times v2."""
-    return Fraction(-n * jones_h_derivative(knot.jones, 2), 6)
+    return _fraction(-n * jones_h_derivative(knot.jones, 2), 6)
 
 
 def _six_lambda2(knot: KnotRecord, n: int) -> int:
@@ -223,7 +223,7 @@ def _six_lambda2(knot: KnotRecord, n: int) -> int:
 
 def lambda2_surgery(knot: KnotRecord, n: int) -> Fraction:
     """Second invariant of the sphere from 1/n surgery on the knot."""
-    return Fraction(_six_lambda2(knot, n), 6)
+    return _fraction(_six_lambda2(knot, n), 6)
 
 
 def connected_sum(m1: SphereInvariants, m2: SphereInvariants) -> SphereInvariants:
@@ -257,7 +257,7 @@ def solve_alpha_r() -> tuple:
     needs to be -2*r*t.  So both coefficients can be read off the rules at
     m = (lambda 1, lambda2 0).
     """
-    m = SphereInvariants(Fraction(1), Fraction(0))
+    m = SphereInvariants(_fraction(1), _fraction(0))
     return connected_sum(m, m).lam2 / 2, -reverse_orientation(m).lam2 / 2
 
 
@@ -267,4 +267,4 @@ def surgery_cocycle_value(knot: KnotRecord) -> Fraction:
     The square of the twist is 1/2 surgery, so the cocycle evaluates to
     lambda2(1/2 surgery) - 2*lambda2(1/1 surgery).
     """
-    return Fraction(_six_lambda2(knot, 2) - 2 * _six_lambda2(knot, 1), 6)
+    return _fraction(_six_lambda2(knot, 2) - 2 * _six_lambda2(knot, 1), 6)

@@ -120,7 +120,7 @@ def omega(u: FreeVec, v: FreeVec):
 
 def max_index(u: FreeVec) -> int:
     """Largest basis index appearing in an H vector (0 for the zero vector)."""
-    return max((k.index for k, _ in u.items()), default=0)
+    return max((k.index for k in u._terms), default=0)
 
 
 # ---------------------------------------------------------------------------

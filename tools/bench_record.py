@@ -13,7 +13,7 @@ sides, and every second pair runs the change first.  Before every run it
 deletes each ``__pycache__`` under that checkout's ``src/`` and sets
 ``PYTHONDONTWRITEBYTECODE=1``, so the package is compiled from source as
 the benchmark measures it.  With ``--unseen-seed`` it adds one more pair of
-the first workload at that seed.
+every workload at that seed, parent first, stored with that workload.
 
 The result, written after every workload to ``BENCH_<pr>.json`` in the
 current directory, has per workload and end-to-end metric each side's
@@ -167,19 +167,17 @@ def main(argv=None):
                 print("%s seed %d %s: %s" % (workload, seed, side,
                                              runs[side][-1]["metrics"]),
                       file=sys.stderr, flush=True)
-        record["workloads"][workload] = dict(
+        entry = record["workloads"][workload] = dict(
             seeds=seeds, pairs=PAIRS,
             **summarise(runs, bench["end_to_end"]))
-        path.write_text(json.dumps(record, indent=1) + "\n")
-    if args.unseen_seed is not None:
-        record["unseen_seed"] = {"workload": workloads[0],
-                                 "seed": args.unseen_seed}
-        for side in SIDES:
-            result = run_once(roots[side], workloads[0], args.unseen_seed)
-            record["unseen_seed"][side] = dict(
-                {name: round(value, 6)
-                 for name, value in result["metrics"].items()},
-                correct=result["correct"], failed=result["failed"])
+        if args.unseen_seed is not None:
+            entry["unseen_seed"] = {"seed": args.unseen_seed}
+            for side in SIDES:
+                result = run_once(roots[side], workload, args.unseen_seed)
+                entry["unseen_seed"][side] = dict(
+                    {name: round(value, 6)
+                     for name, value in result["metrics"].items()},
+                    correct=result["correct"], failed=result["failed"])
         path.write_text(json.dumps(record, indent=1) + "\n")
 
 
