@@ -36,7 +36,14 @@ def test_record_is_consistent(path):
                     workload["pairs"], where
                 assert sum(o["change_wins"] for o in orders) == \
                     m["change_wins"], where
-    unseen = record.get("unseen_seed")
-    if unseen is not None:
+    # An unseen-seed pair is stored with each workload; older records hold
+    # one pair, of their first workload, at the top level.
+    unseen = [(name, w["unseen_seed"])
+              for name, w in record["workloads"].items() if "unseen_seed" in w]
+    if "unseen_seed" in record:
+        unseen.append((record["unseen_seed"]["workload"],
+                       record["unseen_seed"]))
+    for name, pair in unseen:
+        assert name in record["workloads"], name
         for side in SIDES:
-            assert unseen[side].get("failed", 0) == 0, side
+            assert pair[side].get("failed", 0) == 0, (name, side)

@@ -14,7 +14,7 @@ from helpers import (
     rand_scalar,
     span_reduce,
 )
-from treetrace.exact import FreeVec
+from treetrace.exact import FreeVec, _fraction
 from treetrace.symplectic import a, b
 
 
@@ -140,6 +140,38 @@ def test_span_basis_rank_and_contains():
     assert span.rank == 1
     assert span.contains(FreeVec.single("p") * Fraction(7, 3))
     assert not span.contains(FreeVec.single("q"))
+
+
+# Numerators and nonzero denominators on both sides of 2**64.
+_big_ints = st.integers(-2**70, 2**70) | st.integers(-30, 30)
+_denominators = _big_ints.filter(bool)
+
+
+@given(_big_ints, _denominators)
+def test_fraction_memo_matches_fraction(n, d):
+    for _ in range(2):  # a miss, then a hit
+        value = _fraction(n, d)
+        assert value == Fraction(n, d)
+        assert type(value) is Fraction
+    assert _fraction(n) == Fraction(n) and type(_fraction(n)) is Fraction
+
+
+def test_fraction_memo_refuses_zero_denominator_and_stores_nothing():
+    _fraction.cache_clear()
+    _fraction(3, 4)
+    before = _fraction.cache_info().currsize
+    for n in (0, 1, -7, 2**65):
+        with pytest.raises(ZeroDivisionError):
+            _fraction(n, 0)
+    assert _fraction.cache_info().currsize == before == 1
+
+
+def test_fraction_memo_is_bounded():
+    _fraction.cache_clear()
+    for n in range(1000):
+        assert _fraction(n, 7) == Fraction(n, 7)
+        assert _fraction.cache_info().currsize <= 256
+    assert _fraction.cache_info().currsize == 256
 
 
 def test_float_coefficients_are_rejected():

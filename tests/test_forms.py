@@ -23,7 +23,7 @@ from helpers import (
     tree_combinations,
     upsilon,
 )
-from treetrace.exact import FreeVec
+from treetrace.exact import FreeVec, _fraction
 from treetrace.forms import (
     _split,
     cocycle,
@@ -39,7 +39,13 @@ from treetrace.forms import (
     trace_b,
     w0_member,
 )
-from treetrace.surgery import FIGURE_EIGHT, TREFOIL
+from treetrace.surgery import (
+    FIGURE_EIGHT,
+    TREFOIL,
+    casson_surgery,
+    lambda2_surgery,
+    surgery_cocycle_value,
+)
 from treetrace.symplectic import (FAMILY_A, FAMILY_B, BasisLabel, a, b,
                                   basis_labels)
 from treetrace.trees import (
@@ -520,7 +526,45 @@ def test_cocycle_refuses_float_casson_values():
         with pytest.raises(TypeError, match="float coefficients are not exact"):
             cocycle_values(lam_x, FreeVec(), lam_y, FreeVec())
     assert cocycle(Fraction(1, 2), FreeVec(), 2, FreeVec()) == 36
-    assert type(cocycle(1, FreeVec(), 2, FreeVec())) is Fraction
+
+
+# Every exact result the package builds, as a call on fixed arguments: the
+# trefoil and figure-eight images, a disjoint twist, and a multiple by 1/3 so
+# that the totals are Fractions too.
+_X, _Y = tau_trefoil(), tau_eight()
+_DISJOINT = tau2_bscc_twist(a(4), b(4), 5)
+_THIRD = Fraction(1, 3) * _X
+_EXACT_RESULTS = {
+    "eta_s": lambda: eta_s(contract_cs(_X), contract_cs(_Y)),
+    "eta_s_fraction": lambda: eta_s(contract_cs(_THIRD), contract_cs(_X)),
+    "nabla": lambda: nabla(_X, _Y),
+    "nabla_fraction": lambda: nabla(_THIRD, _Y),
+    "q_form": lambda: q_form(_X, _X),
+    "j_form": lambda: j_form(_Y, _Y),
+    "q_form_disjoint": lambda: q_form(_X, _DISJOINT),
+    "cocycle": lambda: cocycle(1, _X, 1, _X),
+    "cocycle_empty": lambda: cocycle(1, FreeVec(), 2, FreeVec()),
+    "cocycle_fraction": lambda: cocycle(Fraction(2, 3), _THIRD, -1, _Y),
+    **{"cocycle_values_%s" % name: (
+        lambda k=k: cocycle_values(Fraction(2, 3), _THIRD, -1, _Y)[k])
+       for k, name in enumerate("QJBC")},
+    "casson_surgery": lambda: casson_surgery(TREFOIL, 3),
+    "lambda2_surgery": lambda: lambda2_surgery(FIGURE_EIGHT, -2),
+    "surgery_cocycle_value": lambda: surgery_cocycle_value(TREFOIL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_RESULTS))
+def test_exact_results_are_fractions_cold_and_warm(name):
+    call = _EXACT_RESULTS[name]
+    _fraction.cache_clear()
+    cold = call()
+    hits = _fraction.cache_info().hits
+    warm = call()
+    assert type(cold) is type(warm) is Fraction
+    assert cold == warm
+    # The warm call is served by the memo.
+    assert _fraction.cache_info().hits > hits
 
 
 def test_forms_invariant_under_gl_generators():

@@ -30,6 +30,7 @@ from treetrace.symplectic import (
     gl_generator_action,
     hvec,
     label_omega,
+    max_index,
     omega,
     seifert_form,
 )
@@ -79,6 +80,16 @@ def test_hvec_takes_only_labels_and_vectors():
     for value in (3, "a3", (3, "a")):
         with pytest.raises(TypeError):
             hvec(value)
+
+
+def test_max_index_is_the_largest_index_in_the_support():
+    assert max_index(FreeVec()) == 0
+    assert max_index(FreeVec([(a(4), 1), (a(4), -1)])) == 0
+    assert max_index(FreeVec({b(7): Fraction(1, 2), a(2): -3})) == 7
+    rng = random.Random(2002)
+    for _ in range(100):
+        u = rand_hvec(rng, 9, max_terms=4)
+        assert max_index(u) == max((k.index for k in u.support()), default=0)
 
 
 def test_omega_bilinear_expansion():
