@@ -50,7 +50,7 @@ from .surgery import (
     vanishing_combo,
 )
 from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
-from .trees import tau2_bscc_twist, tree_expand
+from .trees import _check_basis, tau2_bscc_twist, tree_expand
 
 
 class CheckResult(NamedTuple):
@@ -263,10 +263,8 @@ def _twist_basis(text: str, genus: int, option=None, lam_text=None):
     elif knot is not None and lam != c2:
         raise ValueError("%s %s contradicts the Casson value %s of the "
                          "built-in knot %r" % (option, lam, c2, text))
-    # ``tau2_bscc_twist``'s message; the grammar makes no other bad label.
-    top = max(max_index(x), max_index(y))
-    if top > genus:
-        raise ValueError("twist uses index %d beyond genus %d" % (top, genus))
+    # ``tau2_bscc_twist``'s check; the grammar makes no other bad label.
+    _check_basis(x, y, genus)
     return lam, (x, y), v
 
 

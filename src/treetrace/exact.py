@@ -81,20 +81,26 @@ class FreeVec:
         v._terms = data
         return v
 
-    def cached(self, fn):
-        """``fn(self)``, computed at most once per vector.
+    def cached(self, fn, arg=None):
+        """``fn(self)``, or ``fn(self, arg)`` when ``arg`` is given, computed
+        at most once per vector and ``arg``.
 
         Sound because a vector never changes after construction; a vector
-        made by arithmetic starts without a memo.
+        made by arithmetic starts without a memo.  The values of an ``fn``
+        that takes an ``arg`` are kept in one dict by ``arg``, so a lookup
+        builds no key; such an ``fn`` is never cached without one.
         """
         try:
             memo = self._memo
         except AttributeError:
             memo = self._memo = {}
         try:
-            return memo[fn]
+            return memo[fn] if arg is None else memo[fn][arg]
         except KeyError:
-            value = memo[fn] = fn(self)
+            if arg is None:
+                value = memo[fn] = fn(self)
+            else:
+                value = memo.setdefault(fn, {})[arg] = fn(self, arg)
             return value
 
     def coeff(self, key):

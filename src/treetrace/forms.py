@@ -14,21 +14,24 @@ Two rational-valued pairings act on these pieces: the perfect pairing
 tree inner product ``nabla``.  omega(u, v) is nonzero only when v is the
 omega-partner u' of u (same index, other family), and omega(u, u') =
 eps(u) is +1 for u in A, -1 for u in B.  So a pairing is a dot product of
-two images of its arguments, each built once per piece and kept with it:
-the partner image x* (every label replaced by its partner, times the
-product of eps over the labels, wedges and legs sorted), the canonical
-form x° (wedges and legs sorted, a square key doubled), and the four-slot
-wedges W(x) and W*(x) = W(x*) of a tree, the labels sorted with the sign
-of the permutation.  Then eta_s(x, y) = <x*, y°>.  For the slot labels of
+one image of each argument, built once per piece and kept with it.  The
+left argument gives its partner image x* (every label replaced by its
+partner, times the product of eps over the labels, wedges and legs
+sorted), the right one its canonical form y° (wedges and legs sorted, a
+square key doubled), and eta_s(x, y) = <x*, y°>.  For the slot labels of
 two tree terms let M_kl = omega(x_k, y_l), with 2x2 minors m_ij on rows
 0, 1 and n_kl on rows 2, 3: the S^2(Lambda^2 H) pairing is D = m_01 n_23
-+ m_23 n_01 = <x*, y°>, the Lambda^4 H pairing of the four-slot wedges is
-det M = <W*(x), W(y)>, and 2 nabla = 3 D - det M.  The wedge of lambda4(q)
-is 3 q, and D pairs lambda4(q) with y as q with the wedge of y, so nabla
-vanishes on the embedded Lambda^4 H from either side.  A Gram block of m
-vectors costs m image builds and m^2 dot products.  The totals stay ints
-(Fractions only for Fraction coefficients) until one Fraction is made per
-value, by the memo ``exact._fraction``.
++ m_23 n_01 = <x*, y°>, the Lambda^4 H pairing of the four-slot wedges W
+(the labels sorted with the sign of the permutation) is det M =
+<W(x*), W(y)>, and 2 nabla = 3 D - det M.  A tree's image holds both
+parts, under keys that never meet: N(y) = y° ⊕ W(y) on the right and
+N*(x) = 3 x* ⊕ -W(x*) on the left, so 2 nabla(x, y) = <N*(x), N(y)>.
+The wedge of lambda4(q) is 3 q, and D pairs lambda4(q) with y as q with
+the wedge of y, so nabla vanishes on the embedded Lambda^4 H from either
+side.  A Gram block of m vectors costs m image builds and m^2 dot
+products.  The totals stay ints (Fractions only for Fraction
+coefficients) until one Fraction is made per value, by the memo
+``exact._fraction``.
 Restricting to complementary bidegrees gives the forms ``q_form`` ((1,3)
 against (3,1)) and ``j_form`` ((0,4) against (4,0)); the tree part of the
 degree-two cocycle is 3*J + (3/4)*Q, and the full cocycle adds 36 times
@@ -144,52 +147,48 @@ def contract_cs(v: FreeVec) -> FreeVec:
 
 
 # The images the pairings read, each a dict built in one pass over a piece
-# and kept with it (``FreeVec.cached``).  A key of an image holds the codes
-# of its labels (``symplectic._PARTNERS``), so it hashes and compares as
-# ints; an image may hold zero entries where terms cancel, which the dot
-# product does not mind.
+# and kept with it (``FreeVec.cached``), one per side: ``flip`` 1 for the
+# left argument, 0 for the right.  A key of an image holds the codes of its
+# labels (``symplectic._PARTNERS``), so it hashes and compares as ints.  The
+# left side reads the partners' codes, code ^ 1, with the sign of the
+# product of omega(u, u'), -1 when an odd number of labels lie in B; only
+# the right side doubles a square.  An image may hold zero entries where
+# terms cancel, which the dot product does not mind.
 
 
-def _pair_star(v: FreeVec) -> dict:
-    # S^2(H) partner image: (u, w) -> omega(u, u') omega(w, w') (u', w'),
-    # the pair sorted.
+def _pair_image(v: FreeVec, flip: int) -> dict:
+    # S^2(H): the canonical form y° (flip 0) or the partner image x*
+    # (flip 1), the pair sorted.
     partners = _PARTNERS
     data = {}
     for (u, w), c in v._terms.items():
-        u, w = partners[u][1] ^ 1, partners[w][1] ^ 1
-        if (u ^ w) & 1:
+        u, w = partners[u][1] ^ flip, partners[w][1] ^ flip
+        if flip & (u ^ w):
             c = -c
-        key = (u, w) if u <= w else (w, u)
-        data[key] = data.get(key, 0) + c
-    return data
-
-
-def _pair_canon(v: FreeVec) -> dict:
-    # S^2(H) canonical form, the pair sorted and a square (u, u) doubled.
-    partners = _PARTNERS
-    data = {}
-    for (u, w), c in v._terms.items():
-        u, w = partners[u][1], partners[w][1]
         if u < w:
             key = u, w
         elif w < u:
             key = w, u
         else:
-            key, c = (u, w), 2 * c
+            key, c = (u, w), c if flip else 2 * c
         data[key] = data.get(key, 0) + c
     return data
 
 
-def _star(v: FreeVec) -> dict:
-    # S^2(Lambda^2 H) partner image: every label replaced by its partner,
-    # times the product of omega(u, u') over the four slots, wedges and legs
-    # sorted; a wedge of two equal labels is zero.
+def _tree_image(v: FreeVec, flip: int) -> dict:
+    # N(y) = y° ⊕ W(y) (flip 0) or N*(x) = 3 x* ⊕ -W(x*) (flip 1): the
+    # S^2(Lambda^2 H) key (w, x, y, z), wedges and legs sorted, and the
+    # four-slot wedge, its labels sorted with the sign of the permutation,
+    # under a key tagged (w, x, y, z, 0) so that the two parts never meet.
+    # A wedge of two equal labels is zero, and so is a four-slot wedge with
+    # a repeated label.
+    part, square, wedge = (3, 3, -1) if flip else (1, 2, 1)
     partners = _PARTNERS
     data = {}
     for ((w, x), (y, z)), c in v._terms.items():
-        w, x = partners[w][1] ^ 1, partners[x][1] ^ 1
-        y, z = partners[y][1] ^ 1, partners[z][1] ^ 1
-        if (w ^ x ^ y ^ z) & 1:
+        w, x = partners[w][1] ^ flip, partners[x][1] ^ flip
+        y, z = partners[y][1] ^ flip, partners[z][1] ^ flip
+        if flip & (w ^ x ^ y ^ z):
             c = -c
         if x < w:
             w, x, c = x, w, -c
@@ -199,63 +198,22 @@ def _star(v: FreeVec) -> dict:
             y, z, c = z, y, -c
         elif z == y:
             continue
-        key = (w, x, y, z) if w < y or w == y and x <= z else (y, z, w, x)
-        data[key] = data.get(key, 0) + c
-    return data
-
-
-def _canon(v: FreeVec) -> dict:
-    # S^2(Lambda^2 H) canonical form: wedges and legs sorted, a square
-    # (k, k) doubled, a wedge of two equal labels zero.
-    partners = _PARTNERS
-    data = {}
-    for ((w, x), (y, z)), c in v._terms.items():
-        w, x = partners[w][1], partners[x][1]
-        y, z = partners[y][1], partners[z][1]
-        if x < w:
-            w, x, c = x, w, -c
-        elif x == w:
+        if y < w or y == w and z < x:
+            w, x, y, z = y, z, w, x
+        key = w, x, y, z
+        data[key] = (data.get(key, 0)
+                     + (square if w == y and x == z else part) * c)
+        # The wedge: w is least, as w < x and w <= y < z, so two
+        # comparisons merge the rest (a square repeats w).
+        if z < x:
+            x, z, c = z, x, -c
+        if y < x:
+            x, y, c = y, x, -c
+        if w == x or x == y or y == z:
             continue
-        if z < y:
-            y, z, c = z, y, -c
-        elif z == y:
-            continue
-        if w < y or w == y and x < z:
-            key = w, x, y, z
-        elif w == y and x == z:
-            key, c = (w, x, y, z), 2 * c
-        else:
-            key = y, z, w, x
-        data[key] = data.get(key, 0) + c
+        key = w, x, y, z, 0
+        data[key] = data.get(key, 0) + wedge * c
     return data
-
-
-def _wedge_terms(terms) -> dict:
-    # Four-slot wedges of the (codes, coefficient) pairs of an image, whose
-    # two wedges come sorted: three comparisons merge them, with the sign
-    # of the permutation; a repeated label is zero.
-    data = {}
-    for (p, q, r, t), c in terms:
-        if r < p:
-            p, r, c = r, p, -c
-        if t < q:
-            q, t, c = t, q, -c
-        if r < q:
-            q, r, c = r, q, -c
-        if p == q or q == r or r == t:
-            continue
-        key = p, q, r, t
-        data[key] = data.get(key, 0) + c
-    return data
-
-
-def _wedge(v: FreeVec) -> dict:
-    # A doubled square has a repeated label, so W(x°) = W(x).
-    return _wedge_terms(v.cached(_canon).items())
-
-
-def _wedge_star(v: FreeVec) -> dict:
-    return _wedge_terms(v.cached(_star).items())
 
 
 def _dot(x: dict, y: dict):
@@ -275,16 +233,15 @@ def _eta_dot(x: FreeVec, y: FreeVec):
     # eta_s(x, y) as an int (a Fraction when a coefficient is one).
     if not x._terms or not y._terms:
         return 0
-    return _dot(x.cached(_pair_star), y.cached(_pair_canon))
+    return _dot(x.cached(_pair_image, 1), y.cached(_pair_image, 0))
 
 
 def _twice_nabla(x: FreeVec, y: FreeVec):
-    # 2 nabla(x, y) = 3 D - det M (module doc), an int unless a coefficient
-    # is a Fraction.
+    # 2 nabla(x, y) = <N*(x), N(y)> (module doc), an int unless a
+    # coefficient is a Fraction.
     if not x._terms or not y._terms:
         return 0
-    return (3 * _dot(x.cached(_star), y.cached(_canon))
-            - _dot(x.cached(_wedge_star), y.cached(_wedge)))
+    return _dot(x.cached(_tree_image, 1), y.cached(_tree_image, 0))
 
 
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:

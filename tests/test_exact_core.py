@@ -15,6 +15,7 @@ from helpers import (
     span_reduce,
 )
 from treetrace.exact import FreeVec, _fraction
+from treetrace.surgery import LaurentPoly
 from treetrace.symplectic import a, b
 
 
@@ -85,6 +86,41 @@ def test_cached_computes_once_per_vector():
             derived._memo
     assert w.cached(size) == 1
     assert len(calls) == 2
+
+
+def test_cached_keeps_one_value_per_argument():
+    calls = []
+
+    def scaled(vec, arg):
+        calls.append(arg)
+        return arg * len(vec)
+
+    v = FreeVec({"x": 1, "y": 2})
+    for _ in range(2):
+        assert v.cached(scaled, 3) == 6 and v.cached(scaled, 0) == 0
+        assert v.cached(len) == 2
+    assert calls == [3, 0]
+    assert v._memo == {scaled: {3: 6, 0: 0}, len: 2}
+
+
+@pytest.mark.parametrize("vec", [FreeVec(), FreeVec({"x": 1}),
+                                 LaurentPoly(), LaurentPoly({0: 1, 2: -1})],
+                         ids=repr)
+@pytest.mark.parametrize("other", [0, 1, Fraction(1, 2), "x", None, {}],
+                         ids=repr)
+def test_operators_refuse_what_is_not_a_vector(vec, other):
+    # __add__, __sub__ and __eq__ return NotImplemented, so Python raises
+    # TypeError for a sum or difference and falls back to identity for ==.
+    with pytest.raises(TypeError):
+        vec + other
+    with pytest.raises(TypeError):
+        other + vec
+    with pytest.raises(TypeError):
+        vec - other
+    with pytest.raises(TypeError):
+        other - vec
+    assert not vec == other and vec != other
+    assert not other == vec and other != vec
 
 
 def test_span_reduce_partial_membership():

@@ -26,6 +26,7 @@ from helpers import (
 from treetrace.exact import FreeVec, _fraction
 from treetrace.forms import (
     _split,
+    _tree_image,
     cocycle,
     cocycle_values,
     contract_cs,
@@ -734,7 +735,10 @@ def test_images_stay_with_the_paired_vector_only():
     plain = FreeVec(x.items())
     assert not hasattr(x, "_memo")
     value = nabla(x, y)
-    assert len(x._memo) == 2 and len(y._memo) == 2
+    assert len(x._memo) == 1 and len(y._memo) == 1
+    # One image on each side: N*(x) on x, N(y) on y.
+    assert list(x._memo[_tree_image]) == [1]
+    assert list(y._memo[_tree_image]) == [0]
     assert nabla(x, y) == value == nabla(plain, y)
     # Equality and repr read the terms only.
     assert x == plain and repr(x) == repr(plain)
@@ -759,8 +763,10 @@ def test_dense_gram_block_equals_the_loops():
     for i, x in enumerate(taus):
         for j, y in enumerate(taus):
             assert_forms_equal_the_loops(x, y, i - 1, Fraction(j, 2))
-    # The split is kept with each vector, and each piece keeps the two
-    # images of its side: x* and W*(x) on (0,4), x° and W(x) on (4,0).
+    # The split is kept with each vector, and each piece keeps the one
+    # image of its side: N*(x) (flip 1) on (0,4), N(x) (flip 0) on (4,0).
     assert all(len(t._memo) == 1 for t in taus)
-    assert all(len(t.cached(_split)[s]._memo) == 2
+    assert all(len(t.cached(_split)[s]._memo) == 1
                for t in taus for s in (0, 4))
+    assert all(list(t.cached(_split)[s]._memo[_tree_image]) == [flip]
+               for t in taus for s, flip in ((0, 1), (4, 0)))
