@@ -18,19 +18,22 @@ the prod p_i! chords of its matchings (a bijection from the a_i slots to
 the b_i slots for each i), each with coefficient 1; an unbalanced basic
 tensor is 0.
 
-The chords of a small basic tensor (degree/2 <= 5) are kept in a bounded
-process-wide memo keyed on the exact tensor: at most 32 tensors of at most
-5! = 120 chords each.  It hits when a GL orbit check reduces t and then
-g.t: a ``SignFlip`` image is +-t itself, and the one balanced term of an
-``Elementary`` image that adds an unused index is t again.  A
-``Transposition`` image renames indices, so it is a different tensor and
-misses.
+The chords of a basic tensor depend only on its slot pattern: each slot
+coded 2r + f, with r the rank of its index by first occurrence and f = 0
+for a, 1 for b.  Those of a small pattern (degree/2 <= 5) are kept in a
+bounded process-wide memo: at most 32 patterns of at most 5! = 120 chords
+each.  It hits when a GL orbit check reduces t and then g.t: a
+``SignFlip`` image is +-t itself, a ``Transposition`` image renames
+indices and keeps the pattern, and the one balanced term of an
+``Elementary`` image that adds an unused index is t again.
 """
 
 from __future__ import annotations
 
+from collections import Counter as _Counter
 from functools import cache, lru_cache as _lru_cache
 from itertools import product
+from math import factorial as _factorial, prod as _prod
 from typing import NamedTuple, Union
 
 from .exact import FreeVec
@@ -230,45 +233,43 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
 
 
 @cache
-def _chord_labels(n: int) -> dict:
-    # Per family: (own, other) labels of pairs 1..n, at positions 0..n-1.
-    # Kept per degree, since a reduction would otherwise spend as long
-    # making these labels as pairing the slots of a small tensor.
+def _chord_labels(n: int) -> tuple:
+    # Per family bit: (own, other) labels of pairs 1..n, at positions
+    # 0..n-1.  Kept per degree, since a reduction would otherwise spend as
+    # long making these labels as pairing the slots of a small tensor.
     a_labels = tuple(a(k) for k in range(1, n + 1))
     b_labels = tuple(b(k) for k in range(1, n + 1))
-    return {FAMILY_A: (a_labels, b_labels), FAMILY_B: (b_labels, a_labels)}
+    return (a_labels, b_labels), (b_labels, a_labels)
 
 
-def _chords(tensor: tuple) -> list:
-    """The chords of a balanced basic tensor, one per matching.
+def _chords(pattern: tuple) -> dict:
+    """The chords of a balanced slot pattern, one per matching, as the
+    dict {chord: 1}.
 
-    Slots are paired from left to right: the first unpaired slot opens pair
-    k, labelled a_k or b_k by its own family, and is closed in turn at each
-    later unpaired slot of the same index and the other family; the last
-    pair is forced.  So each leaf is one matching, already numbered by
-    first slot.
+    A slot's code is 2r + f: r ranks its index by first occurrence and f
+    is 0 for a, 1 for b, so a slot's twins are the slots of ``code ^ 1``.
+    Slots are paired from left to right: the first unpaired slot opens
+    pair k, labelled a_k or b_k by its own family, and is closed in turn at
+    each later unpaired twin; the last pair is forced.  So each leaf is one
+    matching, already numbered by first slot.
     """
-    labels = _chord_labels(len(tensor) // 2)
-    chord = [None] * len(tensor)
-    last = len(tensor) // 2 - 1
-    slots = {}
-    for slot, label in enumerate(tensor):
-        slots.setdefault(label, []).append(slot)
-    twins = [slots[index, FAMILY_B if family == FAMILY_A else FAMILY_A]
-             for index, family in tensor]
-    out = []
+    labels = _chord_labels(len(pattern) // 2)
+    chord = [None] * len(pattern)
+    last = len(pattern) // 2 - 1
+    slots = [[] for _ in pattern]  # code -> its slots; codes < len(pattern)
+    for slot, code in enumerate(pattern):
+        slots[code].append(slot)
+    twins = [slots[code ^ 1] for code in pattern]
+    out = {}
 
     def pair(slot, k):
         slot = chord.index(None, slot)
-        # The family is read by position, as the balance count reads it, so
-        # a plain (index, family) pair reduces as its equal label does,
-        # memoized or not.
-        own, other = labels[tensor[slot][1]]
+        own, other = labels[pattern[slot] & 1]
         chord[slot] = own[k]
         if k == last:
             partner = chord.index(None, slot)
             chord[partner] = other[k]
-            out.append(tuple(chord))
+            out[tuple(chord)] = 1
             chord[partner] = None
         else:
             for partner in twins[slot]:
@@ -282,39 +283,45 @@ def _chords(tensor: tuple) -> list:
         pair(0, 0)
     except RecursionError:
         raise ValueError("tensor of degree %d has too many slot pairs to "
-                         "reduce" % len(tensor)) from None
+                         "reduce" % len(pattern)) from None
     return out
 
 
-# Largest n = degree/2 whose tensors' chords are memoized: at most 5! = 120
+# Largest n = degree/2 whose patterns' chords are memoized: at most 5! = 120
 # chords an entry, so at most 32 * 120 chords in the memo.
 _MEMO_PAIRS = 5
+_MAX_CHORDS = 362880  # 9!, the most chords one tensor may have
 
 
 @_lru_cache(maxsize=32)
-def _tensor_chords(tensor: tuple) -> tuple:
-    # The chords of a recently reduced small tensor, kept so that reducing
-    # it again (as a GL orbit check does) pairs no slot.
-    return tuple(_chords(tensor))
+def _pattern_chords(pattern: tuple) -> dict:
+    # The chords of a recently reduced small pattern, kept so that reducing
+    # any tensor of that pattern again (as a GL orbit check does) pairs no
+    # slot.  Callers copy the dict before they change it.
+    return _chords(pattern)
 
 
 def coinvariant_reduce(t, genus: int) -> FreeVec:
     """Class of a degree-2n tensor in the GL-coinvariants, over chord tensors.
 
-    Requires 1 <= n < genus and all indices within the genus.  A basic
-    tensor with an unbalanced index (different numbers of a_i and b_i)
-    dies; a balanced one is the sum of one chord per matching, each with
-    coefficient 1: the k-th pair of the matching, by first slot, becomes
-    a_k and b_k.  So the output is supported on balanced chord tensors in
-    which every index pair appears once, renamed ascending by first
-    occurrence, and distinct matchings give distinct chords.
+    Requires 1 <= n < genus, all indices within the genus and every label
+    an a_i or a b_i.  A basic tensor with an unbalanced index (different
+    numbers of a_i and b_i) dies; a balanced one is the sum of one chord
+    per matching, each with coefficient 1: the k-th pair of the matching,
+    by first slot, becomes a_k and b_k.  So the output is supported on
+    balanced chord tensors in which every index pair appears once, renamed
+    ascending by first occurrence, and distinct matchings give distinct
+    chords.  A tensor of more than 9! = 362 880 chords is refused before
+    any is built: reducing a1^9 b1^9 (9! chords, genus 10) takes about 1 s
+    and 110 MB of peak RSS (Python 3.11, 2 shared vCPUs), 10! ten times
+    that.
 
     The chords of a balanced tensor of degree at most 10 come from a memo
-    of the last 32 such tensors, keyed on the exact tensor, so reducing t
-    and then its ``SignFlip`` or ``Elementary`` image (whose balanced term
-    is t again) enumerates t's matchings once; a ``Transposition`` image
-    is another tensor and misses.  The degree, genus and balance checks
-    run on every call and every term before the memo is read.
+    of the last 32 slot patterns, so reducing t and then any image with its
+    pattern (+-t, a ``Transposition`` image, the balanced term of an
+    ``Elementary`` image) enumerates t's matchings once.  The degree,
+    genus, family and balance checks run on every call and every term
+    before the memo is read.
     """
     if genus < 2:
         raise ValueError("coinvariants need genus >= 2, got genus %d" % genus)
@@ -333,21 +340,48 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
         raise ValueError(
             "degree %d needs 1 <= degree/2 < genus, got genus %d"
             % (degree, genus))
-    chords = _tensor_chords if n <= _MEMO_PAIRS else _chords
+    memo = n <= _MEMO_PAIRS
     for tensor, coeff in items:
-        balance = {}  # index -> count of a_index minus count of b_index
+        ranks = {}    # index -> 2 * its rank by first occurrence
+        balance = []  # by rank: count of a_index minus count of b_index
+        pattern = []
         for index, family in tensor:
-            if not 0 < index <= genus:
-                raise ValueError("tensor uses indices outside genus %d" % genus)
-            balance[index] = balance.get(index, 0) + (
-                1 if family == FAMILY_A else -1)
-        if any(balance.values()):
+            code = ranks.get(index)
+            if code is None:
+                if not 0 < index <= genus:
+                    raise ValueError(
+                        "tensor uses indices outside genus %d" % genus)
+                code = ranks[index] = 2 * len(balance)
+                balance.append(0)
+            if family == FAMILY_A:
+                balance[code >> 1] += 1
+            elif family == FAMILY_B:
+                balance[code >> 1] -= 1
+                code += 1
+            else:
+                raise ValueError("tensor label %s is not an a_i or a b_i"
+                                 % (BasisLabel(index, family),))
+            pattern.append(code)
+        if any(balance):
             continue
+        pattern = tuple(pattern)
+        if memo:
+            found = _pattern_chords(pattern)
+        else:
+            a_slots = _Counter(code for code in pattern if not code & 1)
+            if _prod(map(_factorial, a_slots.values())) > _MAX_CHORDS:
+                raise ValueError("tensor of degree %d has more than 9! = "
+                                 "362880 chords to enumerate" % degree)
+            found = _chords(pattern)
         if not out:
-            # Distinct matchings give distinct chords.
-            out = dict.fromkeys(chords(tensor), coeff)
+            # Distinct matchings give distinct chords.  Both copies reuse
+            # the stored hashes; a Fraction 1 stays a Fraction.
+            if coeff == 1 and type(coeff) is int:
+                out = dict(found) if memo else found
+            else:
+                out = dict.fromkeys(found, coeff)
             continue
-        for key in chords(tensor):
+        for key in found:
             acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc

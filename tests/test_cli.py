@@ -306,6 +306,25 @@ def test_coinvariants_too_deep_to_reduce_is_a_usage_error(capsys):
                    "to reduce\n")
 
 
+def test_coinvariants_of_more_than_nine_factorial_chords_is_a_usage_error(
+        capsys):
+    for p, genus in ((10, "11"), (12, "13")):
+        tensor = "*".join(["a1"] * p + ["b1"] * p)
+        code, out, err = run_cli(capsys, "coinvariants", tensor,
+                                 "--genus", genus)
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+        assert err == ("error: tensor of degree %d has more than 9! = 362880 "
+                       "chords to enumerate\n" % (2 * p))
+
+
+def test_coinvariants_of_a_label_beyond_a_and_b_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "coinvariants", "a1*c1", "--genus", "3")
+    assert out == ""
+    assert_one_line_usage_error(code, err)
+    assert err.startswith("parse error: expected a basis label")
+
+
 def test_python_dash_m_treetrace_runs_the_cli():
     proc = run_python("-m", "treetrace", "coinvariants", "a1*a1*b1*b1")
     assert (proc.returncode, proc.stderr) == (0, "")

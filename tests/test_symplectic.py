@@ -16,7 +16,7 @@ from treetrace import symplectic
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
     _PARTNERS,
-    _tensor_chords,
+    _pattern_chords,
     FAMILY_A,
     BasisLabel,
     Elementary,
@@ -420,44 +420,48 @@ def test_chord_memo_is_transparent(case, rng):
     genus, vectors = case
     wants = [split_coinvariant_reduce(v) for v in vectors]
     for v, want in zip(vectors, wants):
-        _tensor_chords.cache_clear()
+        _pattern_chords.cache_clear()
         assert coinvariant_reduce(v, genus) == want
     # Warm: every vector twice, in a shuffled order.
     order = list(range(len(vectors))) * 2
     rng.shuffle(order)
     for k in order:
         assert coinvariant_reduce(vectors[k], genus) == wants[k]
-    assert _tensor_chords.cache_info().currsize <= 32
+    assert _pattern_chords.cache_info().currsize <= 32
+
+
+def _pattern(tensor):
+    """Each slot coded 2r + f: r ranks its index by first occurrence, f is 0
+    for a and 1 for b."""
+    ranks = {}
+    return tuple(2 * ranks.setdefault(index, len(ranks))
+                 + (family == "b") for index, family in tensor)
 
 
 def test_orbit_check_enumerates_the_tensors_chords_once(monkeypatch):
     calls = []
     chords = symplectic._chords
 
-    def counted(tensor):
-        calls.append(tensor)
-        return chords(tensor)
+    def counted(pattern):
+        calls.append(pattern)
+        return chords(pattern)
 
     monkeypatch.setattr(symplectic, "_chords", counted)
-    _tensor_chords.cache_clear()
+    _pattern_chords.cache_clear()
     genus = 6
     t = (a(2), b(2), a(2), a(3), b(2), b(3), a(2), b(2), a(3), b(3))
     reduced = coinvariant_reduce(t, genus)
     assert len(reduced) == 12
-    # A sign flip gives +t; an elementary matrix that brings in the unused
-    # index 6 leaves t as the one balanced term of its image.
-    for gen in (SignFlip(2), SignFlip(5), Elementary(6, 2, 1),
-                Elementary(3, 6, -1)):
+    # A sign flip gives +-t; a transposition renames index 2 and keeps the
+    # slot pattern; an elementary matrix that brings in the unused index 6
+    # leaves t as the one balanced term of its image.
+    for gen in (SignFlip(2), SignFlip(5), Transposition(2, 4),
+                Elementary(6, 2, 1), Elementary(3, 6, -1)):
         assert coinvariant_reduce(gl_generator_action(gen, t), genus) \
             == reduced
-    assert calls == [t]
-    info = _tensor_chords.cache_info()
-    assert (info.hits, info.misses) == (4, 1)
-    # A transposition renames an index: another tensor, so it misses.
-    moved = gl_generator_action(Transposition(2, 4), t)
-    assert coinvariant_reduce(moved, genus) == reduced
-    (image, _), = moved.items()
-    assert calls == [t, image]
+    assert calls == [(0, 1, 0, 2, 1, 3, 0, 1, 2, 3)] == [_pattern(t)]
+    info = _pattern_chords.cache_info()
+    assert (info.hits, info.misses) == (5, 1)
 
 
 def _balanced(rng, shape):
@@ -468,7 +472,7 @@ def _balanced(rng, shape):
 
 def test_chord_memo_holds_at_most_32_tensors():
     rng = random.Random(2010)
-    _tensor_chords.cache_clear()
+    _pattern_chords.cache_clear()
     seen = set()
     while len(seen) < 48:
         n = rng.randint(1, 5)
@@ -476,22 +480,22 @@ def test_chord_memo_holds_at_most_32_tensors():
         while sum(shape) < n:
             shape.append(rng.randint(1, n - sum(shape)))
         tensor = _balanced(rng, shape)
-        seen.add(tensor)
+        seen.add(_pattern(tensor))
         coinvariant_reduce(tensor, 6)
-        assert _tensor_chords.cache_info().currsize <= 32
-    assert _tensor_chords.cache_info().currsize == 32
+        assert _pattern_chords.cache_info().currsize <= 32
+    assert _pattern_chords.cache_info().currsize == 32
     # The largest entry: five slot pairs on one index, 5! chords.
-    assert len(_tensor_chords(_balanced(rng, [5]))) == 120
+    assert len(_pattern_chords(_pattern(_balanced(rng, [5])))) == 120
 
 
 def test_degree_twelve_is_reduced_without_the_memo():
     rng = random.Random(2011)
-    _tensor_chords.cache_clear()
+    _pattern_chords.cache_clear()
     tensor = _balanced(rng, [6])
     reduced = coinvariant_reduce(tensor, 7)
     assert len(reduced) == 720
     assert reduced == split_coinvariant_reduce(FreeVec.single(tensor))
-    info = _tensor_chords.cache_info()
+    info = _pattern_chords.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
@@ -503,10 +507,10 @@ def test_too_deep_tensor_is_refused_on_every_call():
 
 
 def test_memoized_tensor_is_still_checked_against_the_genus():
-    _tensor_chords.cache_clear()
+    _pattern_chords.cache_clear()
     t = (a(3), b(3))
     assert coinvariant_reduce(t, 4) == FreeVec.single((a(1), b(1)))
-    assert _tensor_chords.cache_info().currsize == 1
+    assert _pattern_chords.cache_info().currsize == 1
     with pytest.raises(ValueError, match="outside genus 2"):
         coinvariant_reduce(t, 2)
 
@@ -516,7 +520,117 @@ def test_plain_index_family_pairs_reduce_alike_cold_and_warm():
     labels = (a(2), b(2), a(2), b(2))
     want = FreeVec({(a(1), b(1), a(2), b(2)): 1, (a(1), b(2), a(2), b(1)): 1})
     for first, second in ((pairs, labels), (labels, pairs)):
-        _tensor_chords.cache_clear()
+        _pattern_chords.cache_clear()
         assert coinvariant_reduce(first, 4) == want
         assert coinvariant_reduce(second, 4) == want
-        assert _tensor_chords.cache_info().hits == 1
+        assert _pattern_chords.cache_info().hits == 1
+
+
+@st.composite
+def renamed_combinations(draw):
+    """A tensor combination and its image under an injective renaming of
+    the indices within the genus."""
+    genus, v = draw(tensor_combinations())
+    names = dict(zip(range(1, genus + 1),
+                     draw(st.permutations(range(1, genus + 1)))))
+    renamed = FreeVec((tuple(BasisLabel(names[i], f) for i, f in tensor), c)
+                      for tensor, c in v.items())
+    return genus, v, renamed
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_combinations())
+def test_renamed_indices_reduce_to_the_same_items_in_order(case):
+    genus, v, renamed = case
+    want = split_coinvariant_reduce(v)
+    assert split_coinvariant_reduce(renamed) == want
+    cold = []
+    for w in (v, renamed):
+        _pattern_chords.cache_clear()
+        cold.append(list(coinvariant_reduce(w, genus).items()))
+    assert cold[0] == cold[1]
+    assert FreeVec(cold[0]) == want
+    # Warm: the renamed combination is read from v's memo entries.
+    _pattern_chords.cache_clear()
+    for w in (v, renamed, v):
+        assert list(coinvariant_reduce(w, genus).items()) == cold[0]
+
+
+def test_memo_entries_stay_intact_after_scaled_or_cancelling_sums():
+    genus = 6
+    t = (a(2), b(2), a(2), a(3), b(2), b(3), a(2), b(2), a(3), b(3))
+    renamed = (a(4), b(4), a(4), a(1), b(4), b(1), a(4), b(4), a(1), b(1))
+    other = (a(1), b(2), a(2), b(1), a(3), b(3), a(5), b(5), a(6), b(6))
+    want = split_coinvariant_reduce(FreeVec.single(t))
+    assert len(want) == 12
+    combinations = [
+        (FreeVec.single(t, 2), 2 * want),
+        (FreeVec({t: 1, renamed: -1}), FreeVec()),
+        (FreeVec({t: 1, other: 1}), want + split_coinvariant_reduce(
+            FreeVec.single(other))),
+        (FreeVec({renamed: 1, t: 1}), 2 * want),
+        (FreeVec({t: Fraction(1, 3), renamed: Fraction(2, 3)}), want),
+    ]
+    for v, reduced in combinations:
+        for cold in (True, False):
+            if cold:
+                _pattern_chords.cache_clear()
+            coinvariant_reduce(t, genus)
+            assert coinvariant_reduce(v, genus) == reduced
+            # t alone still has every chord once, with coefficient 1.
+            alone = coinvariant_reduce(t, genus)
+            assert alone == want
+            assert {c for _, c in alone.items()} == {1}
+            assert all(type(c) is int for _, c in alone.items())
+            assert _pattern_chords(_pattern(t)) == dict.fromkeys(want.support(), 1)
+
+
+def test_labels_other_than_a_and_b_are_refused():
+    c = BasisLabel(1, "c")
+    # Each case with the memo hits its good terms make before the bad one.
+    cases = [((c, c), "c1", 0), ((a(1), c), "c1", 0), ((c, b(1)), "c1", 0),
+             (((2, "a"), (2, "x")), "x2", 0),
+             (FreeVec({(a(1), b(1)): 1, (a(2), BasisLabel(2, "B")): 1}), "B2",
+              1)]
+    for t, name, hits in cases:
+        _pattern_chords.cache_clear()
+        coinvariant_reduce((a(1), b(1)), 3)
+        with pytest.raises(ValueError, match="label %s is not" % name):
+            coinvariant_reduce(t, 3)
+        # The label is checked before the memo is read.
+        info = _pattern_chords.cache_info()
+        assert (info.hits, info.misses) == (hits, 1)
+
+
+def test_tensors_of_more_than_nine_factorial_chords_are_refused(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symplectic, "_chords", calls.append)
+    _pattern_chords.cache_clear()
+    ten = _shuffled(random.Random(2012), [a(3)] * 10 + [b(3)] * 10)
+    for t in (ten, FreeVec({ten: 1, (a(1), b(1)) * 10: 1})):
+        with pytest.raises(ValueError, match=r"more than 9! = 362880 chords"):
+            coinvariant_reduce(t, 11)
+    assert calls == []
+    assert _pattern_chords.cache_info().currsize == 0
+
+
+def test_chord_cap_is_inclusive(monkeypatch):
+    # With the cap lowered to 5!, a degree-12 tensor of 5! * 1! chords is
+    # reduced and one of 5! * 2! chords is not.
+    monkeypatch.setattr(symplectic, "_MAX_CHORDS", 120)
+    rng = random.Random(2013)
+    fits = _balanced(rng, [5, 1])
+    assert len(coinvariant_reduce(fits, 7)) == 120
+    with pytest.raises(ValueError, match="more than 9!"):
+        coinvariant_reduce(_balanced(rng, [5, 2]), 8)
+
+
+def test_two_indices_of_five_pairs_still_reduce():
+    rng = random.Random(2014)
+    t = _shuffled(rng, [a(2)] * 5 + [b(2)] * 5 + [a(7)] * 5 + [b(7)] * 5)
+    _pattern_chords.cache_clear()
+    reduced = coinvariant_reduce(t, 11)
+    assert len(reduced) == 14400
+    assert {c for _, c in reduced.items()} == {1}
+    assert reduced == split_coinvariant_reduce(FreeVec.single(t))
+    assert _pattern_chords.cache_info().currsize == 0
