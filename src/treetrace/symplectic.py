@@ -30,7 +30,6 @@ indices and keeps the pattern, and the one balanced term of an
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
 from functools import cache, lru_cache as _lru_cache
 from itertools import product
 from math import factorial as _factorial, prod as _prod
@@ -246,12 +245,11 @@ def _chords(pattern: tuple) -> dict:
     """The chords of a balanced slot pattern, one per matching, as the
     dict {chord: 1}.
 
-    A slot's code is 2r + f: r ranks its index by first occurrence and f
-    is 0 for a, 1 for b, so a slot's twins are the slots of ``code ^ 1``.
     Slots are paired from left to right: the first unpaired slot opens
-    pair k, labelled a_k or b_k by its own family, and is closed in turn at
-    each later unpaired twin; the last pair is forced.  So each leaf is one
-    matching, already numbered by first slot.
+    pair k, labelled a_k or b_k by its family ``code & 1``, and is closed
+    in turn at each later unpaired twin (code ``code ^ 1``); the last pair
+    is forced.  So each leaf is one matching, already numbered by first
+    slot.
     """
     labels = _chord_labels(len(pattern) // 2)
     chord = [None] * len(pattern)
@@ -342,8 +340,8 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
             % (degree, genus))
     memo = n <= _MEMO_PAIRS
     for tensor, coeff in items:
-        ranks = {}    # index -> 2 * its rank by first occurrence
-        balance = []  # by rank: count of a_index minus count of b_index
+        ranks = {}   # index -> 2 * its rank by first occurrence
+        counts = []  # code -> its number of slots
         pattern = []
         for index, family in tensor:
             code = ranks.get(index)
@@ -351,25 +349,23 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
                 if not 0 < index <= genus:
                     raise ValueError(
                         "tensor uses indices outside genus %d" % genus)
-                code = ranks[index] = 2 * len(balance)
-                balance.append(0)
-            if family == FAMILY_A:
-                balance[code >> 1] += 1
-            elif family == FAMILY_B:
-                balance[code >> 1] -= 1
+                code = ranks[index] = len(counts)
+                counts += 0, 0
+            if family != FAMILY_A:
+                if family != FAMILY_B:
+                    raise ValueError("tensor label %s is not an a_i or a b_i"
+                                     % (BasisLabel(index, family),))
                 code += 1
-            else:
-                raise ValueError("tensor label %s is not an a_i or a b_i"
-                                 % (BasisLabel(index, family),))
+            counts[code] += 1
             pattern.append(code)
-        if any(balance):
+        if counts[::2] != counts[1::2]:
             continue
         pattern = tuple(pattern)
         if memo:
             found = _pattern_chords(pattern)
         else:
-            a_slots = _Counter(code for code in pattern if not code & 1)
-            if _prod(map(_factorial, a_slots.values())) > _MAX_CHORDS:
+            # prod p_i! chords, p_i the a-slots of an index.
+            if _prod(map(_factorial, counts[::2])) > _MAX_CHORDS:
                 raise ValueError("tensor of degree %d has more than 9! = "
                                  "362880 chords to enumerate" % degree)
             found = _chords(pattern)
