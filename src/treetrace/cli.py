@@ -11,46 +11,37 @@ of their handling of ``--`` and of single-dash options), without importing
 argparse (whose import and first message lookup, which loads ``gettext``
 and ``locale``, took longer than a whole ``report``); ``-h/--help`` prints
 help built from the table.
+
+This module holds the parser, the help and ``report``.  The calculator
+commands (``cocycle``, ``surgery``, ``coinvariants``, ``trace``) live in
+``commands``, which is imported the first time one of them runs, so that a
+``report`` process compiles none of their code.  No regex is compiled at
+import: option numbers are read by ``str`` checks, and the grammar
+compiles its patterns at the first parse.
 """
 
 from __future__ import annotations
 
-import json
-import re
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .exact import _fraction, canonical
-from .forms import _cocycle_sum, cocycle_values, trace_a, trace_b
-from .grammar import (
-    ParseError,
-    format_tensor,
-    parse_hvec,
-    parse_tensor,
-    parse_tree,
-    parse_twist,
-)
+from .forms import cocycle_values
+from .grammar import ParseError
 from .surgery import (
     BUILTIN_KNOTS,
-    KnotRecord,
-    LaurentPoly,
     POINCARE,
-    SphereInvariants,
     _seifert_matrix,
-    _twist_forms,
     casson_surgery,
-    d2_value,
     jones_h_derivative,
     lambda2_surgery,
     solve_alpha_r,
     surgery_cocycle_value,
     vanishing_combo,
 )
-from .symplectic import DEFAULT_GENUS, coinvariant_reduce, max_index
-from .trees import _check_basis, tau2_bscc_twist, tree_expand
+from .symplectic import DEFAULT_GENUS
+from .trees import tau2_bscc_twist
 
 
 class CheckResult(NamedTuple):
@@ -107,8 +98,9 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     for name, knot in BUILTIN_KNOTS.items():
         want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
-        lam, basis, _ = _twist_basis(name, genus)
-        tau = tau2_bscc_twist(*basis, genus)
+        x, y = knot.bscc_basis
+        lam = _seifert_matrix(x, y)[0]
+        tau = tau2_bscc_twist(x, y, genus)
         q, j, b, c = cocycle_values(lam, tau, lam, tau)
         surgery = surgery_cocycle_value(knot)
         # The surgery side less the Casson part c - b of the cocycle.
@@ -164,13 +156,12 @@ def _emit_report(report: ReplicationReport, fmt: str) -> int:
               % (report.genus, "true" if report.overall_pass else "false",
                  "[\n%s\n  ]" % rows if rows else "[]"))
     else:
-        for check in report.checks:
-            if check.passed:
-                print("PASS %s: %s" % (check.name, check.computed))
-            else:
-                print("FAIL %s: expected %s, computed %s"
-                      % (check.name, check.expected, check.computed))
-        print("overall: %s" % ("PASS" if report.overall_pass else "FAIL"))
+        print("\n".join([
+            "PASS %s: %s" % (check.name, check.computed) if check.passed
+            else "FAIL %s: expected %s, computed %s"
+            % (check.name, check.expected, check.computed)
+            for check in report.checks]
+            + ["overall: %s" % ("PASS" if report.overall_pass else "FAIL")]))
     return 0 if report.overall_pass else 1
 
 
@@ -178,23 +169,18 @@ def _cmd_report(args) -> int:
     return _emit_report(build_report(args.genus), args.format)
 
 
-def _print_values(values: dict, fmt: str) -> int:
-    """Print named exact values as ``key = value`` lines or a JSON object."""
-    if fmt == "json":
-        print("{\n%s\n}" % ",\n".join(
-            "  %s: %s" % (_quote(k), _quote(str(v)))
-            for k, v in values.items()) if values else "{}")
-    else:
-        for key, value in values.items():
-            print("%s = %s" % (key, value))
-    return 0
+# Each command's handler.  The calculator commands' handlers live in
+# ``commands``, imported the first time one of them runs and then kept
+# here, so that a report compiles none of their code.
+_HANDLERS = {"report": _cmd_report}
 
 
-# Option numbers in ASCII, as the grammar reads them: int() and Fraction()
-# alone also read '١', '1_0' and surrounding whitespace, and Fraction()
-# reads exponents, so '1e999999999' would build a billion-digit integer.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+def _handler(command: str):
+    handler = _HANDLERS.get(command)
+    if handler is None:
+        from . import commands
+        handler = _HANDLERS[command] = getattr(commands, "_cmd_" + command)
+    return handler
 
 
 class _UsageError(Exception):
@@ -202,13 +188,26 @@ class _UsageError(Exception):
 
 
 def _integer(text: str) -> int:
-    """An integer option value: an optional sign, then digits."""
-    try:
-        if _INTEGER.fullmatch(text):
+    """An integer option value: an optional sign, then ASCII digits (int()
+    alone also reads '١', '1_0' and surrounding whitespace)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
             return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
+        except ValueError:  # more digits than int() converts
+            pass
     raise _UsageError("invalid int value: %r" % text)
+
+
+def _negative_number(token: str) -> bool:
+    """Whether argparse reads ``token`` as a negative number: '-', then
+    decimal digits with at most one '.' that digits follow, then at most
+    one line break (its pattern ``^-\\d+$|^-\\d*\\.\\d+$``)."""
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    if not dot:                     # '-5' reads as '-.5' does
+        whole, fraction = "", whole
+    return (token[:1] == "-" and fraction.isdecimal()
+            and (not whole or whole.isdecimal()))
 
 
 def _choice(*choices):
@@ -221,154 +220,7 @@ def _choice(*choices):
     return convert
 
 
-def _rational(option: str, text: str):
-    """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``;
-    an int when it is integral (``4/2``, ``2.0``), else a Fraction."""
-    try:
-        if _INTEGER.fullmatch(text):
-            return int(text)
-        if _RATIONAL.fullmatch(text):
-            return canonical(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError("%s expects an exact rational like 3/4, got %r"
-                     % (option, text))
-
-
-# A word that the twist grammar refuses at its first character (it does not
-# begin "twist"), so meant as the name of a knot.
-_KNOT_NAME = re.compile(r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*")
-
-
-def _unknown_knot(text: str, other: str) -> ValueError:
-    return ValueError("unknown knot %r: neither a built-in knot (%s) nor %s"
-                      % (text, ", ".join(BUILTIN_KNOTS), other))
-
-
-def _twist_basis(text: str, genus: int, option=None, lam_text=None):
-    """Resolve a knot name or twist(x; y) spec to (Casson value, basis
-    (x, y), its checked Seifert matrix), its indices at most ``genus``.
-
-    The Casson value is the c2 of the basis, unless ``option`` gives one; a
-    built-in knot's c2 is its own, so there ``option`` may only repeat it.
-    """
-    lam = None if lam_text is None else _rational(option, lam_text)
-    knot = BUILTIN_KNOTS.get(text)
-    if knot is None and _KNOT_NAME.fullmatch(text):
-        raise _unknown_knot(text, "a twist(x; y) spec")
-    x, y = parse_twist(text) if knot is None else knot.bscc_basis
-    c2, v = _seifert_matrix(x, y)
-    if lam is None:
-        lam = c2
-    elif knot is not None and lam != c2:
-        raise ValueError("%s %s contradicts the Casson value %s of the "
-                         "built-in knot %r" % (option, lam, c2, text))
-    # ``tau2_bscc_twist``'s check; the grammar makes no other bad label.
-    _check_basis(x, y, genus)
-    return lam, (x, y), v
-
-
-def _cmd_cocycle(args) -> int:
-    # Q and J by ``surgery.twist_forms``'s closed form, from the Seifert
-    # matrices that ``_twist_basis`` read and checked: no tree image.
-    if args.genus < 1:
-        raise ValueError("cocycle needs genus >= 1, got genus %d" % args.genus)
-    lam_x, basis_x, v_x = _twist_basis(args.x, args.genus,
-                                       "--lambda-x", args.lambda_x)
-    lam_y, basis_y, v_y = _twist_basis(args.y, args.genus,
-                                       "--lambda-y", args.lambda_y)
-    q, j = _twist_forms(basis_x, v_x, basis_y, v_y)
-    c = _cocycle_sum(lam_x, lam_y, q, 2 * j)[1]
-    return _print_values({"Q": q, "J": j, "C": _fraction(c, 4)}, args.format)
-
-
-def _polynomial(doc: dict, key: str) -> LaurentPoly:
-    """A knot document's ``key`` entry: a list of [exponent, coefficient]
-    pairs of JSON integers."""
-    pairs = doc.get(key)
-    if not (isinstance(pairs, list) and all(
-            isinstance(pair, list) and len(pair) == 2
-            and all(type(n) is int for n in pair) for pair in pairs)):
-        raise ValueError("knot document: %r must be a list of "
-                         "[exponent, coefficient] integer pairs" % key)
-    return LaurentPoly(pairs)
-
-
-def load_knot_document(path: str) -> KnotRecord:
-    """Read a knot document: JSON with name, conway/jones pair lists, and an
-    optional pair of basis strings for a bounding curve.  A document of the
-    wrong shape, or whose polynomials do not fit a knot, is a ValueError;
-    so is one that cannot be read, unless it does not exist
-    (FileNotFoundError)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise
-    except OSError as err:
-        raise ValueError("cannot read knot document %r: %s"
-                         % (path, err.strerror)) from None
-    except UnicodeDecodeError:
-        raise ValueError("knot document %r is not UTF-8 text" % path) from None
-    except RecursionError:
-        raise ValueError("knot document is nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ValueError("knot document must be a JSON object")
-    if not isinstance(doc.get("name"), str):
-        raise ValueError("knot document: 'name' must be a string")
-    basis = doc.get("bscc_basis")
-    if basis is not None:
-        if not (isinstance(basis, list) and len(basis) == 2
-                and all(isinstance(text, str) for text in basis)):
-            raise ValueError("knot document: 'bscc_basis' must be a list "
-                             "of two vector strings")
-        basis = tuple(map(parse_hvec, basis))
-    return KnotRecord(
-        name=doc["name"],
-        conway=_polynomial(doc, "conway"),
-        jones=_polynomial(doc, "jones"),
-        bscc_basis=basis,
-    )
-
-
-def _cmd_surgery(args) -> int:
-    knot = BUILTIN_KNOTS.get(args.knot)
-    if knot is None:
-        try:
-            knot = load_knot_document(args.knot)
-        except FileNotFoundError:
-            raise _unknown_knot(args.knot, "an existing knot document") from None
-    sphere = SphereInvariants(casson_surgery(knot, args.n),
-                              lambda2_surgery(knot, args.n))
-    return _print_values({
-        "lambda": sphere.lam,
-        "lambda2": sphere.lam2,
-        "d2": d2_value(sphere),
-        "vanishing_combo": vanishing_combo(sphere),
-    }, args.format)
-
-
-def _cmd_coinvariants(args) -> int:
-    tensor = parse_tensor(args.tensor)
-    reduced = coinvariant_reduce(tensor, args.genus)
-    print(format_tensor(reduced))
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    if args.genus < 1:
-        raise ValueError("trace needs genus >= 1, got genus %d" % args.genus)
-    t = parse_tree(args.tree)
-    top = max(max_index(x) for x in t)
-    if top > args.genus:
-        raise ValueError("tree uses index %d beyond genus %d" % (top, args.genus))
-    expanded = tree_expand(t)
-    traced = trace_a(expanded) if args.side == "A" else trace_b(expanded)
-    print(format_tensor(traced))
-    return 0
-
-
-# The command line, read by argparse's rules.  Each command: handler, help,
+# The command line, read by argparse's rules.  Each command: help,
 # positionals as (dest, converter, help) and options as (flag, converter,
 # default, help); an option's dest is its flag without dashes, "-" as "_".
 _GENUS = ("--genus", _integer, DEFAULT_GENUS,
@@ -378,21 +230,20 @@ _SPEC = "knot name or twist(x; y) spec"
 _LAMBDA = ("Casson value for a twist-spec %s argument (default: c2 of its "
            "basis; a built-in knot accepts only its own)")
 _COMMANDS = {
-    "report": (_cmd_report, "run all replication checks; exit 0 iff all pass",
+    "report": ("run all replication checks; exit 0 iff all pass",
                (), (_GENUS, _FORMAT)),
-    "cocycle": (_cmd_cocycle, "Q, J and full cocycle of two twists or knots",
+    "cocycle": ("Q, J and full cocycle of two twists or knots",
                 (("x", str, _SPEC), ("y", str, _SPEC)),
                 (_GENUS, ("--lambda-x", str, None, _LAMBDA % "first"),
                  ("--lambda-y", str, None, _LAMBDA % "second"), _FORMAT)),
-    "surgery": (_cmd_surgery,
-                "invariants of the sphere from 1/n surgery on a knot",
+    "surgery": ("invariants of the sphere from 1/n surgery on a knot",
                 (("knot", str, "built-in knot name or JSON document path"),
                  ("n", _integer, "surgery coefficient 1/n")),
                 (_FORMAT,)),
-    "coinvariants": (_cmd_coinvariants, "reduce a tensor to chord generators",
+    "coinvariants": ("reduce a tensor to chord generators",
                      (("tensor", str, "tensor expression like a1*b1*a2*b2"),),
                      (_GENUS,)),
-    "trace": (_cmd_trace, "Lagrangian trace of a tree",
+    "trace": ("Lagrangian trace of a tree",
               (("tree", str, "tree expression T(x1, x2; x3, x4)"),),
               (("--side", _choice("A", "B"), "A", "A or B"), _GENUS)),
 }
@@ -402,8 +253,7 @@ _TABLES = {command: (
     dict.fromkeys(_HELP) | {option[0]: option for option in options},
     dict.fromkeys(dest for dest, _, _ in positionals) | {
         f[2:].replace("-", "_"): default for f, _, default, _ in options})
-    for command, (_, _, positionals, options) in _COMMANDS.items()}
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+    for command, (_, positionals, options) in _COMMANDS.items()}
 
 
 def _help(command, explicit):
@@ -415,17 +265,18 @@ def _help(command, explicit):
         usage = "[-h] command ..."
         about = ("Exact symplectic tree-algebra and surgery-invariant "
                  "calculator.")
-        rows = [(name, spec[1]) for name, spec in _COMMANDS.items()]
+        rows = [(name, spec[0]) for name, spec in _COMMANDS.items()]
     else:
-        _, about, positionals, options = _COMMANDS[command]
+        about, positionals, options = _COMMANDS[command]
         usage = " ".join((command, "[-h] [options]",
                           *(dest for dest, _, _ in positionals)))
         rows = [(dest, text) for dest, _, text in positionals] + [
             (flag + " " + flag[2:].upper(), text)
             for flag, _, _, text in options]
-    print("usage: treetrace %s\n\n%s\n" % (usage, about))
-    for row in rows + [("-h, --help", "show this help and exit")]:
-        print("  %-22s%s" % row)
+    print("usage: treetrace %s\n\n%s\n" % (usage, about), *(
+        "  %-22s%s" % row
+        for row in rows + [("-h, --help", "show this help and exit")]),
+        sep="\n")
     raise SystemExit(0)
 
 
@@ -448,7 +299,7 @@ def _option(token: str, flags):
             raise _UsageError("ambiguous option: %s could match %s"
                               % (token, ", ".join(matches)))
         if not matches:
-            return None if _NEGATIVE_NUMBER(token) or " " in token else (
+            return None if _negative_number(token) or " " in token else (
                 None, None)
         name = matches[0]
     if name == "-h" and explicit:   # argparse reads -hh as -h twice
@@ -479,7 +330,7 @@ def _parse_args(argv: list) -> SimpleNamespace:
     if command not in _COMMANDS:
         raise _UsageError("argument command: invalid choice: %r (choose from "
                           "%s)" % (command, ", ".join(map(repr, _COMMANDS))))
-    handler, _, positionals, _ = _COMMANDS[command]
+    positionals = _COMMANDS[command][1]
     flags, defaults = _TABLES[command]
     cut = argv.index("--") if "--" in argv else len(argv)
     # Per token: None a positional, "-" the first "--", else _option's pair.
@@ -537,7 +388,7 @@ def _parse_args(argv: list) -> SimpleNamespace:
     for value in values.values():
         if type(value) is list:
             raise _UsageError("argument %s: expected one argument" % value[0])
-    return SimpleNamespace(command=command, func=handler, **values)
+    return SimpleNamespace(command=command, func=_handler(command), **values)
 
 
 def main(argv=None) -> int:

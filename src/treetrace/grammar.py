@@ -50,19 +50,27 @@ class ParseError(ValueError):
 # bytes as well as characters.
 _SPACE = " \t\n\r\f\v"
 # One HVec term and one tensor factor (module doc); a denominator group is
-# '' after a '/' with no digits, None without the '/'.
-_TERM = re.compile(
+# '' after a '/' with no digits, None without the '/'.  ``_compile`` makes
+# the patterns at the first parse, and they are then kept as ``_TERM`` and
+# ``_FACTOR``.
+_TERM_PATTERN = (
     r"[ \t\n\r\f\v]*([+-]?)[ \t\n\r\f\v]*"           # 1 sign
     r"(?:([0-9]+)[ \t\n\r\f\v]*"                     # 2 p
     r"(?:/[ \t\n\r\f\v]*([0-9]*)[ \t\n\r\f\v]*)?"    # 3 q
     r"(\*?)[ \t\n\r\f\v]*)?"                         # 4 '*'
     r"([ab]?)([0-9]*)")                              # 5 letter, 6 index
-_FACTOR = re.compile(
+_FACTOR_PATTERN = (
     r"[ \t\n\r\f\v]*([+-]?)[ \t\n\r\f\v]*"           # 1 sign
     r"(?:([0-9]+)[ \t\n\r\f\v]*"                     # 2 p
     r"(?:/[ \t\n\r\f\v]*([0-9]*))?"                  # 3 q
     r"|([ab]?)([0-9]*))"                             # 4 letter, 5 index
     r"[ \t\n\r\f\v]*(\*?)")                          # 6 '*'
+_TERM = _FACTOR = None
+
+
+def _compile():
+    global _TERM, _FACTOR
+    _TERM, _FACTOR = re.compile(_TERM_PATTERN), re.compile(_FACTOR_PATTERN)
 
 
 def _integer(m, group: int) -> int:
@@ -106,6 +114,8 @@ def _vector(terms: list) -> FreeVec:
 
 def _hvec(text: str, pos: int):
     # The HVec at ``pos``, and the offset of what follows it and its spaces.
+    if _TERM is None:
+        _compile()
     terms = []
     m = _TERM.match(text, pos)
     while True:
@@ -125,6 +135,8 @@ def _hvec(text: str, pos: int):
 
 def _tensor(text: str, pos: int):
     # As ``_hvec``, for a tensor: each term a '*' product of factors.
+    if _FACTOR is None:
+        _compile()
     terms = []
     m = _FACTOR.match(text, pos)
     while True:

@@ -9,10 +9,10 @@ from math import comb
 
 from hypothesis import strategies as st
 
-from treetrace.cli import (
+from treetrace.cli import _cmd_report
+from treetrace.commands import (
     _cmd_cocycle,
     _cmd_coinvariants,
-    _cmd_report,
     _cmd_surgery,
     _cmd_trace,
 )

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -19,14 +20,14 @@ from treetrace.cli import (
     ReplicationReport,
     _UsageError,
     _emit_report,
+    _integer,
+    _negative_number,
     _parse_args,
-    _print_values,
-    _rational,
     build_report,
-    load_knot_document,
     main,
 )
-from treetrace.exact import FreeVec
+from treetrace.commands import _print_values, _rational, load_knot_document
+from treetrace.exact import FreeVec, canonical
 from treetrace.forms import cocycle_values
 from treetrace.grammar import format_hvec, parse_twist
 from treetrace.surgery import BUILTIN_KNOTS, bounding_casson
@@ -212,13 +213,37 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
                             "print(sorted(set(sys.modules) - before))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.replace("'", '"')))
-    assert "treetrace.cli" in loaded
+    # All seven modules, whose functions perfbench's tracer wraps, and not
+    # the calculator commands.
+    assert {"treetrace." + name for name in (
+        "exact", "symplectic", "trees", "forms", "surgery", "grammar",
+        "cli")} <= loaded
+    assert "treetrace.commands" not in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+# ``python -m treetrace`` with every regex compilation that code of the
+# package asks for (through ``re.compile``, ``re.fullmatch`` or any other
+# ``re`` function) written to stderr as "compiled <pattern>".
+SPY_ON_RE = """
+import re, runpy, sys
+compile = re._compile
+def spy(pattern, flags):
+    frame = sys._getframe(1)
+    while frame.f_globals.get("__name__", "").partition(".")[0] == "re":
+        frame = frame.f_back
+    if frame.f_globals.get("__name__", "").startswith("treetrace"):
+        print("compiled", repr(pattern), file=sys.stderr)
+    return compile(pattern, flags)
+re._compile = spy
+sys.argv[0] = "treetrace"
+runpy.run_module("treetrace", run_name="__main__", alter_sys=True)
+"""
 
 
 def test_running_a_report_loads_no_argparse_gettext_or_locale():
     # -X importtime lists every module the process imports, site included.
-    proc = run_python("-X", "importtime", "-m", "treetrace", "report")
+    proc = run_python("-X", "importtime", "-c", SPY_ON_RE, "report")
     assert proc.returncode == 0
     assert proc.stdout.endswith("overall: PASS\n")
     imported = {line.rsplit("|", 1)[1].strip()
@@ -226,6 +251,23 @@ def test_running_a_report_loads_no_argparse_gettext_or_locale():
                 if line.startswith("import time:")}
     assert {"treetrace.cli", "json", "fractions"} <= imported
     assert not imported & {"argparse", "gettext", "locale"}
+    # The calculator commands' module is imported by its commands alone,
+    # and the package compiles no regex of its own for a report.
+    assert "treetrace.commands" not in imported
+    assert "compiled" not in proc.stderr
+
+
+def test_the_regex_spy_sees_what_a_calculator_command_compiles():
+    proc = run_python("-X", "importtime", "-c", SPY_ON_RE, "cocycle",
+                      "twist(a1; b1)", "trefoil", "--lambda-x", "3/4")
+    assert proc.returncode == 0
+    assert proc.stdout == "Q = 0\nJ = 0\nC = 27\n"
+    assert "treetrace.commands" in proc.stderr
+    compiled = [line for line in proc.stderr.splitlines()
+                if line.startswith("compiled")]
+    # The two scanner patterns, at the first parse, and the option and
+    # knot-name patterns; each once.
+    assert len(compiled) == 4 == len(set(compiled)), compiled
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
@@ -718,6 +760,126 @@ def test_cli_exits_0_or_2_on_any_arguments(argv):
     assert code in (0, 2), argv
     if code == 2:
         assert_one_line_usage_error(code, err.getvalue())
+
+
+# The patterns that ``_integer``, ``_negative_number`` and ``_rational``
+# used before they were written as str checks, kept as their oracles.
+INTEGER_PATTERN = r"[+-]?[0-9]+"
+NEGATIVE_NUMBER_PATTERN = r"^-\d+$|^-\d*\.\d+$"
+RATIONAL_PATTERN = r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+
+
+def pattern_integer(text: str) -> int:
+    try:
+        if re.fullmatch(INTEGER_PATTERN, text):
+            return int(text)
+    except ValueError:
+        pass
+    raise _UsageError("invalid int value: %r" % text)
+
+
+def pattern_rational(option: str, text: str):
+    try:
+        if re.fullmatch(INTEGER_PATTERN, text):
+            return int(text)
+        if re.fullmatch(RATIONAL_PATTERN, text):
+            return canonical(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError("%s expects an exact rational like 3/4, got %r"
+                     % (option, text))
+
+
+def outcome(convert, *args):
+    """``convert(*args)`` with its type, or the message it refused with."""
+    try:
+        value = convert(*args)
+    except (_UsageError, ValueError) as err:
+        return str(err)
+    return type(value), value
+
+
+# Signs, digits of other scripts ('١', '۵'), digit-like characters ('²',
+# '½'), '_', the Arabic decimal separator and line breaks, among ASCII
+# digits; and any text.
+NUMBER_TEXT = st.one_of(
+    st.text(st.sampled_from("+-./_ \n\t0123456789\u0661\u06f5\u00b2\u00bd"
+                            "\u066ba"), max_size=8),
+    st.text(max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(NUMBER_TEXT)
+@example("+")
+@example("-")
+@example("")
+@example("1_0")
+@example("\u0661")
+@example("-\u0661")
+@example("\u00b2")
+@example("-.5")
+@example("-5.")
+@example("-5\n")
+@example("-5\n\n")
+@example("5\n")
+@example(" 5")
+@example("9" * 5000)
+@example("-" + "9" * 5000)
+@example("1/0")
+def test_option_number_rules_match_the_patterns_they_replaced(text):
+    for token in (text, "-" + text, "+" + text):
+        assert outcome(_integer, token) == outcome(pattern_integer, token)
+        assert _negative_number(token) == bool(
+            re.match(NEGATIVE_NUMBER_PATTERN, token)), token
+        assert outcome(_rational, "--lambda-x", token) == outcome(
+            pattern_rational, "--lambda-x", token)
+
+
+# Command lines whose every number has fewer digits than the int-to-text
+# limit of 4 300, as the grammar and the options accept, but whose results
+# have more.
+NINES = "9" * 3000
+WIDE = "7" * 1400
+
+
+def wide_twist(lead_x, lead_y):
+    """A genus-3 twist spec whose a2, b2, a3 and b3 coefficients in both
+    vectors are WIDE; omega(x, y) is that of the leading terms."""
+    rest = "".join(" + %s*%s" % (WIDE, label)
+                   for label in ("a2", "b2", "a3", "b3"))
+    return "twist(%s%s; %s%s)" % (lead_x, rest, lead_y, rest)
+
+
+TOO_LONG = {
+    "cocycle-lambdas": ["cocycle", "twist(a1; a1 + b1)", "twist(a1; a1 + b1)",
+                        "--lambda-x", NINES, "--lambda-y", NINES],
+    "cocycle-twists": ["cocycle", wide_twist("a1", "b1"),
+                       wide_twist("a1 + b1", "b1"), "--genus", "3"],
+    "coinvariants": ["coinvariants", "%s*%s*a1*b1" % (NINES, NINES),
+                     "--genus", "2"],
+    "surgery": ["surgery", "trefoil", NINES],
+    "trace": ["trace", "T(%s*a1, b1; %s*b1, b2)" % (NINES, NINES)],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv + fmt, id="%s-%s" % (name, fmt[-1] if fmt else "text"))
+    for name, argv in TOO_LONG.items()
+    for fmt in ([], ["--format", "json"])
+    if name in ("cocycle-lambdas", "cocycle-twists", "surgery") or not fmt])
+def test_a_result_too_long_to_print_prints_nothing(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, *argv) == (
+        2, "", "error: a result has more than %d digits, the limit of "
+        "int-to-text conversion\n" % limit)
+    # Without the limit, the same command prints its values.
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall("[0-9]+", out))) > limit
 
 
 def test_lambda_option_is_an_int_when_integral():

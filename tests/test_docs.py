@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from treetrace.cli import load_knot_document, main
+from treetrace.cli import main
+from treetrace.commands import load_knot_document
 from treetrace.surgery import TREFOIL
 
 README = Path(__file__).resolve().parent.parent / "README.md"
