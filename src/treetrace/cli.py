@@ -156,12 +156,12 @@ def _emit_report(report: ReplicationReport, fmt: str) -> int:
               % (report.genus, "true" if report.overall_pass else "false",
                  "[\n%s\n  ]" % rows if rows else "[]"))
     else:
-        print("\n".join([
-            "PASS %s: %s" % (check.name, check.computed) if check.passed
-            else "FAIL %s: expected %s, computed %s"
-            % (check.name, check.expected, check.computed)
-            for check in report.checks]
-            + ["overall: %s" % ("PASS" if report.overall_pass else "FAIL")]))
+        lines = ["PASS %s: %s" % (c.name, c.computed) if c.passed
+                 else "FAIL %s: expected %s, computed %s"
+                 % (c.name, c.expected, c.computed) for c in report.checks]
+        lines.append("overall: %s"
+                     % ("PASS" if report.overall_pass else "FAIL"))
+        print("\n".join(lines))
     return 0 if report.overall_pass else 1
 
 
@@ -273,10 +273,9 @@ def _help(command, explicit):
         rows = [(dest, text) for dest, _, text in positionals] + [
             (flag + " " + flag[2:].upper(), text)
             for flag, _, _, text in options]
-    print("usage: treetrace %s\n\n%s\n" % (usage, about), *(
-        "  %-22s%s" % row
-        for row in rows + [("-h, --help", "show this help and exit")]),
-        sep="\n")
+    print("usage: treetrace %s\n\n%s\n" % (usage, about))
+    for row in rows + [("-h, --help", "show this help and exit")]:
+        print("  %-22s%s" % row)
     raise SystemExit(0)
 
 

@@ -71,18 +71,28 @@ def _print_values(values: dict, fmt: str) -> int:
     return _print(_values_text, values, fmt)
 
 
-# Option numbers in ASCII, as the grammar reads them: Fraction() alone also
-# reads '١', '1_0', surrounding whitespace and exponents, so '1e999999999'
-# would build a billion-digit integer.  ``re`` compiles each pattern at its
-# first use and keeps it.
-_RATIONAL = r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+# An option number in ASCII, as the grammar reads them: Fraction() alone
+# also reads '١', '1_0', surrounding whitespace and exponents, so
+# '1e999999999' would build a billion-digit integer.  And a word that the
+# twist grammar refuses at its first character (it does not begin
+# "twist"), so meant as the name of a knot.  ``_compile`` makes both
+# patterns at the first use of either, and they are then kept.
+_RATIONAL = _KNOT_NAME = None
+
+
+def _compile():
+    global _RATIONAL, _KNOT_NAME
+    _RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+    _KNOT_NAME = re.compile(r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*")
 
 
 def _rational(option: str, text: str):
     """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``;
     an int when it is integral (``4/2``, ``2.0``), else a Fraction."""
+    if _RATIONAL is None:
+        _compile()
     try:
-        if re.fullmatch(_RATIONAL, text):
+        if _RATIONAL.fullmatch(text):
             if "/" in text or "." in text:
                 return canonical(Fraction(text))
             return int(text)
@@ -90,11 +100,6 @@ def _rational(option: str, text: str):
         pass
     raise ValueError("%s expects an exact rational like 3/4, got %r"
                      % (option, text))
-
-
-# A word that the twist grammar refuses at its first character (it does not
-# begin "twist"), so meant as the name of a knot.
-_KNOT_NAME = r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*"
 
 
 def _unknown_knot(text: str, other: str) -> ValueError:
@@ -109,9 +114,11 @@ def _twist_basis(text: str, genus: int, option=None, lam_text=None):
     The Casson value is the c2 of the basis, unless ``option`` gives one; a
     built-in knot's c2 is its own, so there ``option`` may only repeat it.
     """
+    if _KNOT_NAME is None:
+        _compile()
     lam = None if lam_text is None else _rational(option, lam_text)
     knot = BUILTIN_KNOTS.get(text)
-    if knot is None and re.fullmatch(_KNOT_NAME, text):
+    if knot is None and _KNOT_NAME.fullmatch(text):
         raise _unknown_knot(text, "a twist(x; y) spec")
     x, y = parse_twist(text) if knot is None else knot.bscc_basis
     c2, v = _seifert_matrix(x, y)
