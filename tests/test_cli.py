@@ -227,14 +227,14 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
 # ``re`` function) written to stderr as "compiled <pattern>".
 SPY_ON_RE = """
 import re, runpy, sys
-compile = re._compile
+real_compile = re._compile
 def spy(pattern, flags):
     frame = sys._getframe(1)
     while frame.f_globals.get("__name__", "").partition(".")[0] == "re":
         frame = frame.f_back
     if frame.f_globals.get("__name__", "").startswith("treetrace"):
         print("compiled", repr(pattern), file=sys.stderr)
-    return compile(pattern, flags)
+    return real_compile(pattern, flags)
 re._compile = spy
 sys.argv[0] = "treetrace"
 runpy.run_module("treetrace", run_name="__main__", alter_sys=True)
