@@ -15,14 +15,15 @@ help built from the table.
 This module holds the parser, the help and ``report``.  The calculator
 commands (``cocycle``, ``surgery``, ``coinvariants``, ``trace``) live in
 ``commands``, which is imported the first time one of them runs, so that a
-``report`` process compiles none of their code.  No regex is compiled at
-import: option numbers are read by ``str`` checks, and the grammar
-compiles its patterns at the first parse.
+``report`` process compiles none of their code.  A report compiles no
+regex: option numbers are read by ``str`` checks, and each pattern is
+compiled at its first use (``grammar._compiled``).
 """
 
 from __future__ import annotations
 
 import sys
+from functools import cache as _cache
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -32,7 +33,6 @@ from .grammar import ParseError
 from .surgery import (
     BUILTIN_KNOTS,
     POINCARE,
-    _seifert_matrix,
     casson_surgery,
     jones_h_derivative,
     lambda2_surgery,
@@ -98,9 +98,8 @@ def build_report(genus: int = DEFAULT_GENUS) -> ReplicationReport:
     for name, knot in BUILTIN_KNOTS.items():
         want = _TWIST_VALUES[name]
         slug = name.replace("-", "_")
-        x, y = knot.bscc_basis
-        lam = _seifert_matrix(x, y)[0]
-        tau = tau2_bscc_twist(x, y, genus)
+        lam = knot.conway.coeff(2)  # = det V, as ``KnotRecord`` checked
+        tau = tau2_bscc_twist(*knot.bscc_basis, genus)
         q, j, b, c = cocycle_values(lam, tau, lam, tau)
         surgery = surgery_cocycle_value(knot)
         # The surgery side less the Casson part c - b of the cocycle.
@@ -169,18 +168,13 @@ def _cmd_report(args) -> int:
     return _emit_report(build_report(args.genus), args.format)
 
 
-# Each command's handler.  The calculator commands' handlers live in
-# ``commands``, imported the first time one of them runs and then kept
-# here, so that a report compiles none of their code.
-_HANDLERS = {"report": _cmd_report}
-
-
+@_cache
 def _handler(command: str):
-    handler = _HANDLERS.get(command)
-    if handler is None:
-        from . import commands
-        handler = _HANDLERS[command] = getattr(commands, "_cmd_" + command)
-    return handler
+    # The calculator commands' handlers live in ``commands`` (module doc).
+    if command == "report":
+        return _cmd_report
+    from . import commands
+    return getattr(commands, "_cmd_" + command)
 
 
 class _UsageError(Exception):

@@ -7,13 +7,15 @@ so a ``report`` compiles none of it.  Nothing here imports ``cli``:
 copy would bring its own exception classes.
 
 Each command renders its whole output before it writes any of it, so a
-result that cannot be printed leaves stdout empty.
+result that cannot be printed leaves stdout empty.  The option and
+knot-name patterns are compiled at their first use (``grammar._compiled``),
+and ``trace`` refuses a tree before building any product of its expansion
+that would pair more than 10^6 terms.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -21,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .exact import _fraction, canonical
 from .forms import _cocycle_sum, trace_a, trace_b
 from .grammar import (
+    _compiled,
     format_tensor,
     parse_hvec,
     parse_tensor,
@@ -40,7 +43,7 @@ from .surgery import (
     vanishing_combo,
 )
 from .symplectic import coinvariant_reduce, max_index
-from .trees import _check_basis, tree_expand
+from .trees import _check_basis, sym_product, wedge_expand
 
 
 def _print(render, *args) -> int:
@@ -66,33 +69,21 @@ def _values_text(values: dict, fmt: str) -> str:
     return "\n".join("%s = %s" % item for item in values.items())
 
 
-def _print_values(values: dict, fmt: str) -> int:
-    """Print named exact values as ``key = value`` lines or a JSON object."""
-    return _print(_values_text, values, fmt)
-
-
 # An option number in ASCII, as the grammar reads them: Fraction() alone
 # also reads '١', '1_0', surrounding whitespace and exponents, so
 # '1e999999999' would build a billion-digit integer.  And a word that the
 # twist grammar refuses at its first character (it does not begin
-# "twist"), so meant as the name of a knot.  ``_compile`` makes both
-# patterns at the first use of either, and they are then kept.
-_RATIONAL = _KNOT_NAME = None
-
-
-def _compile():
-    global _RATIONAL, _KNOT_NAME
-    _RATIONAL = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
-    _KNOT_NAME = re.compile(r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*")
+# "twist"), so meant as the name of a knot.  Each is compiled by
+# ``grammar._compiled`` at its first use.
+_RATIONAL = r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
+_KNOT_NAME = r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*"
 
 
 def _rational(option: str, text: str):
     """An exact rational option value such as ``-5``, ``3/4`` or ``0.5``;
     an int when it is integral (``4/2``, ``2.0``), else a Fraction."""
-    if _RATIONAL is None:
-        _compile()
     try:
-        if _RATIONAL.fullmatch(text):
+        if _compiled(_RATIONAL).fullmatch(text):
             if "/" in text or "." in text:
                 return canonical(Fraction(text))
             return int(text)
@@ -107,18 +98,16 @@ def _unknown_knot(text: str, other: str) -> ValueError:
                       % (text, ", ".join(BUILTIN_KNOTS), other))
 
 
-def _twist_basis(text: str, genus: int, option=None, lam_text=None):
+def _twist_basis(text: str, genus: int, option, lam_text):
     """Resolve a knot name or twist(x; y) spec to (Casson value, basis
     (x, y), its checked Seifert matrix), its indices at most ``genus``.
 
     The Casson value is the c2 of the basis, unless ``option`` gives one; a
     built-in knot's c2 is its own, so there ``option`` may only repeat it.
     """
-    if _KNOT_NAME is None:
-        _compile()
     lam = None if lam_text is None else _rational(option, lam_text)
     knot = BUILTIN_KNOTS.get(text)
-    if knot is None and _KNOT_NAME.fullmatch(text):
+    if knot is None and _compiled(_KNOT_NAME).fullmatch(text):
         raise _unknown_knot(text, "a twist(x; y) spec")
     x, y = parse_twist(text) if knot is None else knot.bscc_basis
     c2, v = _seifert_matrix(x, y)
@@ -143,7 +132,8 @@ def _cmd_cocycle(args) -> int:
                                        "--lambda-y", args.lambda_y)
     q, j = _twist_forms(basis_x, v_x, basis_y, v_y)
     c = _cocycle_sum(lam_x, lam_y, q, 2 * j)[1]
-    return _print_values({"Q": q, "J": j, "C": _fraction(c, 4)}, args.format)
+    return _print(_values_text, {"Q": q, "J": j, "C": _fraction(c, 4)},
+                  args.format)
 
 
 def _polynomial(doc: dict, key: str) -> LaurentPoly:
@@ -204,7 +194,7 @@ def _cmd_surgery(args) -> int:
             raise _unknown_knot(args.knot, "an existing knot document") from None
     sphere = SphereInvariants(casson_surgery(knot, args.n),
                               lambda2_surgery(knot, args.n))
-    return _print_values({
+    return _print(_values_text, {
         "lambda": sphere.lam,
         "lambda2": sphere.lam2,
         "d2": d2_value(sphere),
@@ -217,6 +207,15 @@ def _cmd_coinvariants(args) -> int:
     return _print(format_tensor, coinvariant_reduce(tensor, args.genus))
 
 
+def _products(product, *pairs):
+    # ``product(u, v)`` of each pair, none built if one would pair more
+    # than 10^6 terms of u and v (0.92 * 10^6 took 1.2 s and 120 MB).
+    if max(len(u) * len(v) for u, v in pairs) > 1_000_000:
+        raise ValueError("tree has more than 10^6 = 1000000 term pairs to "
+                         "expand")
+    return [product(u, v) for u, v in pairs]
+
+
 def _cmd_trace(args) -> int:
     if args.genus < 1:
         raise ValueError("trace needs genus >= 1, got genus %d" % args.genus)
@@ -224,6 +223,7 @@ def _cmd_trace(args) -> int:
     top = max(max_index(x) for x in t)
     if top > args.genus:
         raise ValueError("tree uses index %d beyond genus %d" % (top, args.genus))
-    expanded = tree_expand(t)
-    traced = trace_a(expanded) if args.side == "A" else trace_b(expanded)
-    return _print(format_tensor, traced)
+    # ``tree_expand``: the two wedges, then their product.
+    expanded, = _products(sym_product, _products(wedge_expand, t[:2], t[2:]))
+    trace = trace_a if args.side == "A" else trace_b
+    return _print(format_tensor, trace(expanded))

@@ -18,6 +18,8 @@ one call, and a second one a tensor factor the same way.  Every part of
 both patterns is optional, so a match never fails; a part the grammar
 needs that came out missing or empty is the parse error, at the offset
 where that part starts.  A term with no sign before it ends the vector.
+Each pattern is compiled at its first use, through ``_compiled``, so an
+import compiles neither and a parse only the one it scans with.
 
 Digits are ASCII ``0``-``9`` only, and whitespace is ASCII only, so
 everything before a parse failure is ASCII.  Parse failures raise
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache as _cache
 
 from .exact import FreeVec, _fraction, canonical
 from .symplectic import BasisLabel
@@ -50,9 +53,7 @@ class ParseError(ValueError):
 # bytes as well as characters.
 _SPACE = " \t\n\r\f\v"
 # One HVec term and one tensor factor (module doc); a denominator group is
-# '' after a '/' with no digits, None without the '/'.  ``_compile`` makes
-# the patterns at the first parse, and they are then kept as ``_TERM`` and
-# ``_FACTOR``.
+# '' after a '/' with no digits, None without the '/'.
 _TERM_PATTERN = (
     r"[ \t\n\r\f\v]*([+-]?)[ \t\n\r\f\v]*"           # 1 sign
     r"(?:([0-9]+)[ \t\n\r\f\v]*"                     # 2 p
@@ -65,12 +66,8 @@ _FACTOR_PATTERN = (
     r"(?:/[ \t\n\r\f\v]*([0-9]*))?"                  # 3 q
     r"|([ab]?)([0-9]*))"                             # 4 letter, 5 index
     r"[ \t\n\r\f\v]*(\*?)")                          # 6 '*'
-_TERM = _FACTOR = None
 
-
-def _compile():
-    global _TERM, _FACTOR
-    _TERM, _FACTOR = re.compile(_TERM_PATTERN), re.compile(_FACTOR_PATTERN)
+_compiled = _cache(re.compile)  # a pattern compiled at its first use, kept
 
 
 def _integer(m, group: int) -> int:
@@ -114,10 +111,9 @@ def _vector(terms: list) -> FreeVec:
 
 def _hvec(text: str, pos: int):
     # The HVec at ``pos``, and the offset of what follows it and its spaces.
-    if _TERM is None:
-        _compile()
+    match = _compiled(_TERM_PATTERN).match
     terms = []
-    m = _TERM.match(text, pos)
+    m = match(text, pos)
     while True:
         sign, num, _, star, _, _ = m.groups()
         end = m.end()
@@ -128,17 +124,16 @@ def _hvec(text: str, pos: int):
             raise ParseError("expected '*'", m.start(4))
         else:
             end = m.start(4)            # a bare 0: the zero vector
-        m = _TERM.match(text, end)
+        m = match(text, end)
         if not m.group(1):              # no sign: no further term
             return _vector(terms), m.start(1)
 
 
 def _tensor(text: str, pos: int):
     # As ``_hvec``, for a tensor: each term a '*' product of factors.
-    if _FACTOR is None:
-        _compile()
+    match = _compiled(_FACTOR_PATTERN).match
     terms = []
-    m = _FACTOR.match(text, pos)
+    m = match(text, pos)
     while True:
         negative, coeff, slots = m.group(1) == "-", 1, []
         while True:
@@ -148,7 +143,7 @@ def _tensor(text: str, pos: int):
                 coeff *= _coefficient(m, 2)
             if not m.group(6):
                 break
-            m = _FACTOR.match(text, m.end())
+            m = match(text, m.end())
             if m.group(1):
                 raise ParseError("expected a basis label like a1 or b2",
                                  m.start(1))
@@ -156,7 +151,7 @@ def _tensor(text: str, pos: int):
             terms.append((tuple(slots), -coeff if negative else coeff))
         elif coeff:
             raise ParseError("tensor term has no basis labels", m.end())
-        m = _FACTOR.match(text, m.end())
+        m = match(text, m.end())
         if not m.group(1):
             return _vector(terms), m.start(1)
 

@@ -62,7 +62,7 @@ def b(i: int) -> BasisLabel:
 
 
 def basis_labels(genus: int) -> list:
-    """All labels a_1 < b_1 < a_2 < ... < b_genus in the global key order."""
+    """All labels a_1 < b_1 < a_2 < ... < b_genus, in sorted key order."""
     out = []
     for i in range(1, genus + 1):
         out.append(a(i))
@@ -288,7 +288,7 @@ def _chords(pattern: tuple) -> dict:
 # Largest n = degree/2 whose patterns' chords are memoized: at most 5! = 120
 # chords an entry, so at most 32 * 120 chords in the memo.
 _MEMO_PAIRS = 5
-_MAX_CHORDS = 362880  # 9!, the most chords one tensor may have
+_MAX_CHORDS = 362880  # 9!, the most chords one reduction may build
 
 
 @_lru_cache(maxsize=32)
@@ -312,7 +312,7 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
     chords.  A tensor of more than 9! = 362 880 chords is refused before
     any is built: reducing a1^9 b1^9 (9! chords, genus 10) takes about 1 s
     and 110 MB of peak RSS (Python 3.11, 2 shared vCPUs), 10! ten times
-    that.
+    that, and so is a combination whose terms have more than 9! in all.
 
     The chords of a balanced tensor of degree at most 10 come from a memo
     of the last 32 slot patterns, so reducing t and then any image with its
@@ -339,6 +339,10 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
             "degree %d needs 1 <= degree/2 < genus, got genus %d"
             % (degree, genus))
     memo = n <= _MEMO_PAIRS
+    # Per balanced term its memo chords or its pattern, and the patterns'
+    # chords, which are built once every term is checked.
+    balanced = []
+    chords = 0
     for tensor, coeff in items:
         ranks = {}   # index -> 2 * its rank by first occurrence
         counts = []  # code -> its number of slots
@@ -362,13 +366,17 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
             continue
         pattern = tuple(pattern)
         if memo:
-            found = _pattern_chords(pattern)
+            pattern = _pattern_chords(pattern)
         else:
             # prod p_i! chords, p_i the a-slots of an index.
-            if _prod(map(_factorial, counts[::2])) > _MAX_CHORDS:
-                raise ValueError("tensor of degree %d has more than 9! = "
-                                 "362880 chords to enumerate" % degree)
-            found = _chords(pattern)
+            chords += _prod(map(_factorial, counts[::2]))
+        balanced.append((pattern, coeff))
+    if chords > _MAX_CHORDS:
+        raise ValueError("tensor of degree %d has more than 9! = 362880 "
+                         "chords to enumerate" % degree)
+    for found, coeff in balanced:
+        if not memo:
+            found = _chords(found)
         if not out:
             # Distinct matchings give distinct chords.  Both copies reuse
             # the stored hashes; a Fraction 1 stays a Fraction.

@@ -1,10 +1,12 @@
-"""How ``treetrace.cli`` reads a command line, with the standard library
-only, so that a Python without pytest runs it too:
+"""How ``treetrace.cli`` reads and runs command lines, with the standard
+library only, so that a Python without pytest runs it too:
 
     PYTHONPATH=src python tests/cli_outcomes.py < command-lines.json
+    PYTHONPATH=src python tests/cli_outcomes.py run < command-lines.json
 
-reads a JSON list of command lines and prints, as JSON, the outcome of
-each under ``treetrace.cli._parse_args`` (``parsed_outcome``).
+read a JSON list of command lines and print, as JSON, the outcome of each:
+under ``treetrace.cli._parse_args`` (``parsed_outcome``), or with ``run``
+under ``treetrace.cli.main`` (``run_outcome``).
 """
 
 import io
@@ -12,7 +14,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from treetrace.cli import _UsageError, _parse_args
+from treetrace.cli import _UsageError, _parse_args, main
 
 
 def parse_outcome(parse, argv):
@@ -38,5 +40,17 @@ def parsed_outcome(argv):
     return got
 
 
+def run_outcome(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
 if __name__ == "__main__":
-    print(json.dumps([parsed_outcome(argv) for argv in json.load(sys.stdin)]))
+    outcome = run_outcome if sys.argv[1:] == ["run"] else parsed_outcome
+    print(json.dumps([outcome(argv) for argv in json.load(sys.stdin)]))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import treetrace.cli
+import treetrace.commands
 import treetrace.surgery
 from treetrace.cli import (
     ReplicationReport,
@@ -26,10 +27,12 @@ from treetrace.cli import (
     build_report,
     main,
 )
-from treetrace.commands import _print_values, _rational, load_knot_document
+from treetrace.commands import (_KNOT_NAME, _RATIONAL, _print, _rational,
+                                _values_text, load_knot_document)
 from treetrace.exact import FreeVec, canonical
 from treetrace.forms import cocycle_values
-from treetrace.grammar import format_hvec, parse_twist
+from treetrace.grammar import (_FACTOR_PATTERN, _TERM_PATTERN, format_hvec,
+                               parse_twist)
 from treetrace.surgery import BUILTIN_KNOTS, bounding_casson
 from treetrace.symplectic import BasisLabel, omega, seifert_form
 from treetrace.trees import tau2_bscc_twist
@@ -265,9 +268,28 @@ def test_the_regex_spy_sees_what_a_calculator_command_compiles():
     assert "treetrace.commands" in proc.stderr
     compiled = [line for line in proc.stderr.splitlines()
                 if line.startswith("compiled")]
-    # The two scanner patterns, at the first parse, and the option and
-    # knot-name patterns; each once.
-    assert len(compiled) == 4 == len(set(compiled)), compiled
+    # The HVec term pattern, at the first parse, and the option and
+    # knot-name patterns; each once, and not the tensor factor pattern.
+    assert sorted(compiled) == sorted("compiled %r" % pattern for pattern in (
+        _TERM_PATTERN, _RATIONAL, _KNOT_NAME)), compiled
+
+
+def test_the_regex_spy_sees_coinvariants_compile_the_factor_pattern():
+    proc = run_python("-c", SPY_ON_RE, "coinvariants",
+                      "a1*a1*b1*b1 + a2*b2*a1*b1 - 3*a1*b1*a2*b2")
+    assert proc.returncode == 0
+    compiled = [line for line in proc.stderr.splitlines()
+                if line.startswith("compiled")]
+    assert compiled == ["compiled %r" % _FACTOR_PATTERN], compiled
+
+
+def test_build_report_reads_no_seifert_form(monkeypatch):
+    # lambda is the knot record's c2, which its basis was checked against
+    # when the record was made.
+    def refuse(u, v):
+        raise AssertionError("build_report read a Seifert form")
+    monkeypatch.setattr(treetrace.surgery, "seifert_form", refuse)
+    assert build_report(5).overall_pass
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
@@ -491,7 +513,7 @@ def test_report_json_is_what_json_dumps_writes(genus, rows):
 @example({"Q": 48, "J": -12, "C": Fraction(-27, 4)})
 @example({})
 def test_value_json_is_what_json_dumps_writes(values):
-    assert printed(_print_values, values, "json") == (
+    assert printed(_print, _values_text, values, "json") == (
         0, json.dumps({k: str(v) for k, v in values.items()}, indent=2)
         + "\n")
 
@@ -513,6 +535,69 @@ def test_trace_error_names_the_term_in_label_notation(capsys):
     assert_one_line_usage_error(code, err)
     assert "(b2^b3)(b2^b4)" in err
     assert "BasisLabel" not in err
+
+
+def labels_from_two(top, *extra):
+    """a2 + b2 + ... + a_top + b_top, then the labels ``extra``."""
+    return " + ".join(["a%d + b%d" % (i, i) for i in range(2, top + 1)]
+                      + list(extra))
+
+
+def refusing(what):
+    def refused(*args):
+        raise AssertionError("trace built " + what)
+    return refused
+
+
+def test_trace_of_exactly_a_million_term_pairs_is_expanded(capsys,
+                                                           monkeypatch):
+    # a1 ^ (1000 labels) times b1 ^ (the same 1000): 10^6 pairs, the cap.
+    sizes = []
+
+    def product(left, right):
+        sizes.append((len(left), len(right)))
+        return FreeVec()
+    monkeypatch.setattr(treetrace.commands, "sym_product", product)
+    legs = labels_from_two(501)
+    tree = "T(a1, %s; b1, %s)" % (legs, legs)
+    assert run_cli(capsys, "trace", tree, "--genus", "501") == (0, "0\n", "")
+    assert sizes == [(1000, 1000)]
+
+
+def test_trace_of_more_than_a_million_term_pairs_is_refused(capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(treetrace.commands, "sym_product",
+                        refusing("a product"))
+    legs = labels_from_two(501)
+    tree = "T(a1, %s; b1, %s)" % (legs, labels_from_two(501, "a502"))
+    code, out, err = run_cli(capsys, "trace", tree, "--genus", "502")
+    assert out == ""
+    assert_one_line_usage_error(code, err)
+    assert err == ("error: tree has more than 10^6 = 1000000 term pairs to "
+                   "expand\n")
+
+
+def test_trace_refuses_a_huge_wedge_beside_a_zero_leg(capsys, monkeypatch):
+    # x3 = 0 makes the product empty, but x1 ^ x2 alone pairs 1002^2 terms.
+    monkeypatch.setattr(treetrace.commands, "wedge_expand", refusing("a wedge"))
+    legs = labels_from_two(501, "a1", "b1")
+    for tree in ("T(%s, %s; 0, a1)" % (legs, legs),
+                 "T(a1, 0; %s, %s)" % (legs, legs)):
+        code, out, err = run_cli(capsys, "trace", tree, "--genus", "501")
+        assert out == ""
+        assert_one_line_usage_error(code, err)
+        assert "more than 10^6 = 1000000 term pairs" in err
+
+
+def test_coinvariants_of_two_orderings_of_nine_factorial_chords_are_refused(
+        capsys):
+    tensor = "%s + %s" % ("*".join(["a1", "b1"] * 9),
+                          "*".join(["a1"] * 9 + ["b1"] * 9))
+    code, out, err = run_cli(capsys, "coinvariants", tensor, "--genus", "10")
+    assert out == ""
+    assert_one_line_usage_error(code, err)
+    assert err == ("error: tensor of degree 18 has more than 9! = 362880 "
+                   "chords to enumerate\n")
 
 
 def test_bad_lambda_is_a_usage_error(capsys):
@@ -1135,9 +1220,20 @@ def other_pythons() -> list:
     return sorted(found.values())
 
 
+# Calculator command lines, each run by ``cli.main`` (the last refused).
+CALCULATOR_LINES = [
+    ["cocycle", "twist(a1; b1)", "trefoil", "--lambda-x", "3/4"],
+    ["surgery", "trefoil", "1", "--format", "json"],
+    ["coinvariants", "a1*a1*b1*b1"],
+    ["trace", "T(b2, b3; b4, a2)", "--side", "A"],
+    ["cocycle", "foo", "trefoil"],
+]
+
+
 def test_other_pythons_print_what_this_one_prints():
-    # pyproject.toml allows Python >= 3.10: the report, and the parser on
-    # the argparse 3.11 cases above, must not change with the interpreter.
+    # pyproject.toml allows Python >= 3.10: the report, the parser on the
+    # argparse 3.11 cases above and the calculator commands must not change
+    # with the interpreter.
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no other CPython >= 3.10 starts here")
@@ -1151,12 +1247,15 @@ def test_other_pythons_print_what_this_one_prints():
                            capture_output=True, text=True, encoding="utf-8")
             for args, stdin in (
                 (("-m", "treetrace", "report", "--genus", "8", "--format",
-                  "json"), None), ((script,), cases)))]
+                  "json"), None), ((script,), cases),
+                ((script, "run"), json.dumps(CALCULATOR_LINES))))]
 
     want = outputs(sys.executable)
     assert want[0][0] == 0 and json.loads(want[0][1])["overall_pass"]
     assert want[1][0] == 0 and json.loads(want[1][1]) == json.loads(
         json.dumps([outcome for _, outcome in ARGPARSE_311_CASES]))
+    assert want[2][0] == 0 and [code for code, _, _ in json.loads(
+        want[2][1])] == [0, 0, 0, 0, 2]
     for exe in pythons:
         assert outputs(exe) == want, exe
 

@@ -614,6 +614,44 @@ def test_tensors_of_more_than_nine_factorial_chords_are_refused(monkeypatch):
     assert _pattern_chords.cache_info().currsize == 0
 
 
+def test_combinations_of_more_than_nine_factorial_chords_are_refused(
+        monkeypatch):
+    # Two orderings of a1^9 b1^9 have 9! chords each, 2 * 9! together: the
+    # call is refused before either is enumerated.
+    calls = []
+    monkeypatch.setattr(symplectic, "_chords", calls.append)
+    rng = random.Random(2015)
+    nine = [a(1)] * 9 + [b(1)] * 9
+    first = _shuffled(rng, nine)
+    second = next(t for t in iter(lambda: _shuffled(rng, nine), None)
+                  if t != first)
+    with pytest.raises(ValueError, match=r"^tensor of degree 18 has more "
+                       r"than 9! = 362880 chords to enumerate$"):
+        coinvariant_reduce(FreeVec({first: 1, second: -2}), 10)
+    assert calls == []
+
+
+def test_combination_cap_adds_the_chords_of_every_term(monkeypatch):
+    # Two distinct degree-14 terms, 7! chords each, are reduced as the sum
+    # of their reductions; with the cap lowered to 2 * 7! they still are,
+    # and one below that they are not, though each alone fits.
+    rng = random.Random(2016)
+    seven = [a(2)] * 7 + [b(2)] * 7
+    first = _shuffled(rng, seven)
+    second = next(t for t in iter(lambda: _shuffled(rng, seven), None)
+                  if t != first)
+    pair = FreeVec({first: 1, second: 3})
+    reduced = coinvariant_reduce(pair, 8)
+    assert reduced and reduced == (coinvariant_reduce(first, 8)
+                                   + 3 * coinvariant_reduce(second, 8))
+    monkeypatch.setattr(symplectic, "_MAX_CHORDS", 2 * 5040)
+    assert coinvariant_reduce(pair, 8) == reduced
+    monkeypatch.setattr(symplectic, "_MAX_CHORDS", 2 * 5040 - 1)
+    assert len(coinvariant_reduce(first, 8)) == 5040
+    with pytest.raises(ValueError, match="more than 9! = 362880 chords"):
+        coinvariant_reduce(pair, 8)
+
+
 def test_chord_cap_is_inclusive(monkeypatch):
     # With the cap lowered to 5!, a degree-12 tensor of 5! * 1! chords is
     # reduced and one of 5! * 2! chords is not.
