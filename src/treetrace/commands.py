@@ -9,8 +9,8 @@ copy would bring its own exception classes.
 Each command renders its whole output before it writes any of it, so a
 result that cannot be printed leaves stdout empty.  The option and
 knot-name patterns are compiled at their first use (``grammar._compiled``),
-and ``trace`` refuses a tree before building any product of its expansion
-that would pair more than 10^6 terms.
+and ``trace`` expands through ``trees.tree_expand``, which refuses a tree
+whose expansion would pair more than 10^6 terms before building any of it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .surgery import (
     vanishing_combo,
 )
 from .symplectic import coinvariant_reduce, max_index
-from .trees import _check_basis, sym_product, wedge_expand
+from .trees import _check_basis, tree_expand
 
 
 def _print(render, *args) -> int:
@@ -77,6 +77,8 @@ def _values_text(values: dict, fmt: str) -> str:
 # ``grammar._compiled`` at its first use.
 _RATIONAL = r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)"
 _KNOT_NAME = r"(?!twist)[A-Za-z0-9][A-Za-z0-9_-]*"
+# The longest knot document read, in characters; a knot needs a few hundred.
+_DOCUMENT_CHARS = 1 << 20
 
 
 def _rational(option: str, text: str):
@@ -152,11 +154,11 @@ def load_knot_document(path: str) -> KnotRecord:
     """Read a knot document: JSON with name, conway/jones pair lists, and an
     optional pair of basis strings for a bounding curve.  A document of the
     wrong shape, or whose polynomials do not fit a knot, is a ValueError;
-    so is one that cannot be read, unless it does not exist
-    (FileNotFoundError)."""
+    so is one that cannot be read, parsed or held in ``_DOCUMENT_CHARS``
+    characters, unless it does not exist (FileNotFoundError)."""
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read(_DOCUMENT_CHARS + 1)
     except FileNotFoundError:
         raise
     except OSError as err:
@@ -164,8 +166,22 @@ def load_knot_document(path: str) -> KnotRecord:
                          % (path, err.strerror)) from None
     except UnicodeDecodeError:
         raise ValueError("knot document %r is not UTF-8 text" % path) from None
+    if len(text) > _DOCUMENT_CHARS:
+        raise ValueError("knot document %r is longer than %d characters"
+                         % (path, _DOCUMENT_CHARS))
+    try:
+        doc = json.loads(text)
     except RecursionError:
-        raise ValueError("knot document is nested too deeply") from None
+        raise ValueError("knot document %r is nested too deeply"
+                         % path) from None
+    except json.JSONDecodeError as err:
+        raise ValueError("knot document %r is not JSON: %s"
+                         % (path, err)) from None
+    except ValueError:
+        # Not a syntax error (JSONDecodeError) but int()'s limit on digits.
+        raise ValueError("knot document %r has an integer of more than %d "
+                         "digits, the limit of text-to-int conversion"
+                         % (path, sys.get_int_max_str_digits())) from None
     if not isinstance(doc, dict):
         raise ValueError("knot document must be a JSON object")
     if not isinstance(doc.get("name"), str):
@@ -207,15 +223,6 @@ def _cmd_coinvariants(args) -> int:
     return _print(format_tensor, coinvariant_reduce(tensor, args.genus))
 
 
-def _products(product, *pairs):
-    # ``product(u, v)`` of each pair, none built if one would pair more
-    # than 10^6 terms of u and v (0.92 * 10^6 took 1.2 s and 120 MB).
-    if max(len(u) * len(v) for u, v in pairs) > 1_000_000:
-        raise ValueError("tree has more than 10^6 = 1000000 term pairs to "
-                         "expand")
-    return [product(u, v) for u, v in pairs]
-
-
 def _cmd_trace(args) -> int:
     if args.genus < 1:
         raise ValueError("trace needs genus >= 1, got genus %d" % args.genus)
@@ -223,7 +230,5 @@ def _cmd_trace(args) -> int:
     top = max(max_index(x) for x in t)
     if top > args.genus:
         raise ValueError("tree uses index %d beyond genus %d" % (top, args.genus))
-    # ``tree_expand``: the two wedges, then their product.
-    expanded, = _products(sym_product, _products(wedge_expand, t[:2], t[2:]))
     trace = trace_a if args.side == "A" else trace_b
-    return _print(format_tensor, trace(expanded))
+    return _print(format_tensor, trace(tree_expand(t)))

@@ -148,12 +148,13 @@ def contract_cs(v: FreeVec) -> FreeVec:
 
 # The images the pairings read, each a dict built in one pass over a piece
 # and kept with it (``FreeVec.cached``), one per side: ``flip`` 1 for the
-# left argument, 0 for the right.  A key of an image holds the codes of its
-# labels (``symplectic._PARTNERS``), so it hashes and compares as ints.  The
-# left side reads the partners' codes, code ^ 1, with the sign of the
-# product of omega(u, u'), -1 when an odd number of labels lie in B; only
-# the right side doubles a square.  An image may hold zero entries where
-# terms cancel, which the dot product does not mind.
+# left argument, 0 for the right, and ``_pairing`` reads either builder's
+# two sides; the builder is the memo key.  A key of an image holds the
+# codes of its labels (``symplectic._PARTNERS``), so it hashes and compares
+# as ints.  The left side reads the partners' codes, code ^ 1, with the
+# sign of the product of omega(u, u'), -1 when an odd number of labels lie
+# in B; only the right side doubles a square.  An image may hold zero
+# entries where terms cancel, which the dot product does not mind.
 
 
 def _pair_image(v: FreeVec, flip: int) -> dict:
@@ -216,8 +217,12 @@ def _tree_image(v: FreeVec, flip: int) -> dict:
     return data
 
 
-def _dot(x: dict, y: dict):
-    # Sparse dot product of two images over the smaller one's keys.
+def _pairing(image, x: FreeVec, y: FreeVec):
+    # <image(x, 1), image(y, 0)>: eta_s with ``_pair_image``, 2 nabla with
+    # ``_tree_image`` (module doc); an int unless a coefficient is a Fraction.
+    if not x._terms or not y._terms:
+        return 0
+    x, y = x.cached(image, 1), y.cached(image, 0)
     if len(y) < len(x):
         x, y = y, x
     get = y.get
@@ -229,33 +234,18 @@ def _dot(x: dict, y: dict):
     return total
 
 
-def _eta_dot(x: FreeVec, y: FreeVec):
-    # eta_s(x, y) as an int (a Fraction when a coefficient is one).
-    if not x._terms or not y._terms:
-        return 0
-    return _dot(x.cached(_pair_image, 1), y.cached(_pair_image, 0))
-
-
-def _twice_nabla(x: FreeVec, y: FreeVec):
-    # 2 nabla(x, y) = <N*(x), N(y)> (module doc), an int unless a
-    # coefficient is a Fraction.
-    if not x._terms or not y._terms:
-        return 0
-    return _dot(x.cached(_tree_image, 1), y.cached(_tree_image, 0))
-
-
 def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c).
 
     Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab."""
-    return _fraction(_eta_dot(x, y))
+    return _fraction(_pairing(_pair_image, x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product: 3 times the S^2(Lambda^2 H) pairing less the
     Lambda^4 H pairing of the four-slot wedges, halved, so zero on
     lambda4(q) (module doc)."""
-    return _fraction(_twice_nabla(x, y), 2)
+    return _fraction(_pairing(_tree_image, x, y), 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
@@ -281,8 +271,8 @@ def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
     # Q, 2*J, 4*B and 4*C of two (Casson value, tree image) pairs, each piece
     # paired once.
     sx, sy = x.cached(_split), y.cached(_split)
-    e = _eta_dot(sx[_C13], sy[_C31])
-    n = _twice_nabla(sx[0], sy[4])
+    e = _pairing(_pair_image, sx[_C13], sy[_C31])
+    n = _pairing(_tree_image, sx[0], sy[4])
     return (e, n) + _cocycle_sum(lam_x, lam_y, e, n)
 
 

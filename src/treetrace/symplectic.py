@@ -338,9 +338,7 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
         raise ValueError(
             "degree %d needs 1 <= degree/2 < genus, got genus %d"
             % (degree, genus))
-    memo = n <= _MEMO_PAIRS
-    # Per balanced term its memo chords or its pattern, and the patterns'
-    # chords, which are built once every term is checked.
+    # Every term is checked before any chord is read from the memo or built.
     balanced = []
     chords = 0
     for tensor, coeff in items:
@@ -364,24 +362,21 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
             pattern.append(code)
         if counts[::2] != counts[1::2]:
             continue
-        pattern = tuple(pattern)
-        if memo:
-            pattern = _pattern_chords(pattern)
-        else:
+        if n > _MEMO_PAIRS:
             # prod p_i! chords, p_i the a-slots of an index.
             chords += _prod(map(_factorial, counts[::2]))
-        balanced.append((pattern, coeff))
+        balanced.append((tuple(pattern), coeff))
     if chords > _MAX_CHORDS:
         raise ValueError("tensor of degree %d has more than 9! = 362880 "
                          "chords to enumerate" % degree)
-    for found, coeff in balanced:
-        if not memo:
-            found = _chords(found)
+    chords_of = _pattern_chords if n <= _MEMO_PAIRS else _chords
+    for pattern, coeff in balanced:
+        found = chords_of(pattern)
         if not out:
-            # Distinct matchings give distinct chords.  Both copies reuse
-            # the stored hashes; a Fraction 1 stays a Fraction.
+            # Distinct matchings give distinct chords.  A memo entry is
+            # copied, with its hashes; a Fraction 1 stays a Fraction.
             if coeff == 1 and type(coeff) is int:
-                out = dict(found) if memo else found
+                out = dict(found) if chords_of is _pattern_chords else found
             else:
                 out = dict.fromkeys(found, coeff)
             continue

@@ -557,7 +557,7 @@ def test_trace_of_exactly_a_million_term_pairs_is_expanded(capsys,
     def product(left, right):
         sizes.append((len(left), len(right)))
         return FreeVec()
-    monkeypatch.setattr(treetrace.commands, "sym_product", product)
+    monkeypatch.setattr(treetrace.trees, "sym_product", product)
     legs = labels_from_two(501)
     tree = "T(a1, %s; b1, %s)" % (legs, legs)
     assert run_cli(capsys, "trace", tree, "--genus", "501") == (0, "0\n", "")
@@ -566,7 +566,7 @@ def test_trace_of_exactly_a_million_term_pairs_is_expanded(capsys,
 
 def test_trace_of_more_than_a_million_term_pairs_is_refused(capsys,
                                                             monkeypatch):
-    monkeypatch.setattr(treetrace.commands, "sym_product",
+    monkeypatch.setattr(treetrace.trees, "sym_product",
                         refusing("a product"))
     legs = labels_from_two(501)
     tree = "T(a1, %s; b1, %s)" % (legs, labels_from_two(501, "a502"))
@@ -579,7 +579,7 @@ def test_trace_of_more_than_a_million_term_pairs_is_refused(capsys,
 
 def test_trace_refuses_a_huge_wedge_beside_a_zero_leg(capsys, monkeypatch):
     # x3 = 0 makes the product empty, but x1 ^ x2 alone pairs 1002^2 terms.
-    monkeypatch.setattr(treetrace.commands, "wedge_expand", refusing("a wedge"))
+    monkeypatch.setattr(treetrace.trees, "wedge_expand", refusing("a wedge"))
     legs = labels_from_two(501, "a1", "b1")
     for tree in ("T(%s, %s; 0, a1)" % (legs, legs),
                  "T(a1, 0; %s, %s)" % (legs, legs)):
@@ -765,6 +765,45 @@ def test_knot_document_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
         load_knot_document(str(path))
     assert run_cli(capsys, "surgery", str(path), "1") == (
         2, "", "error: knot document %r is not UTF-8 text\n" % str(path))
+
+
+def test_knot_document_over_the_size_cap_is_refused(tmp_path, capsys,
+                                                    monkeypatch):
+    path = write_document(tmp_path, TREFOIL_DOC)
+    size = len(Path(path).read_text())
+    monkeypatch.setattr(treetrace.commands, "_DOCUMENT_CHARS", size)
+    assert load_knot_document(path).name == "trefoil-copy"
+    monkeypatch.setattr(treetrace.commands, "_DOCUMENT_CHARS", size - 1)
+    assert run_cli(capsys, "surgery", path, "1") == (
+        2, "", "error: knot document %r is longer than %d characters\n"
+        % (path, size - 1))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_knot_document_is_read_up_to_the_cap(capsys):
+    assert run_cli(capsys, "surgery", "/dev/zero", "1") == (
+        2, "", "error: knot document '/dev/zero' is longer than 1048576 "
+        "characters\n")
+
+
+def test_knot_document_that_json_refuses_is_named_in_one_line(tmp_path,
+                                                             capsys):
+    path = tmp_path / "knot.json"
+    limit = sys.get_int_max_str_digits()
+    for text, reason in (
+            ('{"name": "x", "conway": [[0, 1]] "jones": []}',
+             "is not JSON: Expecting ',' delimiter: line 1 column 34 "
+             "(char 33)"),
+            ("", "is not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ('{"name": "x", "conway": [[0, %s]]}' % ("1" * (limit + 1)),
+             "has an integer of more than %d digits, the limit of "
+             "text-to-int conversion" % limit),
+            ("[" * 2000 + "]" * 2000, "is nested too deeply")):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_knot_document(str(path))
+        assert run_cli(capsys, "surgery", str(path), "1") == (
+            2, "", "error: knot document %r %s\n" % (str(path), reason))
 
 
 def test_non_ascii_digit_is_a_parse_error(capsys):
@@ -1220,23 +1259,33 @@ def other_pythons() -> list:
     return sorted(found.values())
 
 
-# Calculator command lines, each run by ``cli.main`` (the last refused).
+# Calculator command lines, each run by ``cli.main`` (the last three
+# refused: an unknown knot, a tree over ``tree_expand``'s bound, and a sum
+# whose second term has an index outside the genus).
 CALCULATOR_LINES = [
     ["cocycle", "twist(a1; b1)", "trefoil", "--lambda-x", "3/4"],
     ["surgery", "trefoil", "1", "--format", "json"],
     ["coinvariants", "a1*a1*b1*b1"],
     ["trace", "T(b2, b3; b4, a2)", "--side", "A"],
     ["cocycle", "foo", "trefoil"],
+    ["trace", "T(a1, %s; b1, %s)" % (labels_from_two(501),
+                                     labels_from_two(501, "a502")),
+     "--genus", "502"],
+    ["coinvariants", "a1*b1*a2*b2 + a1*b1*a2*b9"],
 ]
 
 
-def test_other_pythons_print_what_this_one_prints():
+def test_other_pythons_print_what_this_one_prints(tmp_path):
     # pyproject.toml allows Python >= 3.10: the report, the parser on the
     # argparse 3.11 cases above and the calculator commands must not change
-    # with the interpreter.
+    # with the interpreter; a knot document that is not JSON is refused
+    # alike.
     pythons = other_pythons()
     if not pythons:
         pytest.skip("no other CPython >= 3.10 starts here")
+    document = tmp_path / "knot.json"
+    document.write_text("not JSON")
+    lines = CALCULATOR_LINES + [["surgery", str(document), "1"]]
     cases = json.dumps([argv for argv, _ in ARGPARSE_311_CASES])
     script = str(Path(__file__).with_name("cli_outcomes.py"))
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
@@ -1248,14 +1297,19 @@ def test_other_pythons_print_what_this_one_prints():
             for args, stdin in (
                 (("-m", "treetrace", "report", "--genus", "8", "--format",
                   "json"), None), ((script,), cases),
-                ((script, "run"), json.dumps(CALCULATOR_LINES))))]
+                ((script, "run"), json.dumps(lines))))]
 
     want = outputs(sys.executable)
     assert want[0][0] == 0 and json.loads(want[0][1])["overall_pass"]
     assert want[1][0] == 0 and json.loads(want[1][1]) == json.loads(
         json.dumps([outcome for _, outcome in ARGPARSE_311_CASES]))
     assert want[2][0] == 0 and [code for code, _, _ in json.loads(
-        want[2][1])] == [0, 0, 0, 0, 2]
+        want[2][1])] == [0, 0, 0, 0, 2, 2, 2, 2]
+    assert [err for _, _, err in json.loads(want[2][1])[-3:]] == [
+        "error: tree has more than 10^6 = 1000000 term pairs to expand\n",
+        "error: tensor uses indices outside genus 5\n",
+        "error: knot document %r is not JSON: Expecting value: line 1 "
+        "column 1 (char 0)\n" % str(document)]
     for exe in pythons:
         assert outputs(exe) == want, exe
 

@@ -587,19 +587,41 @@ def test_memo_entries_stay_intact_after_scaled_or_cancelling_sums():
 
 def test_labels_other_than_a_and_b_are_refused():
     c = BasisLabel(1, "c")
-    # Each case with the memo hits its good terms make before the bad one.
-    cases = [((c, c), "c1", 0), ((a(1), c), "c1", 0), ((c, b(1)), "c1", 0),
-             (((2, "a"), (2, "x")), "x2", 0),
-             (FreeVec({(a(1), b(1)): 1, (a(2), BasisLabel(2, "B")): 1}), "B2",
-              1)]
-    for t, name, hits in cases:
+    cases = [((c, c), "c1"), ((a(1), c), "c1"), ((c, b(1)), "c1"),
+             (((2, "a"), (2, "x")), "x2"),
+             (FreeVec({(a(1), b(1)): 1, (a(2), BasisLabel(2, "B")): 1}), "B2")]
+    for t, name in cases:
         _pattern_chords.cache_clear()
         coinvariant_reduce((a(1), b(1)), 3)
         with pytest.raises(ValueError, match="label %s is not" % name):
             coinvariant_reduce(t, 3)
-        # The label is checked before the memo is read.
+        # Every label is checked before the memo is read, also in a sum
+        # whose good first term's pattern the memo holds.
         info = _pattern_chords.cache_info()
-        assert (info.hits, info.misses) == (hits, 1)
+        assert (info.hits, info.misses) == (0, 1)
+
+
+@pytest.mark.parametrize("good, bad", [
+    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(2), BasisLabel(2, "c"))),
+    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(4), b(4))),
+    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(2), BasisLabel(2, "B"))),
+    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(8), b(8))),
+], ids=["label-degree-4", "index-degree-4", "label-degree-12",
+        "index-degree-12"])
+def test_a_bad_later_term_is_refused_before_any_chord(good, bad, monkeypatch):
+    # The first term is balanced and good; the second is refused, and
+    # neither the memo nor the kernel has been read by then.
+    genus = 3 if len(good) == 4 else 7
+    calls = []
+    monkeypatch.setattr(symplectic, "_chords", calls.append)
+    _pattern_chords.cache_clear()
+    v = FreeVec({good: 1, bad: 1})
+    assert [tensor for tensor, _ in v.items()] == [good, bad]
+    with pytest.raises(ValueError, match="is not an a_i|outside genus"):
+        coinvariant_reduce(v, genus)
+    assert calls == []
+    info = _pattern_chords.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_tensors_of_more_than_nine_factorial_chords_are_refused(monkeypatch):

@@ -15,6 +15,7 @@ from helpers import (
     tau2_two_wedges,
     tree_combinations,
 )
+from treetrace import trees
 from treetrace.exact import FreeVec
 from treetrace.symplectic import BasisLabel, a, b, basis_labels, hvec
 from treetrace.trees import (
@@ -25,6 +26,7 @@ from treetrace.trees import (
     tau2_bscc_twist,
     tau2_square,
     tree_expand,
+    wedge_expand,
 )
 
 
@@ -65,6 +67,61 @@ def test_expand_multilinear_in_each_slot():
             right[slot] = v
             assert tree_expand(HTree(*combined)) \
                 == tree_expand(HTree(*left)) + c * tree_expand(HTree(*right))
+
+
+def _labels(first, last):
+    """a_first + b_first + ... + a_last + b_last."""
+    return FreeVec({lbl: 1 for i in range(first, last + 1)
+                    for lbl in (a(i), b(i))})
+
+
+def _refusing(what):
+    def refused(*args):
+        raise AssertionError("tree_expand built " + what)
+    return refused
+
+
+def test_expand_refuses_a_wedge_of_more_than_a_million_term_pairs(
+        monkeypatch):
+    # 1000 * 1002 pairs in the left leg: neither wedge is built.
+    monkeypatch.setattr(trees, "wedge_expand", _refusing("a wedge"))
+    wide = _labels(1, 500)
+    for t in (HTree(wide, _labels(1, 501), hvec(a(1)), hvec(b(1))),
+              HTree(hvec(a(1)), hvec(b(1)), _labels(1, 501), wide)):
+        with pytest.raises(ValueError, match=r"^tree has more than 10\^6 = "
+                           r"1000000 term pairs to expand$"):
+            tree_expand(t)
+
+
+def test_expand_refuses_a_product_of_more_than_a_million_term_pairs(
+        monkeypatch):
+    # Wedges of 1000 and 1001 terms, each built, and no product of them.
+    wedges = []
+
+    def counted(u, v):
+        wedges.append(wedge_expand(u, v))
+        return wedges[-1]
+    monkeypatch.setattr(trees, "wedge_expand", counted)
+    monkeypatch.setattr(trees, "sym_product", _refusing("a product"))
+    t = HTree(hvec(a(1)), _labels(2, 501), hvec(b(1)),
+              _labels(2, 501) + hvec(a(502)))
+    with pytest.raises(ValueError, match="more than 10\\^6"):
+        tree_expand(t)
+    assert [len(w) for w in wedges] == [1000, 1001]
+
+
+def test_expand_of_exactly_a_million_term_pairs_builds_the_product(
+        monkeypatch):
+    # The real product takes about a second here; its result is not needed.
+    sizes, built = [], FreeVec()
+
+    def product(left, right):
+        sizes.append((len(left), len(right)))
+        return built
+    monkeypatch.setattr(trees, "sym_product", product)
+    t = HTree(hvec(a(1)), _labels(2, 501), hvec(b(1)), _labels(2, 501))
+    assert tree_expand(t) is built
+    assert sizes == [(1000, 1000)]
 
 
 def test_lambda4_embedding_formula():
