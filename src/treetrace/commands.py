@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .exact import _fraction, canonical
 from .forms import _cocycle_sum, trace_a, trace_b
 from .grammar import (
+    ParseError,
     _compiled,
     format_tensor,
     parse_hvec,
@@ -138,24 +139,25 @@ def _cmd_cocycle(args) -> int:
                   args.format)
 
 
-def _polynomial(doc: dict, key: str) -> LaurentPoly:
-    """A knot document's ``key`` entry: a list of [exponent, coefficient]
-    pairs of JSON integers."""
+def _polynomial(path: str, doc: dict, key: str) -> LaurentPoly:
+    """The ``key`` entry of the knot document at ``path``: a list of
+    [exponent, coefficient] pairs of JSON integers."""
     pairs = doc.get(key)
     if not (isinstance(pairs, list) and all(
             isinstance(pair, list) and len(pair) == 2
             and all(type(n) is int for n in pair) for pair in pairs)):
-        raise ValueError("knot document: %r must be a list of "
-                         "[exponent, coefficient] integer pairs" % key)
+        raise ValueError("knot document %r: %r must be a list of "
+                         "[exponent, coefficient] integer pairs" % (path, key))
     return LaurentPoly(pairs)
 
 
 def load_knot_document(path: str) -> KnotRecord:
     """Read a knot document: JSON with name, conway/jones pair lists, and an
-    optional pair of basis strings for a bounding curve.  A document of the
-    wrong shape, or whose polynomials do not fit a knot, is a ValueError;
-    so is one that cannot be read, parsed or held in ``_DOCUMENT_CHARS``
-    characters, unless it does not exist (FileNotFoundError)."""
+    optional pair of basis strings for a bounding curve.  A document that
+    cannot be read, parsed or held in ``_DOCUMENT_CHARS`` characters, or is
+    of the wrong shape, is a ValueError that names it, unless it does not
+    exist (FileNotFoundError); one whose polynomials do not fit a knot is a
+    ValueError that names the knot."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read(_DOCUMENT_CHARS + 1)
@@ -183,20 +185,27 @@ def load_knot_document(path: str) -> KnotRecord:
                          "digits, the limit of text-to-int conversion"
                          % (path, sys.get_int_max_str_digits())) from None
     if not isinstance(doc, dict):
-        raise ValueError("knot document must be a JSON object")
+        raise ValueError("knot document %r: must be a JSON object" % path)
     if not isinstance(doc.get("name"), str):
-        raise ValueError("knot document: 'name' must be a string")
+        raise ValueError("knot document %r: 'name' must be a string" % path)
     basis = doc.get("bscc_basis")
     if basis is not None:
         if not (isinstance(basis, list) and len(basis) == 2
                 and all(isinstance(text, str) for text in basis)):
-            raise ValueError("knot document: 'bscc_basis' must be a list "
-                             "of two vector strings")
-        basis = tuple(map(parse_hvec, basis))
+            raise ValueError("knot document %r: 'bscc_basis' must be a "
+                             "list of two vector strings" % path)
+        parsed = []
+        for k, text in enumerate(basis):
+            try:
+                parsed.append(parse_hvec(text))
+            except ParseError as err:
+                raise ValueError("knot document %r: bscc_basis[%d]: %s"
+                                 % (path, k, err)) from None
+        basis = tuple(parsed)
     return KnotRecord(
         name=doc["name"],
-        conway=_polynomial(doc, "conway"),
-        jones=_polynomial(doc, "jones"),
+        conway=_polynomial(path, doc, "conway"),
+        jones=_polynomial(path, doc, "jones"),
         bscc_basis=basis,
     )
 

@@ -45,15 +45,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import FreeVec, _fraction, scalar
-from .symplectic import _PARTNERS, FAMILY_A, FAMILY_B
+from .symplectic import FAMILY_A, FAMILY_B
 from .trees import key_labels
 
 def key_bidegree(key) -> tuple:
     """(number of A-labels, number of B-labels) among the four slots."""
     (w, x), (y, z) = key
-    s = ((w.family == FAMILY_A) + (x.family == FAMILY_A)
-         + (y.family == FAMILY_A) + (z.family == FAMILY_A))
-    return s, 4 - s
+    t = (w & 1) + (x & 1) + (y & 1) + (z & 1)
+    return 4 - t, t
 
 
 # Where ``_split`` keeps the contractions of the (1,3) and (3,1) pieces.
@@ -64,13 +63,10 @@ def _split(v: FreeVec) -> tuple:
     # One pass over the terms, bucketed by their number of A-labels: the
     # bidegree (s, 4 - s) piece at index s, then the two contractions.
     # The count is ``key_bidegree``'s, written inline.
-    family_a = FAMILY_A
     buckets = ({}, {}, {}, {}, {})
     for key, coeff in v._terms.items():
         (w, x), (y, z) = key
-        s = ((w.family == family_a) + (x.family == family_a)
-             + (y.family == family_a) + (z.family == family_a))
-        buckets[s][key] = coeff
+        buckets[4 - (w & 1) - (x & 1) - (y & 1) - (z & 1)][key] = coeff
     pieces = tuple(FreeVec._raw(data) for data in buckets)
     return pieces + (contract_cs(pieces[1]), contract_cs(pieces[3]))
 
@@ -130,10 +126,9 @@ def contract_cs(v: FreeVec) -> FreeVec:
     (a^b)(c^d) goes to w(a,d) bc - w(a,c) bd - w(b,d) ac + w(b,c) ad with w
     = |omega| the symmetric A-B pairing; the embedded Lambda^4 H is killed.
     """
-    partners = _PARTNERS
     data = {}
     for ((la, lb), (lc, ld)), coeff in v._terms.items():
-        pa, pb = partners[la][0], partners[lb][0]
+        pa, pb = la ^ 1, lb ^ 1
         # |omega|(u, w) is 1 when w is u's partner and 0 otherwise.
         for p, w, keep1, keep2, sign in (
                 (pa, ld, lb, lc, 1),
@@ -150,20 +145,19 @@ def contract_cs(v: FreeVec) -> FreeVec:
 # and kept with it (``FreeVec.cached``), one per side: ``flip`` 1 for the
 # left argument, 0 for the right, and ``_pairing`` reads either builder's
 # two sides; the builder is the memo key.  A key of an image holds the
-# codes of its labels (``symplectic._PARTNERS``), so it hashes and compares
-# as ints.  The left side reads the partners' codes, code ^ 1, with the
-# sign of the product of omega(u, u'), -1 when an odd number of labels lie
-# in B; only the right side doubles a square.  An image may hold zero
+# codes of its labels as plain ints, ``label ^ flip``: the left side reads
+# the partners' codes, code ^ 1, with the sign of the product of
+# omega(u, u'), -1 when an odd number of labels lie in B; only the right
+# side doubles a square.  An image may hold zero
 # entries where terms cancel, which the dot product does not mind.
 
 
 def _pair_image(v: FreeVec, flip: int) -> dict:
     # S^2(H): the canonical form y° (flip 0) or the partner image x*
     # (flip 1), the pair sorted.
-    partners = _PARTNERS
     data = {}
     for (u, w), c in v._terms.items():
-        u, w = partners[u][1] ^ flip, partners[w][1] ^ flip
+        u, w = u ^ flip, w ^ flip
         if flip & (u ^ w):
             c = -c
         if u < w:
@@ -184,11 +178,9 @@ def _tree_image(v: FreeVec, flip: int) -> dict:
     # A wedge of two equal labels is zero, and so is a four-slot wedge with
     # a repeated label.
     part, square, wedge = (3, 3, -1) if flip else (1, 2, 1)
-    partners = _PARTNERS
     data = {}
     for ((w, x), (y, z)), c in v._terms.items():
-        w, x = partners[w][1] ^ flip, partners[x][1] ^ flip
-        y, z = partners[y][1] ^ flip, partners[z][1] ^ flip
+        w, x, y, z = w ^ flip, x ^ flip, y ^ flip, z ^ flip
         if flip & (w ^ x ^ y ^ z):
             c = -c
         if x < w:

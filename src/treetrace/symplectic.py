@@ -5,9 +5,9 @@ a_i span the Lagrangian A, the b_i span B.  One pairing lives on the basis
 labels: the antisymmetric intersection form ``label_omega`` with
 omega(a_i, b_j) = delta_ij and both Lagrangians isotropic.  On H the
 Seifert form ``seifert_form``, L(u, v) = sum_k u_{a_k} v_{b_k}, gives
-the intersection form as ``omega`` = L - L^T.  omega pairs a label only
-with its partner (same index, other family); the pairings look partners up
-in one private table, filled on the first sight of each label.
+the intersection form as ``omega`` = L - L^T.  A label is its int code
+2i + f, f = 0 for a and 1 for b, and omega pairs it only with its partner
+(same index, other family), whose code is ``label ^ 1``.
 
 GL_g(Z) acts on A by a matrix G and on B by its inverse transpose; the
 action on tensor powers is factor-wise.  ``coinvariant_reduce`` rewrites a
@@ -33,6 +33,7 @@ from __future__ import annotations
 from functools import cache, lru_cache as _lru_cache
 from itertools import product
 from math import factorial as _factorial, prod as _prod
+from operator import index as _index
 from typing import NamedTuple, Union
 
 from .exact import FreeVec
@@ -43,14 +44,43 @@ FAMILY_A = "a"
 FAMILY_B = "b"
 
 
-class BasisLabel(NamedTuple):
-    """One symplectic basis vector: a_index or b_index."""
+class BasisLabel(int):
+    """One symplectic basis vector a_index or b_index, as its int code
+    2*index + f, f = 0 for a and 1 for b: the family bit is ``label & 1``,
+    the index ``label >> 1`` and the omega-partner's code ``label ^ 1``.
 
-    index: int
-    family: str
+    ``BasisLabel(index, family)`` refuses a family other than "a" or "b"
+    (ValueError) and an index that is not an int (TypeError).  ``str``
+    (a1), ``repr`` and the order a1 < b1 < a2 < ... are those of an (index,
+    family) pair.  As an int, a label equals and hashes as its code
+    (``a(1) == 2``), ``%d`` prints the code, ``bool(a(0))`` is False and
+    ``exact.scalar`` admits a label as a coefficient.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, family: str):
+        if family != FAMILY_A and family != FAMILY_B:
+            raise ValueError("basis label family must be 'a' or 'b', got %r"
+                             % (family,))
+        return int.__new__(cls, 2 * _index(index) + (family == FAMILY_B))
+
+    @property
+    def index(self) -> int:
+        return self >> 1
+
+    @property
+    def family(self) -> str:
+        return FAMILY_B if self & 1 else FAMILY_A
+
+    def __getnewargs__(self):
+        return self >> 1, self.family
 
     def __str__(self):
-        return "%s%d" % (self.family, self.index)
+        return "%s%d" % (self.family, self >> 1)
+
+    def __repr__(self):
+        return "BasisLabel(index=%r, family=%r)" % (self >> 1, self.family)
 
 
 def a(i: int) -> BasisLabel:
@@ -79,39 +109,18 @@ def hvec(label_or_vec) -> FreeVec:
     return FreeVec.single(label_or_vec)
 
 
-class _PartnerTable(dict):
-    # label -> (its omega-partner, its code); an entry is made on the first
-    # lookup of its label, so there are two per index in use.
-    def __missing__(self, u):
-        if u.family == FAMILY_A:
-            entry = self[u] = (BasisLabel(u.index, FAMILY_B), 2 * u.index)
-        else:
-            entry = self[u] = (BasisLabel(u.index, FAMILY_A), 2 * u.index + 1)
-        return entry
-
-
-# The one table of omega-partners.  omega(u, v) is nonzero only for v the
-# partner u' of u (same index, other family), where it is +1 for u = a_i
-# and -1 for u = b_i.  The code of a_i is 2i and that of b_i is 2i + 1: an
-# int in the key order of the labels, whose parity is the family and whose
-# partner's code is ``code ^ 1``.
-_PARTNERS = _PartnerTable()
-
-
 def label_omega(u: BasisLabel, v: BasisLabel) -> int:
     """Intersection pairing on basis labels: omega(a_i, b_i) = 1, antisymmetric."""
-    if u.index != v.index or u.family == v.family:
-        return 0
-    return 1 if u.family == FAMILY_A else -1
+    return 0 if u ^ v != 1 else -1 if u & 1 else 1
 
 
 def seifert_form(u: FreeVec, v: FreeVec):
     """Seifert form L(u, v) = sum_k u_{a_k} v_{b_k} on H, exact."""
-    partners, get = _PARTNERS, v._terms.get
+    get = v._terms.get
     total = 0
     for k, c in u._terms.items():
-        if k.family == FAMILY_A:
-            total += c * get(partners[k][0], 0)
+        if not k & 1:
+            total += c * get(k ^ 1, 0)
     return total
 
 
@@ -122,7 +131,7 @@ def omega(u: FreeVec, v: FreeVec):
 
 def max_index(u: FreeVec) -> int:
     """Largest basis index appearing in an H vector (0 for the zero vector)."""
-    return max((k.index for k in u._terms), default=0)
+    return max(u._terms, default=0) >> 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +181,16 @@ def _check_generator(gen: GLGenerator):
 
 def _label_image(gen: GLGenerator, label: BasisLabel) -> list:
     # Image of one label under a checked generator.
+    index = label >> 1
     if isinstance(gen, Transposition):
-        if label.index == gen.i:
-            return [(BasisLabel(gen.j, label.family), 1)]
-        if label.index == gen.j:
-            return [(BasisLabel(gen.i, label.family), 1)]
+        if index == gen.i or index == gen.j:
+            return [((a, b)[label & 1](gen.i + gen.j - index), 1)]
         return [(label, 1)]
     if isinstance(gen, SignFlip):
-        if label.index == gen.j:
-            return [(label, -1)]
-        return [(label, 1)]
-    if label.family == FAMILY_A and label.index == gen.j:
+        return [(label, -1 if index == gen.j else 1)]
+    if not label & 1 and index == gen.j:
         return [(label, 1), (a(gen.i), gen.sign)]
-    if label.family == FAMILY_B and label.index == gen.i:
+    if label & 1 and index == gen.i:
         return [(label, 1), (b(gen.j), -gen.sign)]
     return [(label, 1)]
 
@@ -200,7 +206,7 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
 
     ``t`` is a FreeVec over basic tensors (tuples of labels) or a bare tuple.
     The generator is checked once, before any term, and each distinct
-    label's image is computed once per call.
+    label's image once per call; a slot not a ``BasisLabel`` is a TypeError.
     """
     _check_generator(gen)
     images = {}
@@ -208,6 +214,9 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
     for tensor, coeff in [(t, 1)] if isinstance(t, tuple) else t.items():
         factors = []
         for label in tensor:
+            if not isinstance(label, BasisLabel):
+                raise TypeError("tensor slot of type %s is not a BasisLabel"
+                                % type(label).__name__)
             factor = images.get(label)
             if factor is None:
                 factor = images[label] = _label_image(gen, label)
@@ -302,8 +311,8 @@ def _pattern_chords(pattern: tuple) -> dict:
 def coinvariant_reduce(t, genus: int) -> FreeVec:
     """Class of a degree-2n tensor in the GL-coinvariants, over chord tensors.
 
-    Requires 1 <= n < genus, all indices within the genus and every label
-    an a_i or a b_i.  A basic tensor with an unbalanced index (different
+    Requires 1 <= n < genus, all indices within the genus and every slot
+    a ``BasisLabel``.  A basic tensor with an unbalanced index (different
     numbers of a_i and b_i) dies; a balanced one is the sum of one chord
     per matching, each with coefficient 1: the k-th pair of the matching,
     by first slot, becomes a_k and b_k.  So the output is supported on
@@ -318,8 +327,8 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
     of the last 32 slot patterns, so reducing t and then any image with its
     pattern (+-t, a ``Transposition`` image, the balanced term of an
     ``Elementary`` image) enumerates t's matchings once.  The degree,
-    genus, family and balance checks run on every call and every term
-    before the memo is read.
+    genus, slot type, balance and chord-count checks run on every call and
+    every term before the memo is read.
     """
     if genus < 2:
         raise ValueError("coinvariants need genus >= 2, got genus %d" % genus)
@@ -345,7 +354,11 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
         ranks = {}   # index -> 2 * its rank by first occurrence
         counts = []  # code -> its number of slots
         pattern = []
-        for index, family in tensor:
+        for label in tensor:
+            if not isinstance(label, BasisLabel):
+                raise ValueError("tensor slot of type %s is not a BasisLabel"
+                                 % type(label).__name__)
+            index = label >> 1
             code = ranks.get(index)
             if code is None:
                 if not 0 < index <= genus:
@@ -353,18 +366,13 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
                         "tensor uses indices outside genus %d" % genus)
                 code = ranks[index] = len(counts)
                 counts += 0, 0
-            if family != FAMILY_A:
-                if family != FAMILY_B:
-                    raise ValueError("tensor label %s is not an a_i or a b_i"
-                                     % (BasisLabel(index, family),))
-                code += 1
+            code += label & 1
             counts[code] += 1
             pattern.append(code)
         if counts[::2] != counts[1::2]:
             continue
-        if n > _MEMO_PAIRS:
-            # prod p_i! chords, p_i the a-slots of an index.
-            chords += _prod(map(_factorial, counts[::2]))
+        # prod p_i! chords, p_i the a-slots of an index.
+        chords += _prod(map(_factorial, counts[::2]))
         balanced.append((tuple(pattern), coeff))
     if chords > _MAX_CHORDS:
         raise ValueError("tensor of degree %d has more than 9! = 362880 "

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, FAMILY_A, FAMILY_B, BasisLabel, hvec
+from .symplectic import DEFAULT_GENUS, BasisLabel, hvec
 
 
 class HTree(NamedTuple):
@@ -146,19 +146,17 @@ def _check_basis(x: FreeVec, y: FreeVec, genus: int):
     # loop is the fast path; a failure is named from the sorted labels, so
     # equal vectors fail alike.
     for label in (*x._terms, *y._terms):
-        if not (isinstance(label, BasisLabel) and 1 <= label.index <= genus
-                and label.family in (FAMILY_A, FAMILY_B)):
+        if not (isinstance(label, BasisLabel) and 1 <= label >> 1 <= genus):
             break
     else:
         return
     labels = x.support() + y.support()
     for label in labels:
-        if not (isinstance(label, BasisLabel) and label.index >= 1
-                and label.family in (FAMILY_A, FAMILY_B)):
+        if not (isinstance(label, BasisLabel) and label >> 1 >= 1):
             raise ValueError("twist uses %s, not a basis label a_i or b_i "
                              "with 1 <= i <= %d" % (label, genus))
     raise ValueError("twist uses index %d beyond genus %d"
-                     % (max(label.index for label in labels), genus))
+                     % (max(labels) >> 1, genus))
 
 
 def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:

@@ -693,18 +693,29 @@ def write_document(tmp_path, doc):
 
 
 def test_knot_document_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys):
-    for doc in ([1, 2],
-                dict(TREFOIL_DOC, conway=5),
-                dict(TREFOIL_DOC, jones=[[1, 1], [3]]),
-                dict(TREFOIL_DOC, jones=[[1, 1], [3, 1], [4, "-1"]]),
-                dict(TREFOIL_DOC, name=None),
-                dict(TREFOIL_DOC, bscc_basis="a1 + b1")):
+    pairs = "must be a list of [exponent, coefficient] integer pairs"
+    for doc, reason in (
+            ([1, 2], "must be a JSON object"),
+            (dict(TREFOIL_DOC, conway=5), "'conway' " + pairs),
+            (dict(TREFOIL_DOC, jones=[[1, 1], [3]]), "'jones' " + pairs),
+            (dict(TREFOIL_DOC, jones=[[1, 1], [3, 1], [4, "-1"]]),
+             "'jones' " + pairs),
+            (dict(TREFOIL_DOC, name=None), "'name' must be a string"),
+            (dict(TREFOIL_DOC, bscc_basis="a1 + b1"),
+             "'bscc_basis' must be a list of two vector strings"),
+            (dict(TREFOIL_DOC, bscc_basis=["a1 + b1", "a0"]),
+             "bscc_basis[1]: basis index must be at least 1 (at offset 2)"),
+            (dict(TREFOIL_DOC, bscc_basis=["a1 +", "b1"]),
+             "bscc_basis[0]: expected a basis label like a1 or b2 "
+             "(at offset 4)")):
         path = write_document(tmp_path, doc)
-        with pytest.raises(ValueError):
+        line = "knot document %r: %s" % (path, reason)
+        with pytest.raises(ValueError) as refused:
             load_knot_document(path)
-        code, out, err = run_cli(capsys, "surgery", path, "1")
-        assert_one_line_usage_error(code, err)
-        assert out == ""
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == line
+        assert run_cli(capsys, "surgery", path, "1") == (
+            2, "", "error: %s\n" % line)
 
 
 def test_inconsistent_knot_document_is_rejected(tmp_path, capsys):

@@ -94,7 +94,7 @@ TRACED_NAMES = {
         "hvec", "label_omega", "max_index", "omega", "product",
         "seifert_form"],
     "trees": [
-        "BasisLabel", "DEFAULT_GENUS", "FAMILY_A", "FAMILY_B", "FreeVec",
+        "BasisLabel", "DEFAULT_GENUS", "FreeVec",
         "HTree", "NamedTuple", "a2_normalize", "annotations", "hvec",
         "key_labels", "lambda4_embed", "sym_product", "tau2_bscc_twist",
         "tau2_square", "tree", "tree_expand", "wedge_expand"],

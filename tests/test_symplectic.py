@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    _partner,
     all_generators,
     gl_hvec_action,
+    omega_written_out,
     rand_basic_tensor,
     rand_hvec,
     split_coinvariant_reduce,
@@ -15,7 +19,6 @@ from helpers import (
 from treetrace import symplectic
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
-    _PARTNERS,
     _pattern_chords,
     FAMILY_A,
     BasisLabel,
@@ -50,15 +53,47 @@ def test_omega_on_basis():
 
 def test_partner_table_pairs_each_label_with_its_partner():
     labels = basis_labels(7)
+    for i in range(1, 8):
+        assert a(i) ^ 1 == b(i) and b(i) ^ 1 == a(i)
     for u in labels:
-        partner, code = _PARTNERS[u]
-        assert _PARTNERS[partner][0] == u
+        partner = u ^ 1
         assert label_omega(u, partner) == (1 if u.family == FAMILY_A else -1)
-        assert _PARTNERS[partner][1] == code ^ 1
         # omega pairs u with its partner and nothing else.
         assert [v for v in labels if label_omega(u, v)] == [partner]
     # Codes follow the key order of the labels.
-    assert [_PARTNERS[u][1] for u in labels] == list(range(2, 16))
+    assert [int(u) for u in labels] == list(range(2, 16))
+
+
+INDICES = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                    st.integers(10 ** 30, 10 ** 40),
+                    st.integers(-10 ** 40, -10 ** 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(INDICES, st.sampled_from("ab")), min_size=1,
+                max_size=8))
+def test_labels_keep_the_contract_of_index_family_pairs(pairs):
+    labels = [BasisLabel(i, f) for i, f in pairs]
+    assert sorted(labels) == [BasisLabel(i, f) for i, f in sorted(pairs)]
+    for label, (i, f) in zip(labels, pairs):
+        assert isinstance(label, int)
+        assert (label.index, label.family) == (i, f)
+        assert str(label) == "%s%d" % (f, i)
+        assert repr(label) == "BasisLabel(index=%r, family=%r)" % (i, f)
+        assert label ^ 1 == _partner(label)
+        for other in labels + [_partner(label)]:
+            assert label_omega(label, other) == omega_written_out(label, other)
+        for twin in (copy.copy(label), copy.deepcopy(label),
+                     pickle.loads(pickle.dumps(label))):
+            assert type(twin) is BasisLabel and twin == label
+            assert (twin.index, twin.family) == (i, f)
+        for family in ("c", "A"):
+            with pytest.raises(ValueError, match="family must be 'a' or 'b'"):
+                BasisLabel(i, family)
+    # An index that is not an int is refused, not rounded into another label.
+    for index in (1.5, 2.0, "1", Fraction(3, 1)):
+        with pytest.raises(TypeError):
+            BasisLabel(index, "a")
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,6 +166,15 @@ def test_elementary_action_on_both_sides():
 def test_transposition_action():
     got = gl_generator_action(Transposition(1, 2), (a(1), b(2)))
     assert got == FreeVec.single((a(2), b(1)))
+
+
+def test_generator_action_refuses_a_slot_that_is_not_a_label():
+    # As ``hvec``: a plain pair or a bare int code is a TypeError, also
+    # after a label of the same code.
+    for t in ((a(1), (1, "b")), (a(1), 3), (b(1), 3, a(1))):
+        with pytest.raises(TypeError, match="^tensor slot of type "
+                           "(tuple|int) is not a BasisLabel$"):
+            gl_generator_action(SignFlip(1), t)
 
 
 def test_generator_is_checked_before_any_term():
@@ -264,7 +308,7 @@ def basic_tensors(draw, genus, n, balanced):
              for f in "ab" for _ in range(p)]
     if not balanced:
         k = draw(st.integers(0, 2 * n - 1))
-        index, family = slots[k]
+        index, family = slots[k].index, slots[k].family
         moved = draw(st.sampled_from(
             [BasisLabel(index, "b" if family == "a" else "a")]
             + [BasisLabel(i, family) for i in range(1, genus + 1)
@@ -434,8 +478,8 @@ def _pattern(tensor):
     """Each slot coded 2r + f: r ranks its index by first occurrence, f is 0
     for a and 1 for b."""
     ranks = {}
-    return tuple(2 * ranks.setdefault(index, len(ranks))
-                 + (family == "b") for index, family in tensor)
+    return tuple(2 * ranks.setdefault(label.index, len(ranks))
+                 + (label.family == "b") for label in tensor)
 
 
 def test_orbit_check_enumerates_the_tensors_chords_once(monkeypatch):
@@ -516,14 +560,21 @@ def test_memoized_tensor_is_still_checked_against_the_genus():
 
 
 def test_plain_index_family_pairs_reduce_alike_cold_and_warm():
-    pairs = ((2, "a"), (2, "b"), (2, "a"), (2, "b"))
+    # A plain (index, family) pair or a bare int code is not a label: it is
+    # refused cold and warm, with the memo neither read nor filled.
     labels = (a(2), b(2), a(2), b(2))
     want = FreeVec({(a(1), b(1), a(2), b(2)): 1, (a(1), b(2), a(2), b(1)): 1})
-    for first, second in ((pairs, labels), (labels, pairs)):
-        _pattern_chords.cache_clear()
-        assert coinvariant_reduce(first, 4) == want
-        assert coinvariant_reduce(second, 4) == want
-        assert _pattern_chords.cache_info().hits == 1
+    for plain in (((2, "a"), (2, "b"), (2, "a"), (2, "b")),
+                  (4, 5, 4, 5), labels[:3] + (5,)):
+        for warm in (False, True):
+            _pattern_chords.cache_clear()
+            if warm:
+                assert coinvariant_reduce(labels, 4) == want
+            with pytest.raises(ValueError, match="^tensor slot of type "
+                               "(tuple|int) is not a BasisLabel$"):
+                coinvariant_reduce(plain, 4)
+            info = _pattern_chords.cache_info()
+            assert (info.hits, info.misses) == (0, int(warm))
 
 
 @st.composite
@@ -533,7 +584,8 @@ def renamed_combinations(draw):
     genus, v = draw(tensor_combinations())
     names = dict(zip(range(1, genus + 1),
                      draw(st.permutations(range(1, genus + 1)))))
-    renamed = FreeVec((tuple(BasisLabel(names[i], f) for i, f in tensor), c)
+    renamed = FreeVec((tuple(BasisLabel(names[label.index], label.family)
+                             for label in tensor), c)
                       for tensor, c in v.items())
     return genus, v, renamed
 
@@ -586,25 +638,30 @@ def test_memo_entries_stay_intact_after_scaled_or_cancelling_sums():
 
 
 def test_labels_other_than_a_and_b_are_refused():
-    c = BasisLabel(1, "c")
-    cases = [((c, c), "c1"), ((a(1), c), "c1"), ((c, b(1)), "c1"),
-             (((2, "a"), (2, "x")), "x2"),
-             (FreeVec({(a(1), b(1)): 1, (a(2), BasisLabel(2, "B")): 1}), "B2")]
-    for t, name in cases:
+    # No label of another family can be built, and a slot that is not a
+    # label (a plain pair, a bare int, a string) is refused.
+    for family in ("c", "B", "x"):
+        with pytest.raises(ValueError, match="family must be 'a' or 'b'"):
+            BasisLabel(1, family)
+    cases = [(((1, "c"), (1, "c")), "tuple"), ((a(1), 3), "int"),
+             (("c1", b(1)), "str"), (((2, "a"), (2, "x")), "tuple"),
+             (FreeVec({(a(1), b(1)): 1, (a(2), (2, "B")): 1}), "tuple")]
+    for t, kind in cases:
         _pattern_chords.cache_clear()
         coinvariant_reduce((a(1), b(1)), 3)
-        with pytest.raises(ValueError, match="label %s is not" % name):
+        with pytest.raises(ValueError, match="^tensor slot of type %s is "
+                           "not a BasisLabel$" % kind):
             coinvariant_reduce(t, 3)
-        # Every label is checked before the memo is read, also in a sum
+        # Every slot is checked before the memo is read, also in a sum
         # whose good first term's pattern the memo holds.
         info = _pattern_chords.cache_info()
         assert (info.hits, info.misses) == (0, 1)
 
 
 @pytest.mark.parametrize("good, bad", [
-    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(2), BasisLabel(2, "c"))),
+    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(2), (2, "b"))),
     ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(4), b(4))),
-    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(2), BasisLabel(2, "B"))),
+    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(2), 5)),
     ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(8), b(8))),
 ], ids=["label-degree-4", "index-degree-4", "label-degree-12",
         "index-degree-12"])
@@ -617,7 +674,7 @@ def test_a_bad_later_term_is_refused_before_any_chord(good, bad, monkeypatch):
     _pattern_chords.cache_clear()
     v = FreeVec({good: 1, bad: 1})
     assert [tensor for tensor, _ in v.items()] == [good, bad]
-    with pytest.raises(ValueError, match="is not an a_i|outside genus"):
+    with pytest.raises(ValueError, match="is not a BasisLabel|outside genus"):
         coinvariant_reduce(v, genus)
     assert calls == []
     info = _pattern_chords.cache_info()
@@ -672,6 +729,20 @@ def test_combination_cap_adds_the_chords_of_every_term(monkeypatch):
     assert len(coinvariant_reduce(first, 8)) == 5040
     with pytest.raises(ValueError, match="more than 9! = 362880 chords"):
         coinvariant_reduce(pair, 8)
+    # The same rule below degree 12, where chords come from the memo: two
+    # degree-4 terms of 2! chords each fit a cap of 4, not one of 3.
+    small = FreeVec({(a(1), a(1), b(1), b(1)): 1, (a(2), a(2), b(2), b(2)): 1})
+    monkeypatch.setattr(symplectic, "_MAX_CHORDS", 4)
+    reduced = coinvariant_reduce(small, 3)
+    assert len(reduced) == 2 and set(reduced._terms.values()) == {2}
+    monkeypatch.setattr(symplectic, "_MAX_CHORDS", 3)
+    _pattern_chords.cache_clear()
+    assert len(coinvariant_reduce((a(1), a(1), b(1), b(1)), 3)) == 2
+    with pytest.raises(ValueError, match="^tensor of degree 4 has more than "
+                       "9! = 362880 chords to enumerate$"):
+        coinvariant_reduce(small, 3)
+    info = _pattern_chords.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
 
 
 def test_chord_cap_is_inclusive(monkeypatch):

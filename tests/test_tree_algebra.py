@@ -184,13 +184,22 @@ def test_twist_rejects_indices_beyond_genus():
 @pytest.mark.parametrize("x, y, name", [
     (a(0), b(0), "a0"),
     (a(-2), b(-2), "a-2"),
-    (BasisLabel(1, "c"), b(1), "c1"),
+    ((1, "c"), b(1), "c1"),
     (FreeVec({a(1): 1, b(0): 2}), b(1), "b0"),
-    (b(1), FreeVec({a(2): 1, BasisLabel(2, "c"): 1}), "c2"),
+    (b(1), (2, "c"), "c2"),
 ])
 def test_twist_rejects_labels_outside_the_basis(x, y, name):
     # Only a_i and b_i with 1 <= i <= genus make a twist basis, as in the
-    # grammar and the GL generators; these once gave a tree image.
+    # grammar and the GL generators; these once gave a tree image.  A label
+    # of another family, given here as its (index, family) pair, is refused
+    # when it is built.
+    for pair in (x, y):
+        if isinstance(pair, tuple):
+            with pytest.raises(ValueError, match="^basis label family must "
+                               "be 'a' or 'b', got 'c'$"):
+                BasisLabel(*pair)
+            assert "%s%d" % pair[::-1] == name
+            return
     with pytest.raises(ValueError, match="^twist uses %s, not a basis label "
                        "a_i or b_i with 1 <= i <= 5$" % name):
         tau2_bscc_twist(x, y, 5)
