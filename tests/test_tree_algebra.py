@@ -187,7 +187,7 @@ def test_twist_rejects_indices_beyond_genus():
     ((1, "c"), b(1), "c1"),
     (FreeVec({a(1): 1, b(0): 2}), b(1), "b0"),
     (b(1), (2, "c"), "c2"),
-])
+], ids=["x0-y0-a0", "x1-y1-a-2", "x2-y2-c1", "x3-y3-b0", "x4-y4-c2"])
 def test_twist_rejects_labels_outside_the_basis(x, y, name):
     # Only a_i and b_i with 1 <= i <= genus make a twist basis, as in the
     # grammar and the GL generators; these once gave a tree image.  A label

@@ -11,7 +11,13 @@ that ``co_lines()`` of its compiled code, and of every code object nested
 in it, gives an instruction.  Hypothesis replaces the tracer while it runs
 a test, so the tracer is put back at every test's setup and call.  Lines
 that only a subprocess runs (the tests that start ``python -m treetrace``
-or another interpreter) are not seen and are listed as unexecuted.
+or another interpreter) are not seen and are listed as unexecuted.  So is
+a ``RecursionError`` handler: CPython 3.11 removes a ``sys.settrace``
+function when the recursion limit is hit under it (after the caught
+error, ``sys.gettrace()`` returns None), so the handler in
+``symplectic._chords`` is listed although
+``tests/test_cli.py::test_coinvariants_too_deep_to_reduce_is_a_usage_error``
+runs it.
 Standard library only, besides pytest, which runs the suite; the full run
 takes a minute or two.
 """
