@@ -46,11 +46,10 @@ from fractions import Fraction
 
 from .exact import FreeVec, _fraction, scalar
 from .symplectic import FAMILY_A, FAMILY_B
-from .trees import key_labels
 
 def key_bidegree(key) -> tuple:
     """(number of A-labels, number of B-labels) among the four slots."""
-    (w, x), (y, z) = key
+    w, x, y, z = key
     t = (w & 1) + (x & 1) + (y & 1) + (z & 1)
     return 4 - t, t
 
@@ -65,7 +64,7 @@ def _split(v: FreeVec) -> tuple:
     # The count is ``key_bidegree``'s, written inline.
     buckets = ({}, {}, {}, {}, {})
     for key, coeff in v._terms.items():
-        (w, x), (y, z) = key
+        w, x, y, z = key
         buckets[4 - (w & 1) - (x & 1) - (y & 1) - (z & 1)][key] = coeff
     pieces = tuple(FreeVec._raw(data) for data in buckets)
     return pieces + (contract_cs(pieces[1]), contract_cs(pieces[3]))
@@ -84,7 +83,7 @@ def _refuse_pure(piece: FreeVec, family: str):
     if piece:
         raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
                          "undefined there"
-                         % (key_labels(min(piece._terms)) + (family,)))
+                         % (*min(piece._terms), family))
 
 
 def trace_a(v: FreeVec) -> FreeVec:
@@ -127,7 +126,7 @@ def contract_cs(v: FreeVec) -> FreeVec:
     = |omega| the symmetric A-B pairing; the embedded Lambda^4 H is killed.
     """
     data = {}
-    for ((la, lb), (lc, ld)), coeff in v._terms.items():
+    for (la, lb, lc, ld), coeff in v._terms.items():
         pa, pb = la ^ 1, lb ^ 1
         # |omega|(u, w) is 1 when w is u's partner and 0 otherwise.
         for p, w, keep1, keep2, sign in (
@@ -179,7 +178,7 @@ def _tree_image(v: FreeVec, flip: int) -> dict:
     # a repeated label.
     part, square, wedge = (3, 3, -1) if flip else (1, 2, 1)
     data = {}
-    for ((w, x), (y, z)), c in v._terms.items():
+    for (w, x, y, z), c in v._terms.items():
         w, x, y, z = w ^ flip, x ^ flip, y ^ flip, z ^ flip
         if flip & (w ^ x ^ y ^ z):
             c = -c

@@ -240,7 +240,7 @@ def format_tree(t: HTree) -> str:
 
 def format_s2l2(vec: FreeVec) -> str:
     """Print an S^2(Lambda^2 H) vector, e.g. ``"2*(b1^b2)(b1^b2)"``."""
-    return _format(vec, lambda key: "(%s^%s)(%s^%s)" % (*key[0], *key[1]))
+    return _format(vec, lambda key: "(%s^%s)(%s^%s)" % key)
 
 
 def format_tensor(vec: FreeVec) -> str:

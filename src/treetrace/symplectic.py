@@ -109,8 +109,17 @@ def hvec(label_or_vec) -> FreeVec:
     return FreeVec.single(label_or_vec)
 
 
+def _check_label(label):
+    if not isinstance(label, BasisLabel):
+        raise TypeError("label of type %s is not a BasisLabel"
+                        % type(label).__name__)
+
+
 def label_omega(u: BasisLabel, v: BasisLabel) -> int:
-    """Intersection pairing on basis labels: omega(a_i, b_i) = 1, antisymmetric."""
+    """Intersection pairing on basis labels: omega(a_i, b_i) = 1,
+    antisymmetric; an argument not a ``BasisLabel`` is a TypeError."""
+    _check_label(u)
+    _check_label(v)
     return 0 if u ^ v != 1 else -1 if u & 1 else 1
 
 
@@ -196,8 +205,10 @@ def _label_image(gen: GLGenerator, label: BasisLabel) -> list:
 
 
 def generator_label_image(gen: GLGenerator, label: BasisLabel) -> list:
-    """Image of one basis label under a generator, as (label, int coeff) pairs."""
+    """Image of one basis label under a generator, as (label, int coeff)
+    pairs; a ``label`` not a ``BasisLabel`` is a TypeError."""
     _check_generator(gen)
+    _check_label(label)
     return _label_image(gen, label)
 
 

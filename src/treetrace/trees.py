@@ -8,7 +8,7 @@ by the image of Lambda^4 H under
 
 and is represented here by canonical normal forms.  Under the label order
 a1 < b1 < a2 < b2 < ... no two embedded 4-tuples w < x < y < z share a key,
-so the normal form rewrites each key ((w,x),(y,z)) with x < y by
+so the normal form rewrites each key (w, x, y, z) with x < y by
 
     (w^x)(y^z)  ->  (w^y)(x^z) - (w^z)(x^y)
 
@@ -17,8 +17,9 @@ and keeps every other key: one rewrite per term, at any genus.  So
 on a genus-1 bounding curve, is where a basis is checked against one.
 
 Wedge keys store their two labels sorted (sign absorbed into the
-coefficient) and symmetric-product keys store their two wedges sorted, so
-the AS and leg-swap symmetries are structural.
+coefficient).  A key of S^2(Lambda^2 H) is the flat tuple (w, x, y, z) of
+its four slot labels with w < x, y < z and (w, x) <= (y, z), so the AS and
+leg-swap symmetries are structural.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def sym_product(left: FreeVec, right: FreeVec) -> FreeVec:
     terms = right._terms.items()
     for kl, cl in left._terms.items():
         for kr, cr in terms:
-            key = (kl, kr) if kl <= kr else (kr, kl)
+            key = kl + kr if kl <= kr else kr + kl
             data[key] = data.get(key, 0) + cl * cr
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
@@ -92,21 +93,16 @@ def lambda4_embed(w, x, y, z) -> FreeVec:
             + tree_expand(tree(w, z, x, y)))
 
 
-def key_labels(key) -> tuple:
-    """The four slot labels of a wedge-pair key, in stored order."""
-    return key[0] + key[1]
-
-
 def a2_normalize(v: FreeVec) -> FreeVec:
     """Canonical representative of ``v`` modulo the embedded Lambda^4 H, the
     same at every genus that holds the indices of ``v``; two vectors are
     equal in the tree space iff their normal forms are equal."""
     data = {}
     for key, coeff in v.items():
-        (w, x), (y, z) = key
+        w, x, y, z = key
         if x < y:
-            data[(w, y), (x, z)] = data.get(((w, y), (x, z)), 0) + coeff
-            data[(w, z), (x, y)] = data.get(((w, z), (x, y)), 0) - coeff
+            data[w, y, x, z] = data.get((w, y, x, z), 0) + coeff
+            data[w, z, x, y] = data.get((w, z, x, y), 0) - coeff
         else:
             data[key] = data.get(key, 0) + coeff
     return FreeVec._raw({k: c for k, c in data.items() if c})
@@ -116,27 +112,28 @@ def tau2_square(w: FreeVec) -> FreeVec:
     """A2 normal form of 2 * w.w for ``w`` in Lambda^2 H over sorted wedge
     keys, in one pass.
 
-    The square is 2c^2 (k, k) for each term c k of ``w`` and 4c c' (k, k')
-    for each pair of its keys k < k'; a key (p^q)(r^t) with q < r is
-    rewritten as it is made, as ``a2_normalize`` would rewrite it.
+    The square is 2c^2 on k + k (the two tuples joined) for each term c k
+    of ``w`` and 4c c' on k + k' for each pair of its keys k < k'; a key
+    (p, q, r, t) with q < r is rewritten as it is made, as ``a2_normalize``
+    would rewrite it.
     """
     items = w.sorted_items()
     data = {}
     get = data.get
     for i, (left, c) in enumerate(items):
-        data[left, left] = 2 * c * c
+        data[left + left] = 2 * c * c
         p, q = left
         c4 = 4 * c
         for right, d in items[i + 1:]:
             d *= c4
             r, t = right
             if q < r:
-                key = (p, r), (q, t)
+                key = p, r, q, t
                 data[key] = get(key, 0) + d
-                key = (p, t), (q, r)
+                key = p, t, q, r
                 data[key] = get(key, 0) - d
             else:
-                key = left, right
+                key = left + right
                 data[key] = get(key, 0) + d
     return FreeVec._raw({k: c for k, c in data.items() if c})
 

@@ -1,6 +1,7 @@
 """Shared random generators and small oracles for the test suite."""
 
 import argparse
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -33,13 +34,13 @@ from treetrace.symplectic import (
     b,
     basis_labels,
     generator_label_image,
+    gl_generator_action,
     hvec,
     label_omega,
 )
 from treetrace.trees import (
     HTree,
     a2_normalize,
-    key_labels,
     lambda4_embed,
     tree,
     tree_expand,
@@ -111,7 +112,7 @@ def filter_project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
     """Bidegree projection by filtering terms on their A-label count; the
     oracle for the memoised split behind ``forms.project_bidegree``."""
     def bidegree(key):
-        n_a = sum(1 for lbl in key_labels(key) if lbl.family == FAMILY_A)
+        n_a = sum(1 for lbl in key if lbl.family == FAMILY_A)
         return n_a, 4 - n_a
 
     return FreeVec((key, c) for key, c in v.items() if bidegree(key) == (s, t))
@@ -140,14 +141,13 @@ def slotwise_trace(v: FreeVec, family: str) -> FreeVec:
     other = FAMILY_B if family == FAMILY_A else FAMILY_A
     terms = []
     for key, coeff in v.sorted_items():
-        labels = key_labels(key)
-        slot = next((k for k, lbl in enumerate(labels) if lbl.family == family),
+        slot = next((k for k, lbl in enumerate(key) if lbl.family == family),
                     None)
         if slot is None:
             raise ValueError("term (%s^%s)(%s^%s) has no %s-label; trace "
-                             "undefined there" % (labels + (family,)))
+                             "undefined there" % (key + (family,)))
         perm, sign = FRONT[slot]
-        head, c_, d_, e_ = (labels[p] for p in perm)
+        head, c_, d_, e_ = (key[p] for p in perm)
         total = coeff * sign
         if c_.family == other:
             w = label_omega(head, e_)
@@ -224,7 +224,7 @@ def nabla_pair(xs: tuple, ys: tuple) -> Fraction:
 
 def nabla_all_pairs(x: FreeVec, y: FreeVec) -> Fraction:
     """nabla(x, y) as the sum of c c' nabla_pair over every pair of terms."""
-    return sum((cx * cy * nabla_pair(key_labels(kx), key_labels(ky))
+    return sum((cx * cy * nabla_pair(kx, ky)
                 for kx, cx in x.items() for ky, cy in y.items()),
                Fraction(0))
 
@@ -270,16 +270,13 @@ def _nabla_total(x: FreeVec, y: FreeVec):
     get = ydata.get
     total = 0
     for kx, cx in x._terms.items():
-        (x0, x1), (x2, x3) = kx
-        p0, p1, p2, p3 = _partner(x0), _partner(x1), _partner(x2), _partner(x3)
+        p0, p1, p2, p3 = map(_partner, kx)
         acc = 0
         for p, q, r, t, sign in ((p0, p1, p2, p3, 1), (p1, p0, p2, p3, -1),
                                  (p0, p1, p3, p2, -1), (p1, p0, p3, p2, 1)):
-            pq, rt = (p, q), (r, t)
-            pr, rp, qt, tq = (p, r), (r, p), (q, t), (t, q)
-            acc += sign * (2 * (get((pq, rt), 0) + get((rt, pq), 0))
-                           + get((pr, qt), 0) + get((rp, tq), 0)
-                           - get((pr, tq), 0) - get((rp, qt), 0))
+            acc += sign * (2 * (get((p, q, r, t), 0) + get((r, t, p, q), 0))
+                           + get((p, r, q, t), 0) + get((r, p, t, q), 0)
+                           - get((p, r, t, q), 0) - get((r, p, q, t), 0))
         if acc:
             total += -cx * acc if key_bidegree(kx)[1] % 2 else cx * acc
     return total
@@ -406,6 +403,27 @@ def gl_hvec_action(gen: GLGenerator, u: FreeVec) -> FreeVec:
     return FreeVec(terms)
 
 
+def gl_orbit(vectors, genus: int, seed: int, steps: int) -> list:
+    """The H vectors ``vectors`` moved by one seeded word of ``steps``
+    generators of GL(genus, Z), about 70 % ``Elementary``, 20 %
+    ``Transposition`` and 10 % ``SignFlip``, each applied to every vector
+    as a combination of 1-tensors through ``gl_generator_action``.  The word
+    stays in GL, which keeps the Seifert form L; Sp would not."""
+    rng = random.Random(seed)
+    tensors = [FreeVec(((label,), c) for label, c in v.items())
+               for v in vectors]
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            gen = SignFlip(rng.randint(1, genus))
+        else:
+            i, j = rng.sample(range(1, genus + 1), 2)
+            gen = (Transposition(i, j) if roll < 0.3
+                   else Elementary(i, j, rng.choice((1, -1))))
+        tensors = [gl_generator_action(gen, t) for t in tensors]
+    return [FreeVec((label, c) for (label,), c in t.items()) for t in tensors]
+
+
 def gl_tree_action(gen, t: HTree) -> HTree:
     """A GL generator applied to all four labels of a tree."""
     return HTree(gl_hvec_action(gen, t.x1), gl_hvec_action(gen, t.x2),
@@ -416,7 +434,7 @@ def gl_s2l2_action(gen, v: FreeVec) -> FreeVec:
     """Diagonal GL generator action on an expanded S^2(Lambda^2 H) vector."""
     out = FreeVec()
     for key, coeff in v.items():
-        l1, l2, l3, l4 = key_labels(key)
+        l1, l2, l3, l4 = key
         image = tree_expand(tree(gl_hvec_action(gen, hvec(l1)),
                                  gl_hvec_action(gen, hvec(l2)),
                                  gl_hvec_action(gen, hvec(l3)),

@@ -285,9 +285,9 @@ def _suite_trace_contraction_agreement():
 def _suite_q_vanishes_on_trace_kernel():
     labels = basis_labels(4)
     wedges = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
-    keys = [(w1, w2)
+    keys = [w1 + w2
             for i, w1 in enumerate(wedges) for w2 in wedges[i:]
-            if key_bidegree((w1, w2)) == (1, 3)]
+            if key_bidegree(w1 + w2) == (1, 3)]
     vectors = [FreeVec.single(key) for key in keys]
     span = SpanBasis()
     kernel = []

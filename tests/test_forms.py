@@ -153,8 +153,8 @@ def test_trace_requires_a_label():
 
 def test_trace_error_names_the_least_pure_term_of_equal_vectors():
     # Equal vectors built in different insertion orders fail alike.
-    k1 = ((b(1), b(2)), (b(1), b(2)))
-    k2 = ((b(1), b(3)), (b(2), b(3)))
+    k1 = (b(1), b(2), b(1), b(2))
+    k2 = (b(1), b(3), b(2), b(3))
     first, second = FreeVec({k1: 1, k2: 1}), FreeVec({k2: 1, k1: 1})
     assert first == second
     message = "term (b1^b2)(b1^b2) has no a-label; trace undefined there"
@@ -363,21 +363,19 @@ def test_nabla_pair_respects_tree_symmetries():
              ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1)]
     labels = basis_labels(4)
 
-    def basic(slots):
-        return FreeVec.single((slots[:2], slots[2:]))
-
     for _ in range(120):
         xs = tuple(rng.choice(labels) for _ in range(4))
         ys = tuple(rng.choice(labels) for _ in range(4))
         base = nabla_pair(xs, ys)
         # The package's nabla on one-term vectors keyed by the raw labels.
-        assert nabla(basic(xs), basic(ys)) == base
+        x, y = FreeVec.single(xs), FreeVec.single(ys)
+        assert nabla(x, y) == base
         for perm, sign in perms:
             pxs, pys = tuple(xs[p] for p in perm), tuple(ys[p] for p in perm)
             assert nabla_pair(pxs, ys) == sign * base
             assert nabla_pair(xs, pys) == sign * base
-            assert nabla(basic(pxs), basic(ys)) == sign * base
-            assert nabla(basic(xs), basic(pys)) == sign * base
+            assert nabla(FreeVec.single(pxs), y) == sign * base
+            assert nabla(x, FreeVec.single(pys)) == sign * base
 
 
 @st.composite
@@ -414,7 +412,7 @@ def test_nabla_on_combinations_matches_gluing_oracle(pair):
 @st.composite
 def raw_key_pairs(draw, slots):
     """(x, y): vectors over raw keys of ``slots`` = 4 labels (tree keys
-    ((x0, x1), (x2, x3))) or 2 labels (S^2(H) keys (u, v)) at genus 1..3,
+    (x0, x1, x2, x3)) or 2 labels (S^2(H) keys (u, v)) at genus 1..3,
     laid out as drawn, so wedges come unsorted or swapped and labels
     repeat.  Each term of x may come with other layouts of its labels in x,
     y holds its omega-partners in several layouts of one multiset, and y's
@@ -437,8 +435,7 @@ def raw_key_pairs(draw, slots):
                for perm in draw(st.lists(layout, max_size=3))]
 
     def vector(keys):
-        return FreeVec((labels if slots == 2 else (labels[:2], labels[2:]),
-                        draw(coeff)) for labels in keys)
+        return FreeVec((labels, draw(coeff)) for labels in keys)
 
     return vector(xs), vector(ys)
 
@@ -596,9 +593,8 @@ def test_q_form_vanishes_on_trace_kernel_left_arguments():
     keys = []
     for i, w1 in enumerate(wedges):
         for w2 in wedges[i:]:
-            bid = key_bidegree((w1, w2))
-            if bid == (1, 3):
-                keys.append((w1, w2))
+            if key_bidegree(w1 + w2) == (1, 3):
+                keys.append(w1 + w2)
     vectors = [FreeVec.single(key) for key in keys]
     span = SpanBasis()
     kernel = []
@@ -687,8 +683,7 @@ def layout_vectors(draw, slots):
                                        == "a" else "a") for k in perm))
 
     def vector(keys):
-        return FreeVec((labels if slots == 2 else (labels[:2], labels[2:]),
-                        draw(coeff)) for labels in keys)
+        return FreeVec((labels, draw(coeff)) for labels in keys)
 
     return vector(xs), vector(ys)
 

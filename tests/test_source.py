@@ -96,12 +96,12 @@ TRACED_NAMES = {
     "trees": [
         "BasisLabel", "DEFAULT_GENUS", "FreeVec",
         "HTree", "NamedTuple", "a2_normalize", "annotations", "hvec",
-        "key_labels", "lambda4_embed", "sym_product", "tau2_bscc_twist",
-        "tau2_square", "tree", "tree_expand", "wedge_expand"],
+        "lambda4_embed", "sym_product", "tau2_bscc_twist", "tau2_square",
+        "tree", "tree_expand", "wedge_expand"],
     "forms": [
         "FAMILY_A", "FAMILY_B", "Fraction", "FreeVec", "annotations",
         "cocycle", "cocycle_values", "contract_cs", "eta_s", "j_form",
-        "key_bidegree", "key_labels", "nabla", "project_bidegree", "q_form",
+        "key_bidegree", "nabla", "project_bidegree", "q_form",
         "scalar", "trace_a", "trace_b", "w0_member"],
     "surgery": [
         "BUILTIN_KNOTS", "FIGURE_EIGHT", "Fraction", "FreeVec", "KnotRecord",

@@ -5,12 +5,14 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import (block_q_j, conway_from_seifert, jones_series_derivative,
-                     seifert_q_j, surgery_fractions, torus_knot)
+from helpers import (block_q_j, conway_from_seifert, gl_orbit,
+                     jones_series_derivative, seifert_q_j, surgery_fractions,
+                     torus_knot)
 from treetrace.cli import build_report
 from treetrace.exact import FreeVec
 from treetrace.forms import cocycle, cocycle_values, j_form, q_form
 from treetrace.surgery import (
+    _seifert_matrix,
     BUILTIN_KNOTS,
     FIGURE_EIGHT,
     KnotRecord,
@@ -580,3 +582,31 @@ def test_twist_forms_check_each_basis_as_bounding_casson(basis, message):
         with pytest.raises(ValueError) as refused:
             twist_forms(*pair)
         assert str(refused.value) == message
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), genus=st.sampled_from((3, 5, 8)))
+def test_gl_orbits_of_the_builtin_bases_keep_their_values(seed, genus):
+    # One seeded GL(g, Z) word of 5g generators moves both built-in bases;
+    # GL keeps the Seifert form, so every value of the bases must stay.
+    knots = (TREFOIL, FIGURE_EIGHT)
+    moved = gl_orbit([u for knot in knots for u in knot.bscc_basis], genus,
+                     seed, 5 * genus)
+    bases = [tuple(moved[:2]), tuple(moved[2:])]
+    lams = []
+    for knot, basis in zip(knots, bases):
+        det, matrix = _seifert_matrix(*basis)
+        assert (det, matrix) == _seifert_matrix(*knot.bscc_basis)
+        assert det in (1, -1)
+        lams.append(det)
+    taus = [tau2_bscc_twist(*basis, genus) for basis in bases]
+    assert [cocycle_values(lam, tau, lam, tau)
+            for lam, tau in zip(lams, taus)] == [(48, 12, 72, 108),
+                                                  (80, 12, 96, 132)]
+    sides = list(zip(bases, lams, taus))
+    for x, lam_x, tau_x in sides:
+        for y, lam_y, tau_y in sides:
+            assert twist_forms(x, y) == \
+                cocycle_values(lam_x, tau_x, lam_y, tau_y)[:2]
+    assert q_form(taus[0], taus[1]) == 16
+    assert q_form(taus[1], taus[0]) == -16

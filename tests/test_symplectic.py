@@ -56,7 +56,9 @@ def test_partner_table_pairs_each_label_with_its_partner():
     for i in range(1, 8):
         assert a(i) ^ 1 == b(i) and b(i) ^ 1 == a(i)
     for u in labels:
-        partner = u ^ 1
+        # ``label_omega`` takes labels only, so the partner is built as one.
+        partner = _partner(u)
+        assert u ^ 1 == partner
         assert label_omega(u, partner) == (1 if u.family == FAMILY_A else -1)
         # omega pairs u with its partner and nothing else.
         assert [v for v in labels if label_omega(u, v)] == [partner]
@@ -175,6 +177,19 @@ def test_generator_action_refuses_a_slot_that_is_not_a_label():
         with pytest.raises(TypeError, match="^tensor slot of type "
                            "(tuple|int) is not a BasisLabel$"):
             gl_generator_action(SignFlip(1), t)
+
+
+@pytest.mark.parametrize("label", [3, (1, "b"), "b1"],
+                         ids=["int", "pair", "str"])
+def test_label_functions_refuse_a_key_that_is_not_a_label(label):
+    # Checked before any bit is read: a bare int code would otherwise pass
+    # as the label it codes, and a pair would fail on ``>>``.
+    message = "^label of type %s is not a BasisLabel$" % type(label).__name__
+    with pytest.raises(TypeError, match=message):
+        generator_label_image(SignFlip(1), label)
+    for u, v in ((label, b(1)), (a(1), label), (label, label)):
+        with pytest.raises(TypeError, match=message):
+            label_omega(u, v)
 
 
 def test_generator_is_checked_before_any_term():

@@ -17,6 +17,7 @@ from helpers import (
 )
 from treetrace import trees
 from treetrace.exact import FreeVec
+from treetrace.grammar import format_s2l2
 from treetrace.symplectic import BasisLabel, a, b, basis_labels, hvec
 from treetrace.trees import (
     HTree,
@@ -32,7 +33,7 @@ from treetrace.trees import (
 
 def test_expand_single_tree():
     got = expand(a(1), b(1), a(2), b(2))
-    assert got == FreeVec.single(((a(1), b(1)), (a(2), b(2))))
+    assert got == FreeVec.single((a(1), b(1), a(2), b(2)))
 
 
 def test_expand_repeated_wedge_label_is_zero():
@@ -285,7 +286,7 @@ def test_twist_image_pure_b_part_of_trefoil_curve():
     y = FreeVec({a(2): 1, b(1): -1, b(2): 1})
     tau = tau2_bscc_twist(x, y, 5)
     pure_b = FreeVec((key, c) for key, c in tau.items()
-                     if all(lbl.family == "b" for w in key for lbl in w))
+                     if all(lbl.family == "b" for lbl in key))
     assert pure_b == 2 * expand(b(1), b(2), b(1), b(2))
 
 
@@ -312,3 +313,40 @@ def test_one_wedge_twist_image_matches_the_two_wedge_tree(genus, data):
                                               max_size=4)))
             for _ in range(2))
     assert tau2_bscc_twist(x, y, genus) == tau2_two_wedges(x, y)
+
+
+@st.composite
+def tree_key_outputs(draw):
+    """(name, vector) for each tree-space output of one draw at genus 1..4:
+    the expansion of a random tree, its A2 normal form, an embedded
+    Lambda^4 tuple, and the square and twist image of a random wedge."""
+    genus = draw(st.integers(1, 4))
+    label = st.sampled_from(basis_labels(genus))
+    hvec_ = st.dictionaries(label, st.sampled_from((-2, -1, 1, 3)),
+                            min_size=1, max_size=3).map(FreeVec)
+    expanded = tree_expand(HTree(*(draw(hvec_) for _ in range(4))))
+    x, y = draw(hvec_), draw(hvec_)
+    return [("tree_expand", expanded),
+            ("a2_normalize", a2_normalize(expanded)),
+            ("lambda4_embed", lambda4_embed(*(draw(label) for _ in range(4)))),
+            ("tau2_square", tau2_square(wedge_expand(x, y))),
+            ("tau2_bscc_twist", tau2_bscc_twist(x, y, genus))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_key_outputs())
+def test_tree_keys_are_four_sorted_labels(outputs):
+    # A key of S^2(Lambda^2 H) is the flat tuple (w, x, y, z) of its slot
+    # labels: w < x, y < z and (w, x) <= (y, z); a normal form also has
+    # x >= y.  ``format_s2l2`` prints it as (w^x)(y^z).
+    normal = {"a2_normalize", "tau2_square", "tau2_bscc_twist"}
+    for name, v in outputs:
+        for key in v._terms:
+            assert type(key) is tuple and len(key) == 4, (name, key)
+            assert all(type(lbl) is BasisLabel for lbl in key), (name, key)
+            w, x, y, z = key
+            assert w < x and y < z and (w, x) <= (y, z), (name, key)
+            if name in normal:
+                assert x >= y, (name, key)
+            assert format_s2l2(FreeVec.single(key)) == \
+                "(%s^%s)(%s^%s)" % tuple(map(str, key))
