@@ -47,12 +47,6 @@ from fractions import Fraction
 from .exact import FreeVec, _fraction, scalar
 from .symplectic import FAMILY_A, FAMILY_B
 
-def key_bidegree(key) -> tuple:
-    """(number of A-labels, number of B-labels) among the four slots."""
-    w, x, y, z = key
-    t = (w & 1) + (x & 1) + (y & 1) + (z & 1)
-    return 4 - t, t
-
 
 # Where ``_split`` keeps the contractions of the (1,3) and (3,1) pieces.
 _C13, _C31 = 5, 6
@@ -61,7 +55,6 @@ _C13, _C31 = 5, 6
 def _split(v: FreeVec) -> tuple:
     # One pass over the terms, bucketed by their number of A-labels: the
     # bidegree (s, 4 - s) piece at index s, then the two contractions.
-    # The count is ``key_bidegree``'s, written inline.
     buckets = ({}, {}, {}, {}, {})
     for key, coeff in v._terms.items():
         w, x, y, z = key

@@ -80,22 +80,22 @@ class SphereInvariants(NamedTuple):
     lam2: Fraction
 
 
-def _seifert_matrix(x: FreeVec, y: FreeVec) -> tuple:
+def _seifert_matrix(x: FreeVec, y: FreeVec,
+                    what: str = "bounding-curve basis") -> tuple:
     # (det V, V) for the Seifert matrix V = [L(e_i, e_j)] of a genus-1
     # bounding-curve basis (x, y), given by its entries (V_00, V_01, V_10,
     # V_11); the basis must be integral with omega(x, y) = V_01 - V_10
-    # equal to 1 or -1.
+    # equal to 1 or -1.  ``what`` names the basis in an error.
     for u in (x, y):
         for c in u._terms.values():
             if c.denominator != 1:
-                raise ValueError(
-                    "bounding-curve basis needs integer coefficients")
+                raise ValueError("%s needs integer coefficients" % what)
     v00, v01 = seifert_form(x, x), seifert_form(x, y)
     v10, v11 = seifert_form(y, x), seifert_form(y, y)
     w = v01 - v10
     if abs(w) != 1:
-        raise ValueError("bounding-curve basis needs omega(x, y) = 1 or -1, "
-                         "got %s" % w)
+        raise ValueError("%s needs omega(x, y) = 1 or -1, got %s"
+                         % (what, w))
     return int(v00 * v11 - v01 * v10), (v00, v01, v10, v11)
 
 
@@ -173,7 +173,8 @@ class KnotRecord(_KnotFields):
                              % (self.name, -6 * c2))
         if self.bscc_basis is None:
             return self
-        basis_c2 = bounding_casson(*self.bscc_basis)
+        basis_c2 = _seifert_matrix(
+            *self.bscc_basis, "bounding-curve basis of %r" % self.name)[0]
         if self.conway != LaurentPoly({0: 1, 2: basis_c2}):
             raise ValueError(
                 "bounding-curve basis of %r gives c2 = %d and no Conway term "

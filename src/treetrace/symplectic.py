@@ -50,11 +50,12 @@ class BasisLabel(int):
     the index ``label >> 1`` and the omega-partner's code ``label ^ 1``.
 
     ``BasisLabel(index, family)`` refuses a family other than "a" or "b"
-    (ValueError) and an index that is not an int (TypeError).  ``str``
-    (a1), ``repr`` and the order a1 < b1 < a2 < ... are those of an (index,
+    and an index below 1 (ValueError), and an index that is not an int
+    (TypeError), so every label names a basis vector.  ``str`` (a1),
+    ``repr`` and the order a1 < b1 < a2 < ... are those of an (index,
     family) pair.  As an int, a label equals and hashes as its code
-    (``a(1) == 2``), ``%d`` prints the code, ``bool(a(0))`` is False and
-    ``exact.scalar`` admits a label as a coefficient.
+    (``a(1) == 2``), ``%d`` prints the code and ``exact.scalar`` admits a
+    label as a coefficient.
     """
 
     __slots__ = ()
@@ -63,7 +64,11 @@ class BasisLabel(int):
         if family != FAMILY_A and family != FAMILY_B:
             raise ValueError("basis label family must be 'a' or 'b', got %r"
                              % (family,))
-        return int.__new__(cls, 2 * _index(index) + (family == FAMILY_B))
+        index = _index(index)
+        if index < 1:
+            raise ValueError("basis label index must be at least 1, got %d"
+                             % index)
+        return int.__new__(cls, 2 * index + (family == FAMILY_B))
 
     @property
     def index(self) -> int:
@@ -101,15 +106,16 @@ def basis_labels(genus: int) -> list:
 
 
 def hvec(label_or_vec) -> FreeVec:
-    """Coerce a bare label to the corresponding basis vector of H."""
+    """Coerce a bare label to the corresponding basis vector of H; anything
+    else but a FreeVec is a TypeError."""
     if isinstance(label_or_vec, FreeVec):
         return label_or_vec
-    if not isinstance(label_or_vec, BasisLabel):
-        raise TypeError("expected a BasisLabel or a FreeVec over labels")
+    _check_label(label_or_vec)
     return FreeVec.single(label_or_vec)
 
 
 def _check_label(label):
+    # The one refusal of a key that is not a label.
     if not isinstance(label, BasisLabel):
         raise TypeError("label of type %s is not a BasisLabel"
                         % type(label).__name__)
@@ -204,20 +210,13 @@ def _label_image(gen: GLGenerator, label: BasisLabel) -> list:
     return [(label, 1)]
 
 
-def generator_label_image(gen: GLGenerator, label: BasisLabel) -> list:
-    """Image of one basis label under a generator, as (label, int coeff)
-    pairs; a ``label`` not a ``BasisLabel`` is a TypeError."""
-    _check_generator(gen)
-    _check_label(label)
-    return _label_image(gen, label)
-
-
 def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
     """Diagonal action of a generator on a tensor-power vector.
 
     ``t`` is a FreeVec over basic tensors (tuples of labels) or a bare tuple.
     The generator is checked once, before any term, and each distinct
-    label's image once per call; a slot not a ``BasisLabel`` is a TypeError.
+    label's image is made once per call; a slot that is not a
+    ``BasisLabel`` is a TypeError.
     """
     _check_generator(gen)
     images = {}
@@ -226,8 +225,7 @@ def gl_generator_action(gen: GLGenerator, t) -> FreeVec:
         factors = []
         for label in tensor:
             if not isinstance(label, BasisLabel):
-                raise TypeError("tensor slot of type %s is not a BasisLabel"
-                                % type(label).__name__)
+                _check_label(label)
             factor = images.get(label)
             if factor is None:
                 factor = images[label] = _label_image(gen, label)
@@ -322,17 +320,18 @@ def _pattern_chords(pattern: tuple) -> dict:
 def coinvariant_reduce(t, genus: int) -> FreeVec:
     """Class of a degree-2n tensor in the GL-coinvariants, over chord tensors.
 
-    Requires 1 <= n < genus, all indices within the genus and every slot
-    a ``BasisLabel``.  A basic tensor with an unbalanced index (different
-    numbers of a_i and b_i) dies; a balanced one is the sum of one chord
-    per matching, each with coefficient 1: the k-th pair of the matching,
-    by first slot, becomes a_k and b_k.  So the output is supported on
-    balanced chord tensors in which every index pair appears once, renamed
-    ascending by first occurrence, and distinct matchings give distinct
-    chords.  A tensor of more than 9! = 362 880 chords is refused before
-    any is built: reducing a1^9 b1^9 (9! chords, genus 10) takes about 1 s
-    and 110 MB of peak RSS (Python 3.11, 2 shared vCPUs), 10! ten times
-    that, and so is a combination whose terms have more than 9! in all.
+    Requires 1 <= n < genus, every slot a ``BasisLabel`` (else a
+    TypeError) and every index at most the genus.  A basic tensor with an
+    unbalanced index (different numbers of a_i and b_i) dies; a balanced
+    one is the sum of one chord per matching, each with coefficient 1: the
+    k-th pair of the matching, by first slot, becomes a_k and b_k.  So the
+    output is supported on balanced chord tensors in which every index pair
+    appears once, renamed ascending by first occurrence, and distinct
+    matchings give distinct chords.  A tensor of more than 9! = 362 880
+    chords is refused before any is built: reducing a1^9 b1^9 (9! chords,
+    genus 10) takes about 1 s and 110 MB of peak RSS (Python 3.11, 2 shared
+    vCPUs), 10! ten times that, and so is a combination whose terms have
+    more than 9! in all.
 
     The chords of a balanced tensor of degree at most 10 come from a memo
     of the last 32 slot patterns, so reducing t and then any image with its
@@ -367,12 +366,11 @@ def coinvariant_reduce(t, genus: int) -> FreeVec:
         pattern = []
         for label in tensor:
             if not isinstance(label, BasisLabel):
-                raise ValueError("tensor slot of type %s is not a BasisLabel"
-                                 % type(label).__name__)
+                _check_label(label)
             index = label >> 1
             code = ranks.get(index)
             if code is None:
-                if not 0 < index <= genus:
+                if index > genus:
                     raise ValueError(
                         "tensor uses indices outside genus %d" % genus)
                 code = ranks[index] = len(counts)

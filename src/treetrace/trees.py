@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, BasisLabel, hvec
+from .symplectic import DEFAULT_GENUS, BasisLabel, _check_label, hvec
 
 
 class HTree(NamedTuple):
@@ -139,19 +139,17 @@ def tau2_square(w: FreeVec) -> FreeVec:
 
 
 def _check_basis(x: FreeVec, y: FreeVec, genus: int):
-    # Every label of a twist basis is a_i or b_i with 1 <= i <= genus.  The
-    # loop is the fast path; a failure is named from the sorted labels, so
-    # equal vectors fail alike.
-    for label in (*x._terms, *y._terms):
-        if not (isinstance(label, BasisLabel) and 1 <= label >> 1 <= genus):
+    # Every key of a twist basis is a label (so its index is at least 1)
+    # with index at most ``genus``.  The loop is the fast path; a failure
+    # refuses the first key that is not a label, else names the largest index.
+    labels = (*x._terms, *y._terms)
+    for label in labels:
+        if not (isinstance(label, BasisLabel) and label >> 1 <= genus):
             break
     else:
         return
-    labels = x.support() + y.support()
     for label in labels:
-        if not (isinstance(label, BasisLabel) and label >> 1 >= 1):
-            raise ValueError("twist uses %s, not a basis label a_i or b_i "
-                             "with 1 <= i <= %d" % (label, genus))
+        _check_label(label)
     raise ValueError("twist uses index %d beyond genus %d"
                      % (max(labels) >> 1, genus))
 
@@ -160,8 +158,9 @@ def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:
     """Image of the Dehn twist on a genus-1 bounding curve with subsurface basis (x, y).
 
     The twist maps to twice the tree with both legs (x, y), that is
-    ``tau2_square`` of the one wedge x ^ y.  A label of x or y other than
-    a_i or b_i with 1 <= i <= ``genus`` is a ValueError.
+    ``tau2_square`` of the one wedge x ^ y.  A key of x or y that is not a
+    ``BasisLabel`` is a TypeError, and an index beyond ``genus`` a
+    ValueError.
     """
     x, y = hvec(x), hvec(y)
     _check_basis(x, y, genus)

@@ -18,7 +18,7 @@ from treetrace.commands import (
     _cmd_trace,
 )
 from treetrace.exact import FreeVec, canonical
-from treetrace.forms import contract_cs, eta_s, key_bidegree
+from treetrace.forms import contract_cs, eta_s
 from treetrace.grammar import ParseError
 from treetrace.surgery import KnotRecord, LaurentPoly
 from treetrace.symplectic import (
@@ -33,7 +33,6 @@ from treetrace.symplectic import (
     a,
     b,
     basis_labels,
-    generator_label_image,
     gl_generator_action,
     hvec,
     label_omega,
@@ -278,7 +277,7 @@ def _nabla_total(x: FreeVec, y: FreeVec):
                            + get((p, r, q, t), 0) + get((r, p, t, q), 0)
                            - get((p, r, t, q), 0) - get((r, p, q, t), 0))
         if acc:
-            total += -cx * acc if key_bidegree(kx)[1] % 2 else cx * acc
+            total += -cx * acc if sum(u & 1 for u in kx) % 2 else cx * acc
     return total
 
 
@@ -394,11 +393,31 @@ def all_generators(genus: int) -> list:
     return gens
 
 
+def _generator_image(gen: GLGenerator, label: BasisLabel) -> list:
+    # Image of one basis vector from the generator's definition, as (label,
+    # coeff) pairs: T swaps indices i and j, S negates a_j and b_j, and E
+    # sends a_j to a_j + sign*a_i and b_i to b_i - sign*b_j (G on A, its
+    # inverse transpose on B).
+    index, family = label.index, label.family
+    if isinstance(gen, Transposition):
+        swap = {gen.i: gen.j, gen.j: gen.i}
+        return [(BasisLabel(swap.get(index, index), family), 1)]
+    if isinstance(gen, SignFlip):
+        return [(label, -1 if index == gen.j else 1)]
+    if family == FAMILY_A and index == gen.j:
+        return [(label, 1), (a(gen.i), gen.sign)]
+    if family == FAMILY_B and index == gen.i:
+        return [(label, 1), (b(gen.j), -gen.sign)]
+    return [(label, 1)]
+
+
 def gl_hvec_action(gen: GLGenerator, u: FreeVec) -> FreeVec:
-    """Linear action of a generator on a vector of H."""
+    """Linear action of a generator on a vector of H, label by label from
+    the generators' definitions; it shares no code with the package's
+    ``gl_generator_action``, which it checks."""
     terms = []
     for label, coeff in u.items():
-        for image, ic in generator_label_image(gen, label):
+        for image, ic in _generator_image(gen, label):
             terms.append((image, coeff * ic))
     return FreeVec(terms)
 

@@ -749,6 +749,20 @@ def test_non_integral_bounding_basis_is_a_usage_error(tmp_path, capsys):
     assert "integer" in err and out == ""
 
 
+def test_bad_bounding_basis_of_a_knot_document_names_the_knot(tmp_path,
+                                                              capsys):
+    # As its Conway and Jones errors do, a knot record's two bounding-basis
+    # errors name the knot; a twist spec's keep their wording.
+    for basis, reason in (
+            (["a1", "a2"], "needs omega(x, y) = 1 or -1, got 0"),
+            (["1/2*a1 + b1", "2*a2 - 2*b1 + b2"],
+             "needs integer coefficients")):
+        path = write_document(tmp_path, dict(TREFOIL_DOC, name="deg",
+                                             bscc_basis=basis))
+        assert run_cli(capsys, "surgery", path, "1") == (
+            2, "", "error: bounding-curve basis of 'deg' %s\n" % reason)
+
+
 def test_deeply_nested_knot_document_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 2000 + "]" * 2000)

@@ -90,9 +90,8 @@ TRACED_NAMES = {
         "BasisLabel", "DEFAULT_GENUS", "Elementary", "FAMILY_A", "FAMILY_B",
         "FreeVec", "GLGenerator", "NamedTuple", "SignFlip", "Transposition",
         "Union", "a", "annotations", "b", "basis_labels", "cache",
-        "coinvariant_reduce", "generator_label_image", "gl_generator_action",
-        "hvec", "label_omega", "max_index", "omega", "product",
-        "seifert_form"],
+        "coinvariant_reduce", "gl_generator_action", "hvec", "label_omega",
+        "max_index", "omega", "product", "seifert_form"],
     "trees": [
         "BasisLabel", "DEFAULT_GENUS", "FreeVec",
         "HTree", "NamedTuple", "a2_normalize", "annotations", "hvec",
@@ -101,8 +100,8 @@ TRACED_NAMES = {
     "forms": [
         "FAMILY_A", "FAMILY_B", "Fraction", "FreeVec", "annotations",
         "cocycle", "cocycle_values", "contract_cs", "eta_s", "j_form",
-        "key_bidegree", "nabla", "project_bidegree", "q_form",
-        "scalar", "trace_a", "trace_b", "w0_member"],
+        "nabla", "project_bidegree", "q_form", "scalar", "trace_a",
+        "trace_b", "w0_member"],
     "surgery": [
         "BUILTIN_KNOTS", "FIGURE_EIGHT", "Fraction", "FreeVec", "KnotRecord",
         "LaurentPoly", "NamedTuple", "Optional", "POINCARE",

@@ -230,6 +230,37 @@ def test_d2_and_vanishing_combo_values():
     assert vanishing_combo(sphere(-1, 69)) == 48
 
 
+def test_m5_obstruction_is_a_polynomial_in_n():
+    # For 1/n surgery on K, lambda = n*c2 (v2 = -6*c2, which KnotRecord
+    # enforces), so lambda2 + 3*lambda - 18*lambda^2 = n*(B*n - v3/3) with
+    # B = 42*c2^2 - 6*c2 - 60*c4.  The T(2, p) closed form (v3/3)*n*(p*n - 1)
+    # is checked here for k <= 10 (p = 2k + 1 <= 21), not proved.
+    torus = [(2 * k + 1, torus_knot(k)) for k in range(1, 11)]
+    ns = range(-20, 21)
+
+    def obstruction(knot, n):
+        return vanishing_combo(SphereInvariants(casson_surgery(knot, n),
+                                                lambda2_surgery(knot, n)))
+
+    rows = 0
+    for knot in [TREFOIL, FIGURE_EIGHT] + [knot for _, knot in torus]:
+        c2, c4 = knot.conway.coeff(2), knot.conway.coeff(4)
+        big_b = 42 * c2 * c2 - 6 * c2 - 60 * c4
+        v3_third = Fraction(jones_h_derivative(knot.jones, 3), 3)
+        for n in ns:
+            assert obstruction(knot, n) == n * (big_b * n - v3_third)
+            rows += 1
+    assert rows == 492
+    for n in ns:
+        assert obstruction(TREFOIL, n) == 12 * n * (3 * n - 1)
+        assert obstruction(FIGURE_EIGHT, n) == 48 * n * n
+        for p, knot in torus:
+            v3_third = Fraction(jones_h_derivative(knot.jones, 3), 3)
+            assert obstruction(knot, n) == v3_third * n * (p * n - 1)
+    # The Poincare sphere, 1/1 surgery on the trefoil.
+    assert obstruction(TREFOIL, 1) == 24
+
+
 def test_vanishing_combo_zero_on_deep_characterization():
     rng = random.Random(5004)
     for _ in range(100):

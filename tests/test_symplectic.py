@@ -29,7 +29,6 @@ from treetrace.symplectic import (
     b,
     basis_labels,
     coinvariant_reduce,
-    generator_label_image,
     gl_generator_action,
     hvec,
     label_omega,
@@ -75,6 +74,14 @@ INDICES = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
 @given(st.lists(st.tuples(INDICES, st.sampled_from("ab")), min_size=1,
                 max_size=8))
 def test_labels_keep_the_contract_of_index_family_pairs(pairs):
+    # An index below 1 names no basis vector: such a label is refused when
+    # it is built, and every other pair keeps the contract.
+    for i, f in pairs:
+        if i < 1:
+            with pytest.raises(ValueError, match="^basis label index must "
+                               "be at least 1, got %d$" % i):
+                BasisLabel(i, f)
+    pairs = [(i, f) for i, f in pairs if i >= 1]
     labels = [BasisLabel(i, f) for i, f in pairs]
     assert sorted(labels) == [BasisLabel(i, f) for i, f in sorted(pairs)]
     for label, (i, f) in zip(labels, pairs):
@@ -174,7 +181,7 @@ def test_generator_action_refuses_a_slot_that_is_not_a_label():
     # As ``hvec``: a plain pair or a bare int code is a TypeError, also
     # after a label of the same code.
     for t in ((a(1), (1, "b")), (a(1), 3), (b(1), 3, a(1))):
-        with pytest.raises(TypeError, match="^tensor slot of type "
+        with pytest.raises(TypeError, match="^label of type "
                            "(tuple|int) is not a BasisLabel$"):
             gl_generator_action(SignFlip(1), t)
 
@@ -186,7 +193,7 @@ def test_label_functions_refuse_a_key_that_is_not_a_label(label):
     # as the label it codes, and a pair would fail on ``>>``.
     message = "^label of type %s is not a BasisLabel$" % type(label).__name__
     with pytest.raises(TypeError, match=message):
-        generator_label_image(SignFlip(1), label)
+        gl_generator_action(SignFlip(1), (label,))
     for u, v in ((label, b(1)), (a(1), label), (label, label)):
         with pytest.raises(TypeError, match=message):
             label_omega(u, v)
@@ -212,7 +219,7 @@ def test_generator_with_an_index_below_one_or_a_repeated_index_is_refused(gen):
     with pytest.raises(ValueError):
         gl_generator_action(gen, FreeVec())
     with pytest.raises(ValueError):
-        generator_label_image(gen, a(2))
+        gl_generator_action(gen, (a(2),))
 
 
 def test_generator_action_is_linear():
@@ -585,7 +592,7 @@ def test_plain_index_family_pairs_reduce_alike_cold_and_warm():
             _pattern_chords.cache_clear()
             if warm:
                 assert coinvariant_reduce(labels, 4) == want
-            with pytest.raises(ValueError, match="^tensor slot of type "
+            with pytest.raises(TypeError, match="^label of type "
                                "(tuple|int) is not a BasisLabel$"):
                 coinvariant_reduce(plain, 4)
             info = _pattern_chords.cache_info()
@@ -664,8 +671,8 @@ def test_labels_other_than_a_and_b_are_refused():
     for t, kind in cases:
         _pattern_chords.cache_clear()
         coinvariant_reduce((a(1), b(1)), 3)
-        with pytest.raises(ValueError, match="^tensor slot of type %s is "
-                           "not a BasisLabel$" % kind):
+        with pytest.raises(TypeError, match="^label of type %s is not a "
+                           "BasisLabel$" % kind):
             coinvariant_reduce(t, 3)
         # Every slot is checked before the memo is read, also in a sum
         # whose good first term's pattern the memo holds.
@@ -673,23 +680,26 @@ def test_labels_other_than_a_and_b_are_refused():
         assert (info.hits, info.misses) == (0, 1)
 
 
-@pytest.mark.parametrize("good, bad", [
-    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(2), (2, "b"))),
-    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(4), b(4))),
-    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(2), 5)),
-    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(8), b(8))),
+@pytest.mark.parametrize("good, bad, error", [
+    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(2), (2, "b")), TypeError),
+    ((a(1), b(1), a(2), b(2)), (a(1), b(1), a(4), b(4)), ValueError),
+    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(2), 5), TypeError),
+    ((a(1), b(1)) * 6, (a(1), b(1)) * 5 + (a(8), b(8)), ValueError),
 ], ids=["label-degree-4", "index-degree-4", "label-degree-12",
         "index-degree-12"])
-def test_a_bad_later_term_is_refused_before_any_chord(good, bad, monkeypatch):
-    # The first term is balanced and good; the second is refused, and
-    # neither the memo nor the kernel has been read by then.
+def test_a_bad_later_term_is_refused_before_any_chord(good, bad, error,
+                                                      monkeypatch):
+    # The first term is balanced and good; the second is refused (a slot
+    # that is not a label is a TypeError, an index beyond the genus a
+    # ValueError), and neither the memo nor the kernel has been read by
+    # then.
     genus = 3 if len(good) == 4 else 7
     calls = []
     monkeypatch.setattr(symplectic, "_chords", calls.append)
     _pattern_chords.cache_clear()
     v = FreeVec({good: 1, bad: 1})
     assert [tensor for tensor, _ in v.items()] == [good, bad]
-    with pytest.raises(ValueError, match="is not a BasisLabel|outside genus"):
+    with pytest.raises(error, match="is not a BasisLabel$|outside genus"):
         coinvariant_reduce(v, genus)
     assert calls == []
     info = _pattern_chords.cache_info()

@@ -183,27 +183,32 @@ def test_twist_rejects_indices_beyond_genus():
 
 
 @pytest.mark.parametrize("x, y, name", [
-    (a(0), b(0), "a0"),
-    (a(-2), b(-2), "a-2"),
+    ((0, "a"), (0, "b"), "a0"),
+    ((-2, "a"), (-2, "b"), "a-2"),
     ((1, "c"), b(1), "c1"),
-    (FreeVec({a(1): 1, b(0): 2}), b(1), "b0"),
+    ({a(1): 1, (0, "b"): 2}, b(1), "b0"),
     (b(1), (2, "c"), "c2"),
 ], ids=["x0-y0-a0", "x1-y1-a-2", "x2-y2-c1", "x3-y3-b0", "x4-y4-c2"])
 def test_twist_rejects_labels_outside_the_basis(x, y, name):
     # Only a_i and b_i with 1 <= i <= genus make a twist basis, as in the
-    # grammar and the GL generators; these once gave a tree image.  A label
-    # of another family, given here as its (index, family) pair, is refused
-    # when it is built.
-    for pair in (x, y):
-        if isinstance(pair, tuple):
-            with pytest.raises(ValueError, match="^basis label family must "
-                               "be 'a' or 'b', got 'c'$"):
-                BasisLabel(*pair)
-            assert "%s%d" % pair[::-1] == name
-            return
-    with pytest.raises(ValueError, match="^twist uses %s, not a basis label "
-                       "a_i or b_i with 1 <= i <= 5$" % name):
-        tau2_bscc_twist(x, y, 5)
+    # grammar and the GL generators; these once gave a tree image.  Such a
+    # label, given here as its (index, family) pair, is refused when it is
+    # built, and a key that is not a label (the pair or its int code) is
+    # refused by the twist.
+    slots = [slot if isinstance(slot, dict) else {slot: 1} for slot in (x, y)]
+    bad = next(key for slot in slots for key in slot
+               if not isinstance(key, BasisLabel))
+    assert "%s%d" % bad[::-1] == name
+    with pytest.raises(ValueError, match="^basis label (family must be 'a' "
+                       "or 'b', got 'c'|index must be at least 1, got %d)$"
+                       % bad[0]):
+        BasisLabel(*bad)
+    for key in (bad, 2 * bad[0] + (bad[1] == "b")):
+        x, y = (FreeVec({key if k == bad else k: c for k, c in slot.items()})
+                for slot in slots)
+        with pytest.raises(TypeError, match="^label of type %s is not a "
+                           "BasisLabel$" % type(key).__name__):
+            tau2_bscc_twist(x, y, 5)
 
 
 def test_normalize_stable_under_genus_increase():
