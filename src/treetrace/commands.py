@@ -43,8 +43,8 @@ from .surgery import (
     lambda2_surgery,
     vanishing_combo,
 )
-from .symplectic import coinvariant_reduce, max_index
-from .trees import _check_basis, tree_expand
+from .symplectic import _check_labels, coinvariant_reduce
+from .trees import tree_expand
 
 
 def _print(render, *args) -> int:
@@ -120,7 +120,7 @@ def _twist_basis(text: str, genus: int, option, lam_text):
         raise ValueError("%s %s contradicts the Casson value %s of the "
                          "built-in knot %r" % (option, lam, c2, text))
     # ``tau2_bscc_twist``'s check; the grammar makes no other bad label.
-    _check_basis(x, y, genus)
+    _check_labels((*x._terms, *y._terms), genus)
     return lam, (x, y), v
 
 
@@ -236,8 +236,6 @@ def _cmd_trace(args) -> int:
     if args.genus < 1:
         raise ValueError("trace needs genus >= 1, got genus %d" % args.genus)
     t = parse_tree(args.tree)
-    top = max(max_index(x) for x in t)
-    if top > args.genus:
-        raise ValueError("tree uses index %d beyond genus %d" % (top, args.genus))
+    _check_labels([k for leg in t for k in leg._terms], args.genus, "tree")
     trace = trace_a if args.side == "A" else trace_b
     return _print(format_tensor, trace(tree_expand(t)))

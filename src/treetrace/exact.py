@@ -58,16 +58,8 @@ class FreeVec:
         if terms is not None:
             items = terms.items() if isinstance(terms, dict) else terms
             for key, coeff in items:
-                if not isinstance(coeff, (int, Fraction)):
-                    coeff = scalar(coeff)
-                if not coeff:
-                    continue
-                acc = data.get(key, 0) + coeff
-                if acc:
-                    data[key] = acc
-                else:
-                    del data[key]
-        self._terms = data
+                data[key] = data.get(key, 0) + scalar(coeff)
+        self._terms = {k: c for k, c in data.items() if c}
 
     @classmethod
     def single(cls, key, coeff=1) -> "FreeVec":

@@ -121,6 +121,21 @@ def _check_label(label):
                         % type(label).__name__)
 
 
+def _check_labels(labels, genus: int, what: str = "twist"):
+    # Every key of ``labels`` is a label (so its index is at least 1) with
+    # index at most ``genus``.  The loop is the fast path; a failure refuses
+    # the first key that is not a label, else names the largest index.
+    for label in labels:
+        if not (isinstance(label, BasisLabel) and label >> 1 <= genus):
+            break
+    else:
+        return
+    for label in labels:
+        _check_label(label)
+    raise ValueError("%s uses index %d beyond genus %d"
+                     % (what, max(labels) >> 1, genus))
+
+
 def label_omega(u: BasisLabel, v: BasisLabel) -> int:
     """Intersection pairing on basis labels: omega(a_i, b_i) = 1,
     antisymmetric; an argument not a ``BasisLabel`` is a TypeError."""
@@ -142,11 +157,6 @@ def seifert_form(u: FreeVec, v: FreeVec):
 def omega(u: FreeVec, v: FreeVec):
     """Bilinear extension of the intersection form to H: L(u, v) - L(v, u)."""
     return seifert_form(u, v) - seifert_form(v, u)
-
-
-def max_index(u: FreeVec) -> int:
-    """Largest basis index appearing in an H vector (0 for the zero vector)."""
-    return max(u._terms, default=0) >> 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ so the normal form rewrites each key (w, x, y, z) with x < y by
 
 and keeps every other key: one rewrite per term, at any genus.  So
 ``a2_normalize`` takes no genus; ``tau2_bscc_twist``, the image of the twist
-on a genus-1 bounding curve, is where a basis is checked against one.
+on a genus-1 bounding curve, checks its basis against one with
+``symplectic._check_labels``, the check the ``trace`` command runs on a tree.
 
 Wedge keys store their two labels sorted (sign absorbed into the
 coefficient).  A key of S^2(Lambda^2 H) is the flat tuple (w, x, y, z) of
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import FreeVec
-from .symplectic import DEFAULT_GENUS, BasisLabel, _check_label, hvec
+from .symplectic import DEFAULT_GENUS, _check_labels, hvec
 
 
 class HTree(NamedTuple):
@@ -138,30 +139,16 @@ def tau2_square(w: FreeVec) -> FreeVec:
     return FreeVec._raw({k: c for k, c in data.items() if c})
 
 
-def _check_basis(x: FreeVec, y: FreeVec, genus: int):
-    # Every key of a twist basis is a label (so its index is at least 1)
-    # with index at most ``genus``.  The loop is the fast path; a failure
-    # refuses the first key that is not a label, else names the largest index.
-    labels = (*x._terms, *y._terms)
-    for label in labels:
-        if not (isinstance(label, BasisLabel) and label >> 1 <= genus):
-            break
-    else:
-        return
-    for label in labels:
-        _check_label(label)
-    raise ValueError("twist uses index %d beyond genus %d"
-                     % (max(labels) >> 1, genus))
-
-
 def tau2_bscc_twist(x, y, genus: int = DEFAULT_GENUS) -> FreeVec:
     """Image of the Dehn twist on a genus-1 bounding curve with subsurface basis (x, y).
 
     The twist maps to twice the tree with both legs (x, y), that is
     ``tau2_square`` of the one wedge x ^ y.  A key of x or y that is not a
     ``BasisLabel`` is a TypeError, and an index beyond ``genus`` a
-    ValueError.
+    ValueError.  Otherwise the basis is taken as given: neither
+    omega(x, y) = 1 or -1 nor integer coefficients are checked here, as
+    ``surgery.bounding_casson`` and the command line check both.
     """
     x, y = hvec(x), hvec(y)
-    _check_basis(x, y, genus)
+    _check_labels((*x._terms, *y._terms), genus)
     return tau2_square(wedge_expand(x, y))

@@ -39,7 +39,8 @@ from treetrace.trees import tau2_bscc_twist
 
 from cli_outcomes import parse_outcome, parsed_outcome
 from helpers import (argparse_commands, argparse_parse, argparse_parser,
-                     report_dict, seifert_q_j)
+                     jones_series_derivative, report_dict, seifert_q_j,
+                     torus_knot)
 
 SRC = str(Path(treetrace.cli.__file__).resolve().parent.parent)
 
@@ -183,6 +184,32 @@ def test_surgery_from_knot_document(tmp_path, capsys):
     assert code == 0
     assert "lambda = 2" in out
     assert "lambda2 = 186" in out
+
+
+def test_m5_obstruction_on_torus_knot_documents(tmp_path, capsys):
+    # T(2, 5) and T(2, 7) as knot documents (c4 != 0, so no bounding-curve
+    # basis): the obstruction of 1/n surgery is n*(B*n - v3/3) with
+    # B = 42*c2^2 - 6*c2 - 60*c4, v3 from the power-series oracle.
+    rows = 0
+    for k, known in ((2, (3, 1, 180)), (3, (6, 5, 504))):
+        knot = torus_knot(k)
+        c2, c4 = knot.conway.coeff(2), knot.conway.coeff(4)
+        v3 = jones_series_derivative(knot.jones, 3)
+        assert (c2, c4, v3) == known
+        path = tmp_path / ("torus-%d.json" % k)
+        path.write_text(json.dumps({
+            "name": knot.name,
+            "conway": [list(term) for term in knot.conway.sorted_items()],
+            "jones": [list(term) for term in knot.jones.sorted_items()]}))
+        big_b = 42 * c2 * c2 - 6 * c2 - 60 * c4
+        for n in range(-5, 6):
+            code, out, _ = run_cli(capsys, "surgery", str(path), str(n),
+                                   "--format", "json")
+            assert code == 0
+            assert Fraction(json.loads(out)["vanishing_combo"]) == (
+                n * (big_b * n - Fraction(v3, 3))), (knot.name, n)
+            rows += 1
+    assert rows == 22
 
 
 def run_python(*args, **env):
@@ -411,9 +438,18 @@ def test_trace_subcommand(capsys):
 
 
 def test_trace_rejects_deep_indices(capsys):
-    code, _, err = run_cli(capsys, "trace", "T(a9, b9; b1, b2)", "--genus", "5")
-    assert code == 2
-    assert "genus" in err
+    # The one genus check names the largest index of the tree.
+    for tree, genus, top in (("T(a9, b9; b1, b2)", 5, 9),
+                             ("T(a1, b1; a2, b7)", 5, 7),
+                             ("T(a1 + 2*b4, b1; a2, b2)", 3, 4)):
+        assert run_cli(capsys, "trace", tree, "--genus", str(genus)) == (
+            2, "", "error: tree uses index %d beyond genus %d\n"
+            % (top, genus))
+
+
+def test_trace_counts_no_index_of_a_leg_that_cancels(capsys):
+    assert run_cli(capsys, "trace", "T(a3 - a3, b1; a1, b2)",
+                   "--genus", "2") == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("genus", ["0", "-3"])

@@ -91,9 +91,9 @@ TRACED_NAMES = {
         "FreeVec", "GLGenerator", "NamedTuple", "SignFlip", "Transposition",
         "Union", "a", "annotations", "b", "basis_labels", "cache",
         "coinvariant_reduce", "gl_generator_action", "hvec", "label_omega",
-        "max_index", "omega", "product", "seifert_form"],
+        "omega", "product", "seifert_form"],
     "trees": [
-        "BasisLabel", "DEFAULT_GENUS", "FreeVec",
+        "DEFAULT_GENUS", "FreeVec",
         "HTree", "NamedTuple", "a2_normalize", "annotations", "hvec",
         "lambda4_embed", "sym_product", "tau2_bscc_twist", "tau2_square",
         "tree", "tree_expand", "wedge_expand"],

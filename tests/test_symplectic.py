@@ -19,6 +19,7 @@ from helpers import (
 from treetrace import symplectic
 from treetrace.exact import FreeVec
 from treetrace.symplectic import (
+    _check_labels,
     _pattern_chords,
     FAMILY_A,
     BasisLabel,
@@ -32,7 +33,6 @@ from treetrace.symplectic import (
     gl_generator_action,
     hvec,
     label_omega,
-    max_index,
     omega,
     seifert_form,
 )
@@ -126,14 +126,28 @@ def test_hvec_takes_only_labels_and_vectors():
             hvec(value)
 
 
-def test_max_index_is_the_largest_index_in_the_support():
-    assert max_index(FreeVec()) == 0
-    assert max_index(FreeVec([(a(4), 1), (a(4), -1)])) == 0
-    assert max_index(FreeVec({b(7): Fraction(1, 2), a(2): -3})) == 7
+def test_check_labels_names_the_largest_index_beyond_the_genus():
+    _check_labels((), 1)
+    _check_labels(FreeVec([(a(4), 1), (a(4), -1)])._terms, 1)
+    _check_labels([b(3), a(1), a(3)], 3, "tree")
+    with pytest.raises(ValueError) as err:
+        _check_labels([b(7), a(2), a(9)], 5)
+    assert str(err.value) == "twist uses index 9 beyond genus 5"
+    with pytest.raises(ValueError) as err:
+        _check_labels([a(2), b(4)], 3, "tree")
+    assert str(err.value) == "tree uses index 4 beyond genus 3"
+    # A non-label is refused as one, also after a label beyond the genus.
+    for labels in ([a(9), 3], [3, a(1)], [a(1), (1, "a")]):
+        with pytest.raises(TypeError, match="is not a BasisLabel"):
+            _check_labels(labels, 5)
     rng = random.Random(2002)
     for _ in range(100):
-        u = rand_hvec(rng, 9, max_terms=4)
-        assert max_index(u) == max((k.index for k in u.support()), default=0)
+        keys = rand_hvec(rng, 9, max_terms=4)._terms
+        top = max((k.index for k in keys), default=0)
+        _check_labels(keys, top)
+        if keys:
+            with pytest.raises(ValueError, match="index %d " % top):
+                _check_labels(keys, top - 1)
 
 
 def test_omega_bilinear_expansion():
