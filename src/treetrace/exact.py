@@ -47,8 +47,9 @@ class FreeVec:
     practice).  Zero coefficients are never stored, so two values are equal
     iff they hold identical key -> coefficient associations.  Instances are
     immutable; all operators return fresh vectors.  ``cached`` keeps values
-    derived from one vector with it; the memo slot stays unset until then,
-    and equality, ``repr`` and arithmetic ignore it.
+    derived from one vector with it, one per builder object; the memo slot
+    is ``None`` until the first of them, and equality, ``repr`` and
+    arithmetic ignore it.
     """
 
     __slots__ = ("_terms", "_memo")
@@ -60,6 +61,7 @@ class FreeVec:
             for key, coeff in items:
                 data[key] = data.get(key, 0) + scalar(coeff)
         self._terms = {k: c for k, c in data.items() if c}
+        self._memo = None
 
     @classmethod
     def single(cls, key, coeff=1) -> "FreeVec":
@@ -71,28 +73,31 @@ class FreeVec:
         # Internal: adopt a dict that is already zero-free.
         v = cls.__new__(cls)
         v._terms = data
+        v._memo = None
         return v
 
-    def cached(self, fn, arg=None):
-        """``fn(self)``, or ``fn(self, arg)`` when ``arg`` is given, computed
-        at most once per vector and ``arg``.
+    def cached(self, fn):
+        """``fn(self)``, computed at most once per vector and builder object
+        ``fn``.
 
         Sound because a vector never changes after construction; a vector
-        made by arithmetic starts without a memo.  The values of an ``fn``
-        that takes an ``arg`` are kept in one dict by ``arg``, so a lookup
-        builds no key; such an ``fn`` is never cached without one.
+        made by arithmetic starts without a memo.  The first value makes the
+        memo dict; the slot is read again after ``fn`` runs, so a builder
+        that caches on the same vector keeps its own entries too.
         """
-        try:
+        memo = self._memo
+        if memo is None:
+            value = fn(self)
             memo = self._memo
-        except AttributeError:
-            memo = self._memo = {}
-        try:
-            return memo[fn] if arg is None else memo[fn][arg]
-        except KeyError:
-            if arg is None:
-                value = memo[fn] = fn(self)
+            if memo is None:
+                self._memo = {fn: value}
             else:
-                value = memo.setdefault(fn, {})[arg] = fn(self, arg)
+                memo[fn] = value
+            return value
+        try:
+            return memo[fn]
+        except KeyError:
+            value = memo[fn] = fn(self)
             return value
 
     def coeff(self, key):

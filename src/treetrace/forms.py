@@ -4,18 +4,22 @@ The tree space splits by the number of A-labels versus B-labels among the
 four slots of each term; ``project_bidegree`` picks one piece.  A vector
 is split once: its five pieces and the contractions of its (1,3) and (3,1)
 pieces are kept with it (``FreeVec.cached``), and every form reads them
-from there.  The trace ``trace_a`` to S^2(B) is the contraction of the
-(1,3) piece and zero on the other pieces with an A-label; ``trace_b`` to
-S^2(A) is minus the contraction of the (3,1) piece.  Their kernels cut out
-the subspaces W0 inside bidegrees (1,3) and (3,1).
+from there.  An empty piece, and the contraction of an empty piece, is
+the one shared empty vector ``_EMPTY``, built once, as a vector never
+changes; no pairing reads an image of it.  The trace ``trace_a`` to
+S^2(B) is the contraction of the (1,3) piece and zero on the other pieces
+with an A-label; ``trace_b`` to S^2(A) is minus the contraction of the
+(3,1) piece.  Their kernels cut out the subspaces W0 inside bidegrees
+(1,3) and (3,1).
 
 Two rational-valued pairings act on these pieces: the perfect pairing
 ``eta_s`` on S^2(H), applied to the contractions ``contract_cs``, and the
 tree inner product ``nabla``.  omega(u, v) is nonzero only when v is the
 omega-partner u' of u (same index, other family), and omega(u, u') =
 eps(u) is +1 for u in A, -1 for u in B.  So a pairing is a dot product of
-one image of each argument, built once per piece and kept with it.  The
-left argument gives its partner image x* (every label replaced by its
+one image of each argument, built once per piece and kept with it by the
+builder of its side (``_PAIR`` and ``_TREE``, each a (left, right) pair).
+The left argument gives its partner image x* (every label replaced by its
 partner, times the product of eps over the labels, wedges and legs
 sorted), the right one its canonical form y° (wedges and legs sorted, a
 square key doubled), and eta_s(x, y) = <x*, y°>.  For the slot labels of
@@ -43,6 +47,7 @@ arguments from the same single pairing of each piece.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial as _partial
 
 from .exact import FreeVec, _fraction, scalar
 from .symplectic import FAMILY_A, FAMILY_B
@@ -51,16 +56,23 @@ from .symplectic import FAMILY_A, FAMILY_B
 # Where ``_split`` keeps the contractions of the (1,3) and (3,1) pieces.
 _C13, _C31 = 5, 6
 
+# Every empty piece and contraction ``_split`` gives: one vector, shared.
+_EMPTY = FreeVec._raw({})
+
 
 def _split(v: FreeVec) -> tuple:
     # One pass over the terms, bucketed by their number of A-labels: the
-    # bidegree (s, 4 - s) piece at index s, then the two contractions.
+    # bidegree (s, 4 - s) piece at index s, then the two contractions; an
+    # empty one is ``_EMPTY``.
     buckets = ({}, {}, {}, {}, {})
     for key, coeff in v._terms.items():
         w, x, y, z = key
         buckets[4 - (w & 1) - (x & 1) - (y & 1) - (z & 1)][key] = coeff
-    pieces = tuple(FreeVec._raw(data) for data in buckets)
-    return pieces + (contract_cs(pieces[1]), contract_cs(pieces[3]))
+    pieces = tuple([FreeVec._raw(data) if data else _EMPTY
+                    for data in buckets])
+    p13, p31 = pieces[1], pieces[3]
+    return pieces + (contract_cs(p13) if p13._terms else _EMPTY,
+                     contract_cs(p31) if p31._terms else _EMPTY)
 
 
 def project_bidegree(v: FreeVec, s: int, t: int) -> FreeVec:
@@ -135,8 +147,10 @@ def contract_cs(v: FreeVec) -> FreeVec:
 
 # The images the pairings read, each a dict built in one pass over a piece
 # and kept with it (``FreeVec.cached``), one per side: ``flip`` 1 for the
-# left argument, 0 for the right, and ``_pairing`` reads either builder's
-# two sides; the builder is the memo key.  A key of an image holds the
+# left argument, 0 for the right.  Each side has its own builder, a
+# ``partial`` in ``_PAIR`` or ``_TREE``, which is its memo key, and
+# ``_pairing`` reads the left one on x and the right one on y.  An empty
+# piece (``_EMPTY``) gets no image.  A key of an image holds the
 # codes of its labels as plain ints, ``label ^ flip``: the left side reads
 # the partners' codes, code ^ 1, with the sign of the product of
 # omega(u, u'), -1 when an odd number of labels lie in B; only the right
@@ -201,12 +215,18 @@ def _tree_image(v: FreeVec, flip: int) -> dict:
     return data
 
 
-def _pairing(image, x: FreeVec, y: FreeVec):
-    # <image(x, 1), image(y, 0)>: eta_s with ``_pair_image``, 2 nabla with
-    # ``_tree_image`` (module doc); an int unless a coefficient is a Fraction.
+# The (left, right) image builders of eta_s and of 2 nabla.
+_PAIR = _partial(_pair_image, flip=1), _partial(_pair_image, flip=0)
+_TREE = _partial(_tree_image, flip=1), _partial(_tree_image, flip=0)
+
+
+def _pairing(images, x: FreeVec, y: FreeVec):
+    # <left(x), right(y)> for ``images`` = (left, right): eta_s with
+    # ``_PAIR``, 2 nabla with ``_TREE`` (module doc); an int unless a
+    # coefficient is a Fraction.
     if not x._terms or not y._terms:
         return 0
-    x, y = x.cached(image, 1), y.cached(image, 0)
+    x, y = x.cached(images[0]), y.cached(images[1])
     if len(y) < len(x):
         x, y = y, x
     get = y.get
@@ -222,14 +242,14 @@ def eta_s(x: FreeVec, y: FreeVec) -> Fraction:
     """Perfect pairing on S^2(H): (ab, cd) -> w(a,c)w(b,d) + w(a,d)w(b,c).
 
     Only cd = a'b' or b'a', with ' the omega-partner, pairs nonzero with ab."""
-    return _fraction(_pairing(_pair_image, x, y))
+    return _fraction(_pairing(_PAIR, x, y))
 
 
 def nabla(x: FreeVec, y: FreeVec) -> Fraction:
     """Tree inner product: 3 times the S^2(Lambda^2 H) pairing less the
     Lambda^4 H pairing of the four-slot wedges, halved, so zero on
     lambda4(q) (module doc)."""
-    return _fraction(_pairing(_tree_image, x, y), 2)
+    return _fraction(_pairing(_TREE, x, y), 2)
 
 
 def q_form(x: FreeVec, y: FreeVec) -> Fraction:
@@ -255,8 +275,8 @@ def _cocycle_totals(lam_x, x: FreeVec, lam_y, y: FreeVec) -> tuple:
     # Q, 2*J, 4*B and 4*C of two (Casson value, tree image) pairs, each piece
     # paired once.
     sx, sy = x.cached(_split), y.cached(_split)
-    e = _pairing(_pair_image, sx[_C13], sy[_C31])
-    n = _pairing(_tree_image, sx[0], sy[4])
+    e = _pairing(_PAIR, sx[_C13], sy[_C31])
+    n = _pairing(_TREE, sx[0], sy[4])
     return (e, n) + _cocycle_sum(lam_x, lam_y, e, n)
 
 

@@ -2,6 +2,7 @@ import random
 import types
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -74,33 +75,52 @@ def test_cached_computes_once_per_vector():
     v = FreeVec({"x": 1, "y": Fraction(1, 2)})
     w = FreeVec({"y": 3})
     text = repr(v)
-    with pytest.raises(AttributeError):
-        v._memo
+    assert v._memo is None
     assert v.cached(size) == 2
     assert v.cached(size) == 2
     assert len(calls) == 1
     assert v == FreeVec({"x": 1, "y": Fraction(1, 2)})
     assert repr(v) == text
-    for derived in (v + w, v - w, -v, 2 * v):
-        with pytest.raises(AttributeError):
-            derived._memo
+    for derived in (v + w, v - w, -v, 2 * v, 0 * v):
+        assert derived._memo is None
     assert w.cached(size) == 1
     assert len(calls) == 2
 
 
 def test_cached_keeps_one_value_per_argument():
+    # Distinct builder objects of one function, as the two sides of a
+    # pairing are, keep one value each.
     calls = []
 
-    def scaled(vec, arg):
-        calls.append(arg)
-        return arg * len(vec)
+    def scaled(vec, factor):
+        calls.append(factor)
+        return factor * len(vec)
 
+    p3, p0 = partial(scaled, factor=3), partial(scaled, factor=0)
     v = FreeVec({"x": 1, "y": 2})
     for _ in range(2):
-        assert v.cached(scaled, 3) == 6 and v.cached(scaled, 0) == 0
+        assert v.cached(p3) == 6 and v.cached(p0) == 0
         assert v.cached(len) == 2
     assert calls == [3, 0]
-    assert v._memo == {scaled: {3: 6, 0: 0}, len: 2}
+    assert v._memo == {p3: 6, p0: 0, len: 2}
+
+
+def test_cached_keeps_the_entries_a_builder_caches_itself():
+    # A builder that caches on its own vector first: the memo it made
+    # keeps that entry, and the outer value joins it.
+    def inner(vec):
+        return len(vec)
+
+    def outer(vec):
+        return vec.cached(inner) + 1
+
+    v = FreeVec({"x": 1, "y": 2})
+    assert v.cached(outer) == 3
+    assert v._memo == {inner: 2, outer: 3}
+    assert v.cached(outer) == 3 and v.cached(inner) == 2
+    w = FreeVec({"x": 1})
+    assert w.cached(len) == 1 and w.cached(outer) == 2
+    assert w._memo == {len: 1, inner: 1, outer: 2}
 
 
 @pytest.mark.parametrize("vec", [FreeVec(), FreeVec({"x": 1}),

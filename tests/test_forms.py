@@ -25,8 +25,10 @@ from helpers import (
 )
 from treetrace.exact import FreeVec, _fraction
 from treetrace.forms import (
+    _EMPTY,
+    _PAIR,
+    _TREE,
     _split,
-    _tree_image,
     cocycle,
     cocycle_values,
     contract_cs,
@@ -727,18 +729,17 @@ def test_images_stay_with_the_paired_vector_only():
     x = project_bidegree(tau_trefoil(), 0, 4)
     y = project_bidegree(tau_trefoil(), 4, 0)
     plain = FreeVec(x.items())
-    assert not hasattr(x, "_memo")
+    assert x._memo is None
     value = nabla(x, y)
-    assert len(x._memo) == 1 and len(y._memo) == 1
-    # One image on each side: N*(x) on x, N(y) on y.
-    assert list(x._memo[_tree_image]) == [1]
-    assert list(y._memo[_tree_image]) == [0]
+    # One image on each side, kept by its side's builder: N*(x) on x, N(y)
+    # on y.
+    assert list(x._memo) == [_TREE[0]] and list(y._memo) == [_TREE[1]]
     assert nabla(x, y) == value == nabla(plain, y)
     # Equality and repr read the terms only.
     assert x == plain and repr(x) == repr(plain)
     # A vector made by arithmetic starts without the images.
     for derived in (x + FreeVec(), x - y, -x, 2 * x, x * Fraction(1, 3)):
-        assert not hasattr(derived, "_memo")
+        assert derived._memo is None
     assert nabla(-x, y) == -value and nabla(2 * x, y) == 2 * value
 
 
@@ -758,9 +759,75 @@ def test_dense_gram_block_equals_the_loops():
         for j, y in enumerate(taus):
             assert_forms_equal_the_loops(x, y, i - 1, Fraction(j, 2))
     # The split is kept with each vector, and each piece keeps the one
-    # image of its side: N*(x) (flip 1) on (0,4), N(x) (flip 0) on (4,0).
-    assert all(len(t._memo) == 1 for t in taus)
-    assert all(len(t.cached(_split)[s]._memo) == 1
-               for t in taus for s in (0, 4))
-    assert all(list(t.cached(_split)[s]._memo[_tree_image]) == [flip]
-               for t in taus for s, flip in ((0, 1), (4, 0)))
+    # image of its side, under that side's builder: N*(x) (``_TREE[0]``)
+    # on (0,4), N(x) (``_TREE[1]``) on (4,0).
+    assert all(list(t._memo) == [_split] for t in taus)
+    assert all(list(t.cached(_split)[s]._memo) == [builder]
+               for t in taus for s, builder in ((0, _TREE[0]), (4, _TREE[1])))
+
+
+# ---------------------------------------------------------------------------
+# the shared empty piece
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def vectors_with_empty_pieces(draw):
+    """A genus in 2..5 and a combination of expanded basic trees drawn per
+    bidegree, each bidegree present or not, so that some pieces of the
+    split are empty; the slots of a tree come in any order."""
+    genus = draw(st.integers(2, 5))
+    labels = basis_labels(genus)
+    by_family = {family: st.sampled_from([u for u in labels
+                                          if u.family == family])
+                 for family in (FAMILY_A, FAMILY_B)}
+    coeff = st.sampled_from((-2, -1, 1, 3, Fraction(1, 2)))
+    v = FreeVec()
+    for s in draw(st.sets(st.integers(0, 4))):
+        for _ in range(draw(st.integers(1, 3))):
+            slots = [draw(by_family[FAMILY_A]) for _ in range(s)]
+            slots += [draw(by_family[FAMILY_B]) for _ in range(4 - s)]
+            slots = draw(st.permutations(slots))
+            v = v + draw(coeff) * expand(*slots)
+    return v
+
+
+def _holds_nothing(value) -> bool:
+    # A memo value of an empty vector: an empty vector or image, or the
+    # split of one, a tuple of empty vectors.
+    if isinstance(value, tuple):
+        return all(not part for part in value)
+    return not value
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors_with_empty_pieces(), vectors_with_empty_pieces(),
+       st.sampled_from(COEFFS), st.sampled_from(COEFFS))
+def test_shared_empty_piece_stays_empty(x, y, lam_x, lam_y):
+    # Every empty piece and contraction is the one ``_EMPTY``; the forms on
+    # vectors with empty pieces equal the oracles, and none of them leaves
+    # a term or a nonempty memo value on the shared vector.
+    P = filter_project_bidegree
+    for v in (x, y):
+        for s in range(5):
+            piece = project_bidegree(v, s, 4 - s)
+            assert piece == P(v, s, 4 - s)
+            assert (piece is _EMPTY) == (not piece)
+            # A piece, empty or not, splits again into itself and empties.
+            assert project_bidegree(piece, s, 4 - s) == piece
+            assert nabla(piece, piece) == nabla_all_pairs(piece, piece)
+        for family, tracer in ((FAMILY_A, trace_a), (FAMILY_B, trace_b)):
+            assert _trace_outcome(tracer, v) \
+                == _trace_outcome(slotwise_trace, v, family)
+        for s, side, family in ((1, "A", FAMILY_A), (3, "B", FAMILY_B)):
+            assert w0_member(project_bidegree(v, s, 4 - s), side) \
+                == (not slotwise_trace(P(v, s, 4 - s), family))
+    q = eta_all_pairs(slotwise_trace(P(x, 1, 3), FAMILY_A),
+                      -slotwise_trace(P(y, 3, 1), FAMILY_B))
+    j = nabla_all_pairs(P(x, 0, 4), P(y, 4, 0))
+    assert (q_form(x, y), j_form(x, y)) == (q, j)
+    tree_part = 3 * j + Fraction(3, 4) * q
+    assert cocycle_values(lam_x, x, lam_y, y) == (
+        q, j, tree_part, 36 * lam_x * lam_y + tree_part)
+    assert not _EMPTY and _EMPTY == FreeVec()
+    assert all(map(_holds_nothing, (_EMPTY._memo or {}).values()))

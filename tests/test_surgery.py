@@ -234,8 +234,8 @@ def test_m5_obstruction_is_a_polynomial_in_n():
     # For 1/n surgery on K, lambda = n*c2 (v2 = -6*c2, which KnotRecord
     # enforces), so lambda2 + 3*lambda - 18*lambda^2 = n*(B*n - v3/3) with
     # B = 42*c2^2 - 6*c2 - 60*c4.  The T(2, p) closed form (v3/3)*n*(p*n - 1)
-    # is checked here for k <= 10 (p = 2k + 1 <= 21), not proved.
-    torus = [(2 * k + 1, torus_knot(k)) for k in range(1, 11)]
+    # is checked here for k <= 50 (p = 2k + 1 <= 101), not proved.
+    torus = [(2 * k + 1, torus_knot(k)) for k in range(1, 51)]
     ns = range(-20, 21)
 
     def obstruction(knot, n):
@@ -250,7 +250,7 @@ def test_m5_obstruction_is_a_polynomial_in_n():
         for n in ns:
             assert obstruction(knot, n) == n * (big_b * n - v3_third)
             rows += 1
-    assert rows == 492
+    assert rows == 2132
     for n in ns:
         assert obstruction(TREFOIL, n) == 12 * n * (3 * n - 1)
         assert obstruction(FIGURE_EIGHT, n) == 48 * n * n
